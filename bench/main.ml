@@ -151,7 +151,7 @@ let finish_trace prefix =
       (Trace.kind_counts ())
   in
   if events <> [] then
-    Printf.printf "\nadaptation events:\n%s" (Export.event_table events)
+    Printf.printf "\ninstant events:\n%s" (Export.event_table events)
 
 let cmd =
   let run experiment quick full scale datasets no_verify json obs slo trace =

@@ -31,7 +31,7 @@ let cmd_stats path =
     end;
     let events = Export.event_totals records in
     if events <> [] then
-      Printf.printf "\nadaptation events:\n%s" (Export.event_table events)
+      Printf.printf "\ninstant events:\n%s" (Export.event_table events)
 
 let cmd_validate schema_path paths =
   match Export.Schema.load schema_path with
@@ -65,12 +65,9 @@ let cmd_validate schema_path paths =
    order, and dataset names never contain escapes. *)
 
 let read_file ?(ctx = "bench-diff") path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with Sys_error e -> die "apexctl %s: %s" ctx e
+  match Export.read_file path with
+  | Ok text -> text
+  | Error e -> die "apexctl %s: %s" ctx e
 
 let parse_bench path =
   let text = read_file path in
@@ -296,7 +293,7 @@ let pp_seconds = function
 
 (* One frame of the dashboard: server counters, every live epoch with its
    pin count and age, per-generation attribution, SLO status, policy
-   hysteresis state, and the flight recorder's ring. *)
+   hysteresis state, and the trace rings' flight-recorder counters. *)
 let render_top json =
   let b = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -361,14 +358,11 @@ let render_top json =
        (jint [ "refreshes" ] p) (jint [ "promotions" ] p) (jint [ "evictions" ] p)
        (jint [ "last_changes" ] p)
    | _ -> add "\nPOLICY     (support-only mining)\n");
-  add "\nFLIGHT     recorded %s  retained %s  trips %s  dumps %s  armed %s\n"
+  add "\nFLIGHT     recorded %s  retained %s  trips %s  dumps %s\n"
     (jint [ "flight"; "recorded" ] json)
     (jint [ "flight"; "retained" ] json)
     (jint [ "flight"; "trips" ] json)
-    (jint [ "flight"; "dumps" ] json)
-    (match jget [ "flight"; "armed" ] json with
-     | Some (Json.Bool b) -> string_of_bool b
-     | _ -> "-");
+    (jint [ "flight"; "dumps" ] json);
   Buffer.contents b
 
 let cmd_top file interval once =

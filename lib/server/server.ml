@@ -80,7 +80,7 @@ type t = {
   writer : Mutex.t;  (* serializes every writer-side operation *)
   feedback : feedback;
   metrics : Metrics.t;
-  flight : Flight.t;  (* writer-domain only (record/tick/dump) *)
+  flight : Flight.t;  (* writer-domain only (watchdog/dump) *)
   slo : Slo.t option;  (* writer-domain only *)
   slo_idx : int array;  (* objective index per qtype (1/2/3), -1 = none *)
   incident_path : string option;  (* auto-dump target for trips/breaches *)
@@ -107,7 +107,8 @@ let snapshot_epoch t =
   | None -> 0
 
 (* Deep-copy the writer's index into a frozen epoch and make it current;
-   then drain what the publish superseded. Caller holds [t.writer]. *)
+   then drain what the publish superseded. Caller holds [t.writer]. Both
+   spans are always-on Trace kinds, so the flight recorder keeps them. *)
 let publish_locked t =
   let tok = Tr.begin_ Tr.Epoch_publish in
   let epoch = Epoch.of_apex ~snapshot_epoch:(snapshot_epoch t) (Self_tuning.apex t.tuner) in
@@ -119,9 +120,6 @@ let publish_locked t =
   let freed = Registry.retire t.registry in
   Tr.end_arg rtok freed;
   Metrics.add t.c_epochs_freed freed;
-  Flight.tick t.flight;
-  Flight.record t.flight Flight.Publish ~a:generation ~b:freed;
-  if freed > 0 then Flight.record t.flight Flight.Retire ~a:freed ~b:0;
   generation
 
 (* SLO objectives named "q1"/"q2"/"q3" receive the server's per-qtype
@@ -129,8 +127,7 @@ let publish_locked t =
 let qtype_names = [| "q1"; "q2"; "q3" |] [@@apex.guarded "readonly"]
 
 let create ?log_capacity ?min_support ?(refresh_every = 500) ?(feedback_capacity = 4096)
-    ?pool ?snapshot ?policy ?slo ?(slo_subwindows = 6) ?watchdog ?incident_path
-    ?(flight_capacity = Flight.default_capacity) graph =
+    ?pool ?snapshot ?policy ?slo ?watchdog ?incident_path graph =
   let tuner =
     Self_tuning.create ?log_capacity ?min_support ~refresh_every ?pool ?snapshot ?policy
       graph
@@ -148,7 +145,7 @@ let create ?log_capacity ?min_support ?(refresh_every = 500) ?(feedback_capacity
   let slo =
     match slo with
     | None | Some [] -> None
-    | Some objectives -> Some (Slo.create ~subwindows:slo_subwindows objectives)
+    | Some objectives -> Some (Slo.create objectives)
   in
   let slo_idx =
     Array.map
@@ -158,7 +155,7 @@ let create ?log_capacity ?min_support ?(refresh_every = 500) ?(feedback_capacity
         | Some s -> (match Slo.index s name with Some i -> i | None -> -1))
       qtype_names
   in
-  let flight = Flight.create ~capacity:flight_capacity ~metrics () in
+  let flight = Flight.create ~metrics () in
   (match watchdog with
    | Some threshold -> Flight.set_watchdog flight ~threshold
    | None -> ());
@@ -258,8 +255,7 @@ let with_writer t f =
 
 let apply t ops =
   with_writer t (fun () ->
-      Flight.tick t.flight;
-      Flight.record t.flight Flight.Update_batch ~a:(List.length ops) ~b:0;
+      Tr.record Tr.Update_batch ~a:(List.length ops) ~b:0;
       Self_tuning.update t.tuner ops;
       publish_locked t)
 
@@ -306,9 +302,6 @@ let drain_feedback t =
       let dropped = fb.fb_dropped in
       Mutex.unlock fb.fb_lock;
       let batch = List.rev batch in
-      (* one clock refresh per drain: every flight record below reuses the
-         coarse timestamp, keeping the per-observation path allocation-free *)
-      Flight.tick t.flight;
       let tripped = ref false in
       List.iter
         (fun ob ->
@@ -334,23 +327,17 @@ let drain_feedback t =
           let latency_ns = int_of_float (ob.ob_latency *. 1e9) in
           if Flight.check_latency t.flight ~generation:ob.ob_generation ~latency_ns
           then tripped := true;
-          Flight.record t.flight Flight.Query ~a:ob.ob_generation ~b:latency_ns)
+          Tr.record Tr.Served ~a:ob.ob_generation ~b:latency_ns)
         batch;
       let n = List.length batch in
       Metrics.add t.c_drained n;
-      Flight.record t.flight Flight.Drain ~a:n ~b:dropped;
+      Tr.record Tr.Drain ~a:n ~b:dropped;
       (* the SLO window rotates once per non-empty drain, so the effective
          window tracks served traffic rather than idle polling *)
       let breached =
         match t.slo with
         | Some s when n > 0 ->
           let statuses = Slo.advance s in
-          List.iteri
-            (fun i st ->
-              if st.Slo.st_breached then
-                Flight.record t.flight Flight.Slo_breach ~a:i
-                  ~b:(int_of_float (st.Slo.st_burn *. 1000.)))
-            statuses;
           List.exists (fun st -> st.Slo.st_breached) statuses
         | Some _ | None -> false
       in
@@ -373,7 +360,7 @@ let drain_feedback t =
            | Some p -> Policy.last_changes p
            | None -> 0
          in
-         Flight.record t.flight Flight.Refresh ~a:generation ~b:changes
+         Tr.record Tr.Refresh_published ~a:generation ~b:changes
        | None -> ());
       (n, refreshed))
 
@@ -384,8 +371,6 @@ let rollback t =
         Metrics.incr t.c_rollbacks;
         Metrics.set t.g_generation (float_of_int generation);
         Tr.event Tr.Epoch_rolled_back generation;
-        Flight.tick t.flight;
-        Flight.record t.flight Flight.Rollback ~a:generation ~b:0;
         ignore (Registry.retire t.registry : int);
         Some generation
       | None -> None)
@@ -411,7 +396,6 @@ let feedback_dropped t =
   n
 
 let observed t = Metrics.value t.c_observed
-let flight t = t.flight
 let slo t = t.slo
 
 (* Caller holds [t.writer]. Snapshot the attribution table as immutable
@@ -498,15 +482,14 @@ let introspect t =
         | Some p -> Policy.state_json p
         | None -> Json.Null
       in
-      let fstats = Flight.stats t.flight in
+      let tstats = Tr.stats () in
       let flight =
         Json.Obj
-          [ ("recorded", num fstats.Flight.recorded);
-            ("retained", num fstats.Flight.retained);
-            ("overwritten", num fstats.Flight.overwritten);
+          [ ("recorded", num tstats.Tr.recorded);
+            ("retained", num tstats.Tr.retained);
+            ("overwritten", num tstats.Tr.overwritten);
             ("trips", num (Flight.trips t.flight));
-            ("dumps", num (Flight.dumps t.flight));
-            ("armed", Json.Bool (Flight.is_armed t.flight))
+            ("dumps", num (Flight.dumps t.flight))
           ]
       in
       let metrics =
@@ -532,6 +515,5 @@ let introspect t =
 
 let incident_dump ?(reason = "on-demand") t path =
   with_writer t (fun () ->
-      Flight.tick t.flight;
       Metrics.incr t.c_incidents;
       Flight.dump ~reason ~slo:(slo_json t) t.flight path)

@@ -26,10 +26,8 @@ val create :
   ?snapshot:Repro_apex.Apex_persist.Snapshot.t ->
   ?policy:Repro_adaptive.Policy.t ->
   ?slo:Repro_telemetry.Slo.objective list ->
-  ?slo_subwindows:int ->
   ?watchdog:float ->
   ?incident_path:string ->
-  ?flight_capacity:int ->
   Repro_graph.Data_graph.t ->
   t
 (** Build APEX0 over the graph (through {!Repro_adaptive.Self_tuning.create},
@@ -47,8 +45,10 @@ val create :
     non-empty drain). [watchdog] arms the flight recorder's per-query
     latency watchdog at that many seconds. [incident_path] makes the
     writer auto-dump an incident file there whenever a drain saw a
-    watchdog trip or an SLO breach. The flight recorder itself is always
-    on ([flight_capacity] slots, default 1024). *)
+    watchdog trip or an SLO breach. The server's operational records
+    (publish, retire, rollback, drains, update batches, refreshes, SLO
+    breaches, watchdog trips) are always-on {!Repro_telemetry.Trace}
+    kinds, recorded whether or not tracing is enabled. *)
 
 (** {1 Reader side — any domain} *)
 
@@ -115,7 +115,6 @@ val observed : t -> int
 (** Observations the writer has attributed so far (equals
     [feedback_drained] — every drained observation is attributed). *)
 
-val flight : t -> Repro_telemetry.Flight.t
 val slo : t -> Repro_telemetry.Slo.t option
 
 (** {2 Per-epoch attribution}
@@ -141,7 +140,8 @@ val attribution : t -> epoch_totals list
 val introspect : t -> Repro_telemetry.Json.t
 (** One JSON document of live server state: [server] counters, [epochs]
     (every registry entry with state/pins/age), [attribution], [slo]
-    status, [policy] hysteresis state, [flight] recorder stats, and the
+    status, [policy] hysteresis state, [flight] trace-ring stats and
+    watchdog/dump counts, and the
     full [metrics] snapshot. What [apexctl top] renders. *)
 
 val incident_dump : ?reason:string -> t -> string -> unit

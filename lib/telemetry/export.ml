@@ -1,72 +1,81 @@
-(* Exporters for the span ring: JSONL event log (one JSON object per
+(* Exporters for the event rings: JSONL event log (one JSON object per
    line, grep/jq-friendly, append-safe) and Chrome trace_event JSON
-   (load via chrome://tracing or https://ui.perfetto.dev). Both read the
-   live Trace ring; the JSONL reader and schema validator let a separate
-   process (apexctl) audit and summarize a saved trace. *)
+   (load via chrome://tracing or https://ui.perfetto.dev, one thread per
+   domain). Both read the live Trace rings in sequence order; the JSONL
+   reader and schema validator let a separate process (apexctl) audit and
+   summarize a saved trace. *)
 
 (* --- writing --- *)
 
-let jsonl_line buf (s : Trace.span) =
-  Buffer.clear buf;
+type format = Jsonl | Chrome
+
+(* The one span encoder: JSONL lines, Chrome trace events and the
+   incident file's span tail all come from here. *)
+let span_json format (s : Trace.span) =
+  let name = Json.Str (Trace.kind_name s.kind) in
+  let num i = Json.Num (Float.of_int i) in
   let dur = match s.stop with Some stop -> stop -. s.start | None -> 0. in
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{"type":%S,"name":%S,"seq":%d,"ts":%.9f,"dur":%.9f,"arg":%d|}
-       (if s.is_event then "event" else "span")
-       (Trace.kind_name s.kind) s.seq s.start dur s.arg);
-  if s.note <> "" then begin
-    Buffer.add_string buf {|,"note":"|};
-    Buffer.add_string buf (Json.escape s.note);
-    Buffer.add_char buf '"'
-  end;
-  if (not s.is_event) && s.stop = None then
-    Buffer.add_string buf {|,"open":true|};
-  Buffer.add_string buf "}\n"
-
-let write_jsonl oc =
-  let buf = Buffer.create 160 in
-  Trace.iter_spans (fun s ->
-      jsonl_line buf s;
-      output_string oc (Buffer.contents buf))
-
-let us t = t *. 1e6
-
-let chrome_span buf (s : Trace.span) =
-  Buffer.clear buf;
-  if s.is_event then
-    Buffer.add_string buf
-      (Printf.sprintf
-         {|{"name":%S,"cat":"apex","ph":"i","s":"t","ts":%.3f,"pid":1,"tid":1,"args":{"seq":%d,"arg":%d%s}}|}
-         (Trace.kind_name s.kind) (us s.start) s.seq s.arg
-         (if s.note = "" then ""
-          else Printf.sprintf {|,"note":"%s"|} (Json.escape s.note)))
-  else begin
-    let dur = match s.stop with Some stop -> stop -. s.start | None -> 0. in
-    Buffer.add_string buf
-      (Printf.sprintf
-         {|{"name":%S,"cat":"apex","ph":"X","ts":%.3f,"dur":%.3f,"pid":1,"tid":1,"args":{"seq":%d,"arg":%d}}|}
-         (Trace.kind_name s.kind) (us s.start) (us dur) s.seq s.arg)
-  end
-
-let write_chrome oc =
-  output_string oc {|{"traceEvents":[|};
-  let buf = Buffer.create 200 in
-  let first = ref true in
-  Trace.iter_spans (fun s ->
-      if !first then first := false else output_string oc ",\n";
-      chrome_span buf s;
-      output_string oc (Buffer.contents buf));
-  output_string oc {|],"displayTimeUnit":"ms"}|};
-  output_string oc "\n"
+  let note = if s.note = "" then [] else [ ("note", Json.Str s.note) ] in
+  match format with
+  | Jsonl ->
+    Json.Obj
+      (List.concat
+         [ [ ("type", Json.Str (if s.is_event then "event" else "span"));
+             ("name", name);
+             ("seq", num s.seq);
+             ("domain", num s.domain);
+             ("ts", Json.Num s.start);
+             ("dur", Json.Num dur);
+             ("arg", num s.arg) ];
+           (if s.arg2 = 0 then [] else [ ("arg2", num s.arg2) ]);
+           note;
+           (if (not s.is_event) && s.stop = None then [ ("open", Json.Bool true) ]
+            else []) ])
+  | Chrome ->
+    let us t = Json.Num (t *. 1e6) in
+    let phase =
+      if s.is_event then [ ("ph", Json.Str "i"); ("s", Json.Str "t"); ("ts", us s.start) ]
+      else [ ("ph", Json.Str "X"); ("ts", us s.start); ("dur", us dur) ]
+    in
+    Json.Obj
+      ([ ("name", name); ("cat", Json.Str "apex") ]
+      @ phase
+      @ [ ("pid", num 1);
+          ("tid", num s.domain);
+          ("args", Json.Obj ([ ("seq", num s.seq); ("arg", num s.arg) ] @ note)) ])
 
 let with_file path f =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
 
-let save_jsonl path = with_file path write_jsonl
-let save_chrome path = with_file path write_chrome
+let save_jsonl path =
+  with_file path (fun oc ->
+      Trace.iter_spans (fun s ->
+          output_string oc (Json.to_string (span_json Jsonl s));
+          output_char oc '\n'))
+
+let save_chrome path =
+  with_file path (fun oc ->
+      output_string oc {|{"traceEvents":[|};
+      let first = ref true in
+      Trace.iter_spans (fun s ->
+          if !first then first := false else output_string oc ",\n";
+          output_string oc (Json.to_string (span_json Chrome s)));
+      output_string oc "],\"displayTimeUnit\":\"ms\"}\n")
 
 (* --- reading --- *)
+
+let read_file path =
+  match open_in_bin path with
+  | exception Sys_error e -> Error e
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        match really_input_string ic (in_channel_length ic) with
+        | text -> Ok text
+        | exception Sys_error e -> Error (path ^ ": " ^ e)
+        | exception End_of_file -> Error (path ^ ": truncated read"))
 
 type record = {
   name : string;
@@ -79,18 +88,10 @@ type record = {
 }
 
 let read_lines path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let lines = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then lines := line :: !lines
-         done
-       with End_of_file -> ());
-      List.rev !lines)
+  Result.map
+    (fun text ->
+      List.filter (fun line -> String.trim line <> "") (String.split_on_char '\n' text))
+    (read_file path)
 
 let record_of_json j =
   let str key = Option.bind (Json.member key j) Json.to_str in
@@ -118,9 +119,7 @@ let read_jsonl path =
           | Error e -> Error (Printf.sprintf "line %d: %s" n e)
           | Ok r -> go (n + 1) (r :: acc) rest))
   in
-  match read_lines path with
-  | lines -> go 1 [] lines
-  | exception Sys_error e -> Error e
+  Result.bind (read_lines path) (go 1 [])
 
 (* --- aggregation over records (for apexctl stats) --- *)
 
@@ -263,8 +262,7 @@ let exposition m =
     (Metrics.snapshot m);
   Buffer.contents buf
 
-let write_exposition oc m = output_string oc (exposition m)
-let save_exposition path m = with_file path (fun oc -> write_exposition oc m)
+let save_exposition path m = with_file path (fun oc -> output_string oc (exposition m))
 
 (* --- schema validation --- *)
 
@@ -306,25 +304,20 @@ module Schema = struct
     { required; kinds_field; kinds }
 
   let load path =
-    let ic = open_in path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+    let parsed =
+      Result.bind (read_file path) (fun text ->
+          Result.map_error (Printf.sprintf "%s: %s" path) (Json.parse text))
     in
-    match Json.parse text with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok j ->
-      (match (Json.member "jsonl" j, Json.member "chrome" j) with
-       | Some jl, Some ch ->
-         let chrome_top =
-           Option.value
-             (Option.bind (Json.member "top" ch) Json.to_str)
-             ~default:"traceEvents"
-         in
-         Ok { jsonl = shape_of_json jl; chrome = shape_of_json ch; chrome_top }
-       | _ -> Error (Printf.sprintf "%s: missing jsonl/chrome sections" path))
-    | exception Sys_error e -> Error e
+    Result.bind parsed (fun j ->
+        match (Json.member "jsonl" j, Json.member "chrome" j) with
+        | Some jl, Some ch ->
+          let chrome_top =
+            Option.value
+              (Option.bind (Json.member "top" ch) Json.to_str)
+              ~default:"traceEvents"
+          in
+          Ok { jsonl = shape_of_json jl; chrome = shape_of_json ch; chrome_top }
+        | _ -> Error (Printf.sprintf "%s: missing jsonl/chrome sections" path))
 
   let check_shape shape ctx j errors =
     List.iter
@@ -358,8 +351,8 @@ module Schema = struct
 
   let validate_jsonl t path =
     match read_lines path with
-    | exception Sys_error e -> Error [ e ]
-    | lines ->
+    | Error e -> Error [ e ]
+    | Ok lines ->
       let errors = ref [] in
       List.iteri
         (fun i line ->
@@ -371,14 +364,9 @@ module Schema = struct
       if !errors = [] then Ok (List.length lines) else Error (List.rev !errors)
 
   let validate_chrome t path =
-    let ic = open_in path in
-    match
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception Sys_error e -> Error [ e ]
-    | text ->
+    match read_file path with
+    | Error e -> Error [ e ]
+    | Ok text ->
       (match Json.parse text with
        | Error e -> Error [ Printf.sprintf "%s: %s" path e ]
        | Ok j ->

@@ -1,14 +1,22 @@
-(** Exporters and auditors for the span ring.
+(** Exporters and auditors for the event rings.
 
-    Writers read the live {!Trace} ring: JSONL (one object per line) and
-    Chrome [trace_event] JSON for [chrome://tracing] / Perfetto. The
-    reader, aggregators, and schema validator operate on saved files so a
+    Writers read the live {!Trace} rings, merged in sequence order: JSONL
+    (one object per line) and Chrome [trace_event] JSON for
+    [chrome://tracing] / Perfetto, one thread per domain. The reader,
+    aggregators, and schema validator operate on saved files so a
     separate process (apexctl) can audit and summarize a trace. *)
 
-val write_jsonl : out_channel -> unit
-val write_chrome : out_channel -> unit
+type format = Jsonl | Chrome
+
+val span_json : format -> Trace.span -> Json.t
+(** The one span encoder, shared by both exporters and the incident
+    file's span tail. *)
+
 val save_jsonl : string -> unit
 val save_chrome : string -> unit
+
+val read_file : string -> (string, string) result
+(** Whole file contents; [Error] carries the [Sys_error] message. *)
 
 type record = {
   name : string;
@@ -44,7 +52,6 @@ val exposition : Metrics.t -> string
     buckets (the log2 bucket edges) plus [_sum]/[_count]. Names are
     sanitized to [[a-zA-Z0-9_]] and prefixed ["apex_"]. *)
 
-val write_exposition : out_channel -> Metrics.t -> unit
 val save_exposition : string -> Metrics.t -> unit
 
 module Schema : sig

@@ -1,92 +1,24 @@
-(* Flight recorder: an always-on, fixed-size incident buffer.
+(* The flight recorder's incident side, over the always-on Trace kinds.
 
-   Where the Trace ring is opt-in (bench --trace) and fine-grained (every
-   pipeline phase), the flight recorder is cheap enough to leave armed in
-   production: a few hundred slots of coarse operational events — queries
-   drained, epochs published/retired, refreshes, rollbacks, SLO breaches,
-   watchdog trips — so that when something goes wrong, the last seconds of
-   server history are already in memory and one [dump] writes them out.
-
-   Recording is zero-allocation when armed: slots are struct-of-arrays int
-   arrays, kinds are immediate constructors, and timestamps come from a
-   coarse internal clock ([tick], called by the writer at drain
-   boundaries) rather than per-record [Unix.gettimeofday] — gettimeofday
-   returns a boxed float, which would put an allocation on every record.
-   Callers holding a better timestamp (e.g. a drained observation's
-   latency capture) use [record_at] with explicit nanoseconds.
-
-   The incident file is the union of three evidence sources: the flight
-   ring itself, the last spans of the Trace ring (when tracing is on), and
-   metric deltas against a baseline captured at [create]. Its JSON layout
-   is contracted by schemas/incident_schema.json (the same mini-contract
-   style as the trace schema) and checked by [validate_file] /
-   `apexctl incident-dump`.
+   The server's operational records — queries drained, update batches,
+   drains, epochs published/retired, refreshes, rollbacks, SLO breaches,
+   watchdog trips — are Trace kinds that stay recorded while tracing is
+   off, so the last seconds of server history are always in the Trace
+   rings. What this module adds is the response when something goes
+   wrong: a latency watchdog over drained observations, a metric baseline
+   captured at [create], and [dump], which writes the retained
+   operational records, the tail of the other trace records (when
+   tracing is on), and metric deltas against the baseline into one
+   incident file. Its JSON layout is contracted by
+   schemas/incident_schema.json (the same mini-contract style as the
+   trace schema) and checked by [validate_file] / `apexctl
+   incident-dump`.
 
    A Flight.t hangs off Server.t and is mutated only by the single writer
-   (record/tick/watchdog) — shared root, "flight" guard tag for L8. *)
-
-type kind =
-  | Query  (* a = generation served, b = latency ns *)
-  | Publish  (* a = generation published, b = retired entries *)
-  | Retire  (* a = epochs freed *)
-  | Refresh  (* a = generation after refresh, b = plan changes *)
-  | Update_batch  (* a = ops applied *)
-  | Drain  (* a = observations drained, b = queue dropped total *)
-  | Rollback  (* a = generation restored *)
-  | Slo_breach  (* a = objective index, b = burn rate x1000 *)
-  | Watchdog_trip  (* a = generation, b = latency ns *)
-  | Fatal  (* a, b = 0; reason goes in the dump *)
-  | Mark  (* free-form caller marker *)
-
-let n_kinds = 11
-
-let kind_index = function
-  | Query -> 0
-  | Publish -> 1
-  | Retire -> 2
-  | Refresh -> 3
-  | Update_batch -> 4
-  | Drain -> 5
-  | Rollback -> 6
-  | Slo_breach -> 7
-  | Watchdog_trip -> 8
-  | Fatal -> 9
-  | Mark -> 10
-
-let all_kinds =
-  [| Query; Publish; Retire; Refresh; Update_batch; Drain; Rollback;
-     Slo_breach; Watchdog_trip; Fatal; Mark |]
-[@@apex.guarded "readonly"]
-
-let kind_name = function
-  | Query -> "query"
-  | Publish -> "publish"
-  | Retire -> "retire"
-  | Refresh -> "refresh"
-  | Update_batch -> "update_batch"
-  | Drain -> "drain"
-  | Rollback -> "rollback"
-  | Slo_breach -> "slo_breach"
-  | Watchdog_trip -> "watchdog_trip"
-  | Fatal -> "fatal"
-  | Mark -> "mark"
-
-type ring = {
-  cap : int;
-  kinds : int array;
-  seqs : int array;  (* global seq of the event occupying each slot *)
-  times : int array;  (* ns since [t0], from the coarse clock *)
-  args_a : int array;
-  args_b : int array;
-  counts : int array;  (* per kind; survives ring wrap *)
-  mutable next_seq : int;
-  mutable clock_ns : int;  (* refreshed by [tick]; read by [record] *)
-}
+   (watchdog, dump counters) — shared root, "flight" guard tag for L8. *)
 
 type t = {
-  ring : ring; [@apex.guarded "flight"]
-  t0 : float;
-  mutable armed : bool; [@apex.guarded "flight"]
+  t0 : int;  (* monotonic ns at [create] *)
   mutable watchdog_ns : int; [@apex.guarded "flight"]  (* 0 = no watchdog *)
   mutable trips : int; [@apex.guarded "flight"]
   mutable dumps : int; [@apex.guarded "flight"]
@@ -107,53 +39,13 @@ let metric_levels m =
       | Metrics.Dist h -> (name, Float.of_int (Metrics.Histogram.count h)))
     (Metrics.snapshot m)
 
-let default_capacity = 1024
-
-let create ?(capacity = default_capacity) ?metrics () =
-  if capacity < 1 then invalid_arg "Flight.create: capacity must be positive";
-  { ring =
-      { cap = capacity;
-        kinds = Array.make capacity 0;
-        seqs = Array.make capacity (-1);
-        times = Array.make capacity 0;
-        args_a = Array.make capacity 0;
-        args_b = Array.make capacity 0;
-        counts = Array.make n_kinds 0;
-        next_seq = 0;
-        clock_ns = 0 };
-    t0 = Unix.gettimeofday ();
-    armed = true;
+let create ?metrics () =
+  { t0 = Trace.now_ns ();
     watchdog_ns = 0;
     trips = 0;
     dumps = 0;
     baseline = (match metrics with Some m -> metric_levels m | None -> []);
     metrics }
-
-let arm t = t.armed <- true
-let disarm t = t.armed <- false
-let is_armed t = t.armed
-
-(* Cold: refresh the coarse clock. The boxed float from gettimeofday is
-   allocated here, once per drain boundary, not once per record. *)
-let tick t =
-  t.ring.clock_ns <- int_of_float ((Unix.gettimeofday () -. t.t0) *. 1e9)
-
-let record_at t k ~a ~b ~t_ns =
-  if t.armed then begin
-    let r = t.ring in
-    let seq = r.next_seq in
-    r.next_seq <- seq + 1;
-    let i = seq mod r.cap in
-    let ki = kind_index k in
-    r.kinds.(i) <- ki;
-    r.seqs.(i) <- seq;
-    r.times.(i) <- t_ns;
-    r.args_a.(i) <- a;
-    r.args_b.(i) <- b;
-    r.counts.(ki) <- r.counts.(ki) + 1
-  end
-
-let record t k ~a ~b = record_at t k ~a ~b ~t_ns:t.ring.clock_ns
 
 (* --- watchdog --- *)
 
@@ -162,15 +54,13 @@ let set_watchdog t ~threshold =
     invalid_arg "Flight.set_watchdog: threshold must be positive";
   t.watchdog_ns <- int_of_float (threshold *. 1e9)
 
-let clear_watchdog t = t.watchdog_ns <- 0
-
 (* Hot (per drained observation): compare an integer-ns latency against
-   the threshold; on trip, count it and drop a Watchdog_trip in the ring.
-   Returns whether it tripped so the caller can decide to dump. *)
+   the threshold; on trip, count it and record a Watchdog_trip. Returns
+   whether it tripped so the caller can decide to dump. *)
 let check_latency t ~generation ~latency_ns =
   if t.watchdog_ns > 0 && latency_ns > t.watchdog_ns then begin
     t.trips <- t.trips + 1;
-    record t Watchdog_trip ~a:generation ~b:latency_ns;
+    Trace.record Trace.Watchdog_trip ~a:generation ~b:latency_ns;
     true
   end
   else false
@@ -178,76 +68,30 @@ let check_latency t ~generation ~latency_ns =
 let trips t = t.trips
 let dumps t = t.dumps
 
-(* --- reading the ring --- *)
-
-type event = {
-  ev_kind : kind;
-  ev_seq : int;
-  ev_t : float;  (* seconds since [create] *)
-  ev_a : int;
-  ev_b : int;
-}
-
-let iter_events t f =
-  let r = t.ring in
-  let first = if r.next_seq > r.cap then r.next_seq - r.cap else 0 in
-  for seq = first to r.next_seq - 1 do
-    let i = seq mod r.cap in
-    if r.seqs.(i) = seq then
-      f
-        { ev_kind = all_kinds.(r.kinds.(i));
-          ev_seq = seq;
-          ev_t = Float.of_int r.times.(i) /. 1e9;
-          ev_a = r.args_a.(i);
-          ev_b = r.args_b.(i) }
-  done
-
-type stats = { recorded : int; retained : int; overwritten : int }
-
-let stats t =
-  let r = t.ring in
-  let overwritten = if r.next_seq > r.cap then r.next_seq - r.cap else 0 in
-  { recorded = r.next_seq; retained = r.next_seq - overwritten; overwritten }
-
-let kind_counts t =
-  let acc = ref [] in
-  for ki = n_kinds - 1 downto 0 do
-    if t.ring.counts.(ki) > 0 then
-      acc := (all_kinds.(ki), t.ring.counts.(ki)) :: !acc
-  done;
-  !acc
-
 (* --- incident dump --- *)
 
 let max_trace_spans = 256
 
-(* Last [max_trace_spans] spans of the Trace ring, oldest first. *)
-let trace_tail () =
-  let q = Queue.create () in
+let event_json (s : Trace.span) =
+  Json.Obj
+    [ ("kind", Json.Str (Trace.kind_name s.kind));
+      ("seq", Json.Num (Float.of_int s.seq));
+      ("t", Json.Num s.start);
+      ("a", Json.Num (Float.of_int s.arg));
+      ("b", Json.Num (Float.of_int s.arg2)) ]
+
+(* Retained always-on records as events, and the last [max_trace_spans]
+   other records as spans, both oldest first. *)
+let evidence () =
+  let events = ref [] and spans = Queue.create () in
   Trace.iter_spans (fun s ->
-      Queue.add s q;
-      if Queue.length q > max_trace_spans then ignore (Queue.pop q));
-  List.of_seq (Queue.to_seq q)
-
-let span_json (s : Trace.span) =
-  let dur = match s.stop with Some stop -> stop -. s.start | None -> 0. in
-  Json.Obj
-    (List.concat
-       [ [ ("name", Json.Str (Trace.kind_name s.kind));
-           ("seq", Json.Num (Float.of_int s.seq));
-           ("ts", Json.Num s.start);
-           ("dur", Json.Num dur);
-           ("arg", Json.Num (Float.of_int s.arg)) ];
-         (if s.note = "" then [] else [ ("note", Json.Str s.note) ]);
-         (if s.is_event then [ ("event", Json.Bool true) ] else []) ])
-
-let event_json ev =
-  Json.Obj
-    [ ("kind", Json.Str (kind_name ev.ev_kind));
-      ("seq", Json.Num (Float.of_int ev.ev_seq));
-      ("t", Json.Num ev.ev_t);
-      ("a", Json.Num (Float.of_int ev.ev_a));
-      ("b", Json.Num (Float.of_int ev.ev_b)) ]
+      if Trace.always_on s.kind then events := event_json s :: !events
+      else begin
+        Queue.add s spans;
+        if Queue.length spans > max_trace_spans then ignore (Queue.pop spans)
+      end);
+  ( List.rev !events,
+    List.of_seq (Seq.map (Export.span_json Export.Jsonl) (Queue.to_seq spans)) )
 
 (* Union of baseline and current metric names: names new since the
    baseline get base 0; names that vanished from the registry report
@@ -268,23 +112,22 @@ let metric_deltas t =
     @ List.map (fun (name, v) -> (name, v, v)) stale
 
 let incident_json ?(reason = "on-demand") ?(slo = Json.Null) t =
-  let now = Unix.gettimeofday () in
-  let st = stats t in
-  let events = ref [] in
-  iter_events t (fun ev -> events := event_json ev :: !events);
+  let st = Trace.stats () in
+  let events, spans = evidence () in
   Json.Obj
     [ ( "incident",
         Json.Obj
           [ ("schema", Json.Str "apex-incident-v1");
             ("reason", Json.Str reason);
-            ("uptime_seconds", Json.Num (now -. t.t0));
-            ("recorded", Json.Num (Float.of_int st.recorded));
-            ("retained", Json.Num (Float.of_int st.retained));
+            ("uptime_seconds", Json.Num (Float.of_int (Trace.now_ns () - t.t0) *. 1e-9));
+            ("recorded", Json.Num (Float.of_int st.Trace.recorded));
+            ("retained", Json.Num (Float.of_int st.Trace.retained));
             ("watchdog_trips", Json.Num (Float.of_int t.trips));
             ("dumps", Json.Num (Float.of_int t.dumps));
-            ("armed", Json.Bool t.armed) ] );
-      ("events", Json.Arr (List.rev !events));
-      ("spans", Json.Arr (List.map span_json (trace_tail ())));
+            (* the always-on kinds cannot be switched off *)
+            ("armed", Json.Bool true) ] );
+      ("events", Json.Arr events);
+      ("spans", Json.Arr spans);
       ( "metrics",
         Json.Arr
           (List.map
@@ -307,71 +150,45 @@ let dump ?reason ?slo t path =
       output_string oc (Json.to_string json);
       output_char oc '\n')
 
-(* Exception-safe wrapper for a server main loop: on any exception, record
-   a Fatal event, dump the incident file, and re-raise. *)
-let guard t ~dump_to f =
-  try f ()
-  with e ->
-    record t Fatal ~a:0 ~b:0;
-    (* best-effort: a failing dump must not mask the original exception *)
-    (try dump ~reason:("fatal: " ^ Printexc.to_string e) t dump_to
-     with Sys_error _ -> ());
-    raise e
-
 (* --- incident-file validation (mini-contract, like the trace schema) --- *)
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let validate ~schema json =
+  let check (section, shape_name) =
+    match (Json.member shape_name schema, Json.member section json) with
+    | None, _ -> [ Printf.sprintf "schema: missing %S section" shape_name ]
+    | _, None -> [ Printf.sprintf "missing %S section" section ]
+    | Some shape, Some j ->
+      let shape = Export.Schema.shape_of_json shape in
+      let mistyped expected =
+        [ Printf.sprintf "%s: is %s, expected %s" section (Json.type_name j) expected ]
+      in
+      (match (section, j) with
+       | "incident", Json.Obj _ -> Export.Schema.check shape ~ctx:section j
+       | "incident", _ -> mistyped "object"
+       | _, Json.Arr items ->
+         List.concat
+           (List.mapi
+              (fun i item ->
+                Export.Schema.check shape ~ctx:(Printf.sprintf "%s[%d]" section i) item)
+              items)
+       | _ -> mistyped "array")
+  in
   match json with
   | Json.Obj _ ->
-    let errors = ref [] in
-    let shape_of name =
-      match Json.member name schema with
-      | Some j -> Some (Export.Schema.shape_of_json j)
-      | None ->
-        errors := Printf.sprintf "schema: missing %S section" name :: !errors;
-        None
-    in
-    let check_section ~section ~shape_name =
-      match shape_of shape_name with
-      | None -> ()
-      | Some shape ->
-        (match Json.member section json with
-         | Some (Json.Obj _ as j) when section = "incident" ->
-           errors := Export.Schema.check shape ~ctx:section j @ !errors
-         | Some (Json.Arr items) when section <> "incident" ->
-           List.iteri
-             (fun i item ->
-               let ctx = Printf.sprintf "%s[%d]" section i in
-               errors := Export.Schema.check shape ~ctx item @ !errors)
-             items
-         | Some j ->
-           errors :=
-             Printf.sprintf "%s: is %s, expected %s" section
-               (Json.type_name j)
-               (if section = "incident" then "object" else "array")
-             :: !errors
-         | None ->
-           errors := Printf.sprintf "missing %S section" section :: !errors)
-    in
-    check_section ~section:"incident" ~shape_name:"incident";
-    check_section ~section:"events" ~shape_name:"event";
-    check_section ~section:"spans" ~shape_name:"span";
-    check_section ~section:"metrics" ~shape_name:"metric";
-    if !errors = [] then Ok () else Error (List.rev !errors)
+    (match
+       List.concat_map check
+         [ ("incident", "incident"); ("events", "event"); ("spans", "span");
+           ("metrics", "metric") ]
+     with
+     | [] -> Ok ()
+     | errors -> Error errors)
   | j -> Error [ Printf.sprintf "top level is %s, expected object" (Json.type_name j) ]
 
+let load_json path =
+  match Export.read_file path with
+  | Error e -> Error [ e ]
+  | Ok text -> Result.map_error (fun e -> [ Printf.sprintf "%s: %s" path e ]) (Json.parse text)
+
 let validate_file ~schema_path path =
-  match Json.parse (read_file schema_path) with
-  | exception Sys_error e -> Error [ e ]
-  | Error e -> Error [ Printf.sprintf "%s: %s" schema_path e ]
-  | Ok schema ->
-    (match Json.parse (read_file path) with
-     | exception Sys_error e -> Error [ e ]
-     | Error e -> Error [ Printf.sprintf "%s: %s" path e ]
-     | Ok json -> validate ~schema json)
+  Result.bind (load_json schema_path) (fun schema ->
+      Result.bind (load_json path) (validate ~schema))

@@ -1,96 +1,34 @@
-(** Flight recorder: an always-on, fixed-size incident buffer.
+(** The flight recorder's incident side, over the always-on {!Trace} kinds.
 
-    A few hundred slots of coarse operational events (queries drained,
-    epochs published/retired, refreshes, rollbacks, SLO breaches,
-    watchdog trips) kept armed in production, so the last seconds of
-    server history are already in memory when something goes wrong.
-    {!record} is zero-allocation when armed: struct-of-arrays int slots,
-    immediate constructors, and timestamps from a coarse internal clock
-    refreshed by {!tick} rather than per-record [gettimeofday].
-
-    {!dump} writes an incident file — flight events, the tail of the
-    {!Trace} ring, and metric deltas against a baseline captured at
-    {!create} — whose layout is contracted by
+    The server's operational records are {!Trace.always_on} kinds, so the
+    last seconds of server history are always in the Trace rings. This
+    module adds a latency watchdog, a metric baseline captured at
+    {!create}, and {!dump}: an incident file holding the retained
+    operational records, the tail of the other trace records, and metric
+    deltas against the baseline, whose layout is contracted by
     [schemas/incident_schema.json] and checked by {!validate_file}. *)
-
-type kind =
-  | Query  (** a = generation served, b = latency ns *)
-  | Publish  (** a = generation published, b = retired entries *)
-  | Retire  (** a = epochs freed *)
-  | Refresh  (** a = generation after refresh, b = plan changes *)
-  | Update_batch  (** a = ops applied *)
-  | Drain  (** a = observations drained, b = queue dropped total *)
-  | Rollback  (** a = generation restored *)
-  | Slo_breach  (** a = objective index, b = burn rate x1000 *)
-  | Watchdog_trip  (** a = generation, b = latency ns *)
-  | Fatal  (** recorded by {!guard} before dumping *)
-  | Mark  (** free-form caller marker *)
-
-val kind_name : kind -> string
 
 type t
 
-val default_capacity : int
-(** 1024 slots. *)
-
-val create : ?capacity:int -> ?metrics:Metrics.t -> unit -> t
-(** Armed on creation; default {!default_capacity} slots. When [metrics]
-    is given, its snapshot is captured as the delta baseline for
-    {!dump}. *)
-
-val arm : t -> unit
-val disarm : t -> unit
-val is_armed : t -> bool
-
-val tick : t -> unit
-(** Refresh the coarse clock (one [gettimeofday]); called by the writer
-    at drain boundaries so {!record} itself never allocates. *)
-
-val record : t -> kind -> a:int -> b:int -> unit
-(** Record one event at the coarse clock's time. Zero allocation when
-    armed; a flag test when disarmed. *)
-
-val record_at : t -> kind -> a:int -> b:int -> t_ns:int -> unit
-(** As {!record} with an explicit timestamp (ns since {!create}). *)
+val create : ?metrics:Metrics.t -> unit -> t
+(** When [metrics] is given, its snapshot is captured as the delta
+    baseline for {!dump}. *)
 
 val set_watchdog : t -> threshold:float -> unit
 (** Arm the latency watchdog at [threshold] seconds. *)
 
-val clear_watchdog : t -> unit
-
 val check_latency : t -> generation:int -> latency_ns:int -> bool
 (** Trip check for one observation: over an armed threshold, count the
-    trip, record a [Watchdog_trip], and return [true]. Zero allocation. *)
+    trip, record a [Trace.Watchdog_trip], and return [true]. Zero
+    allocation. *)
 
 val trips : t -> int
 val dumps : t -> int
 
-type event = {
-  ev_kind : kind;
-  ev_seq : int;
-  ev_t : float;  (** seconds since {!create} *)
-  ev_a : int;
-  ev_b : int;
-}
-
-val iter_events : t -> (event -> unit) -> unit
-(** Events still retained in the ring, oldest first. *)
-
-type stats = { recorded : int; retained : int; overwritten : int }
-
-val stats : t -> stats
-val kind_counts : t -> (kind * int) list
-
-val incident_json : ?reason:string -> ?slo:Json.t -> t -> Json.t
-(** The incident document: incident header, flight events, Trace-ring
-    tail (up to 256 spans), metric deltas, and the caller's SLO state. *)
-
 val dump : ?reason:string -> ?slo:Json.t -> t -> string -> unit
-(** Write {!incident_json} to a file and count the dump. *)
-
-val guard : t -> dump_to:string -> (unit -> 'a) -> 'a
-(** Run [f]; on any exception record a [Fatal] event, dump the incident
-    file to [dump_to], and re-raise. *)
+(** Write the incident document to a file and count the dump: incident
+    header, always-on records as events, the last 256 other trace records
+    as spans, metric deltas, and the caller's SLO state. *)
 
 val validate : schema:Json.t -> Json.t -> (unit, string list) result
 (** Check an incident document against a loaded incident schema. *)

@@ -28,11 +28,6 @@ let escape_to buf s =
       | c -> Buffer.add_char buf c)
     s
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  escape_to buf s;
-  Buffer.contents buf
-
 let add_num buf f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Buffer.add_string buf (Printf.sprintf "%.0f" f)

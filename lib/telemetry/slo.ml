@@ -7,7 +7,8 @@
    cold side ([advance], called by the server writer once per drain or on
    a timer) merges the ring into one window, estimates the target
    quantile, compares against the threshold, updates burn-rate counters,
-   emits a [Trace.Slo_breach] instant per breached objective, and rotates
+   records a [Trace.Slo_breach] instant per breached objective (an
+   always-on kind, so the flight recorder keeps it), and rotates
    the ring (the oldest sub-window is replaced by a fresh histogram). The
    effective window therefore covers the last [subwindows] advances, and
    one advance retires exactly 1/subwindows of the evidence — the standard
@@ -17,7 +18,7 @@
    [st_estimate = None] and never breaches ("no data" is not "zero
    latency"); a 1-sample window reports that sample exactly (the
    histogram's min/max clamp collapses the bucket midpoint onto the single
-   observation) and can breach only when [min_samples <= 1].
+   observation).
 
    Burn rate follows the error-budget convention: the fraction of window
    samples over the threshold, divided by the budgeted fraction [1 - q].
@@ -46,14 +47,13 @@ type cell = {
 
 type t = {
   subwindows : int;
-  min_samples : int;
   cells : cell array; [@apex.guarded "slo"]
   mutable cur : int; [@apex.guarded "slo"]
   mutable advances : int; [@apex.guarded "slo"]
 }
 [@@apex.shared]
 
-let create ?(subwindows = 6) ?(min_samples = 1) objectives =
+let create ?(subwindows = 6) objectives =
   if subwindows < 1 then invalid_arg "Slo.create: subwindows must be positive";
   List.iter
     (fun o ->
@@ -67,7 +67,6 @@ let create ?(subwindows = 6) ?(min_samples = 1) objectives =
              o.slo_name))
     objectives;
   { subwindows;
-    min_samples;
     cells =
       Array.of_list
         (List.map
@@ -83,8 +82,6 @@ let create ?(subwindows = 6) ?(min_samples = 1) objectives =
 
 let objectives t =
   Array.to_list (Array.map (fun c -> c.c_objective) t.cells)
-
-let n_objectives t = Array.length t.cells
 
 let index t name =
   let found = ref None in
@@ -130,8 +127,8 @@ let evaluate_cell t c =
   let estimate = Metrics.Histogram.quantile_opt merged o.slo_quantile in
   let breached =
     match estimate with
-    | Some e when samples >= t.min_samples -> e > o.slo_threshold
-    | _ -> false
+    | Some e -> e > o.slo_threshold
+    | None -> false
   in
   let burn =
     if samples = 0 then 0.
@@ -161,7 +158,8 @@ let advance t =
         c.c_breached <- st.st_breached;
         if st.st_breached then begin
           c.c_breaches <- c.c_breaches + 1;
-          Trace.event_note Trace.Slo_breach i c.c_objective.slo_name
+          Trace.record ~note:c.c_objective.slo_name Trace.Slo_breach ~a:i
+            ~b:(int_of_float (st.st_burn *. 1000.))
         end;
         { st with st_breaches = c.c_breaches; st_windows = t.advances })
       t.cells
@@ -195,7 +193,6 @@ let status_json st =
 let to_json t =
   Json.Obj
     [ ("subwindows", Json.Num (Float.of_int t.subwindows));
-      ("min_samples", Json.Num (Float.of_int t.min_samples));
       ("advances", Json.Num (Float.of_int t.advances));
       ("objectives", Json.Arr (List.map status_json (current t))) ]
 

@@ -5,7 +5,7 @@
     ring of sub-window histograms. {!observe} records into the current
     sub-window; {!advance} — called by the single writer, once per drain
     or on a timer — evaluates every objective over the merged window,
-    updates burn-rate counters, emits a [Trace.Slo_breach] instant per
+    updates burn-rate counters, records a [Trace.Slo_breach] instant per
     breached objective, and rotates the ring. The effective window covers
     the last [subwindows] advances.
 
@@ -21,13 +21,11 @@ type objective = {
 
 type t
 
-val create : ?subwindows:int -> ?min_samples:int -> objective list -> t
-(** Default 6 sub-windows; [min_samples] (default 1) is the fewest merged
-    samples a window needs before it can breach. @raise Invalid_argument
-    on a quantile outside (0,1) or a non-positive threshold. *)
+val create : ?subwindows:int -> objective list -> t
+(** Default 6 sub-windows. @raise Invalid_argument on a quantile outside
+    (0,1) or a non-positive threshold. *)
 
 val objectives : t -> objective list
-val n_objectives : t -> int
 
 val index : t -> string -> int option
 (** Objective position by name, for the hot [observe] side. *)
@@ -49,7 +47,7 @@ type status = {
 }
 
 val advance : t -> status list
-(** Evaluate every objective over its merged window, count and trace
+(** Evaluate every objective over its merged window, count and record
     breaches, then rotate the ring (retiring the oldest sub-window). *)
 
 val current : t -> status list

@@ -1,17 +1,22 @@
-(* Span tracer: a preallocated struct-of-arrays ring of spans plus instant
-   events. Disabled (the default), [begin_] is a flag test returning -1 and
-   [end_]/[event] are flag tests returning unit — no allocation, no
-   syscalls, same discipline as the Fault hook in Pager. Enabled, each span
-   costs two [Unix.gettimeofday] calls and array stores into preallocated
-   int/float arrays (floats in a float array are unboxed).
+(* Event recorder: spans and instant events in one preallocated
+   struct-of-arrays ring per domain (Domain.DLS), registered under [lock]
+   on the domain's first record. Only the owner writes a ring, so domains
+   never lose or tear each other's records; a global [Atomic] sequence
+   number orders records, and readers merge the rings by it. Timestamps
+   are integer monotonic nanoseconds: no float, no allocation.
 
-   Tokens are plain ints (the global span sequence number), not records:
-   an optional or boxed token would allocate on every hot-path call even
-   when tracing is off. The ring overwrites oldest spans on wrap; a
-   per-slot sequence number lets [end_] detect that its slot was reused
-   and drop the close instead of corrupting an unrelated span. Per-kind
-   totals and duration histograms live outside the ring, so aggregate
-   statistics survive wrap. *)
+   One [Atomic] bit mask gates recording per kind. Disabled (the
+   default), only the always-on operational kinds record, into rings of
+   [default_capacity] slots; any other kind costs one flag test. Duration
+   histograms are fed only while enabled (a float sample allocates).
+
+   A token packs the record's sequence number and slot ([-1]: not
+   recorded). Rings overwrite their oldest records on wrap; [end_] checks
+   the slot's sequence number and drops a close whose slot was reused.
+   [enable]/[reset] start a new ring generation: each domain registers a
+   fresh ring on its next record, so a ring is never resized under its
+   owner, and rings outlive their domains until then (an export after
+   joining the readers still sees their records). *)
 
 type kind =
   (* query pipeline phases *)
@@ -32,22 +37,27 @@ type kind =
   | Recovery
   | Decode  (* block-compressed extent decode; arg = blocks decoded *)
   (* serving lifecycle (lib/server) *)
-  | Epoch_publish  (* freeze + deep-copy + registry publish; arg = generation *)
-  | Epoch_retire  (* retire-list drain; arg = epochs freed *)
+  | Epoch_publish  (* always on; arg = generation *)
+  | Epoch_retire  (* always on; arg = epochs freed *)
   | Reader_pin  (* one pinned query evaluation; arg = generation served *)
   (* adaptation events (instants, no duration) *)
   | Path_promoted
   | Path_evicted
   | Delta_flushed
   | Epoch_committed
-  | Epoch_rolled_back
+  | Epoch_rolled_back  (* always on; arg = generation restored *)
   | Update_aborted
   | Block_skip  (* arg = compressed blocks skipped by a header range test *)
-  | Slo_breach  (* arg = objective index; note = objective name *)
+  (* operational instants, always on *)
+  | Slo_breach  (* arg = objective index; arg2 = burn rate x1000 *)
+  | Served  (* drained query; arg = generation, arg2 = latency ns *)
+  | Update_batch  (* arg = ops applied *)
+  | Drain  (* arg = observations drained, arg2 = feedback dropped total *)
+  | Refresh_published  (* arg = generation, arg2 = plan changes *)
+  | Watchdog_trip  (* arg = generation, arg2 = latency ns *)
 
-let n_kinds = 26
-
-let kind_index = function
+(* inlined so the disabled path stays one load, shift and test *)
+let[@inline] kind_index = function
   | Parse -> 0
   | Plan -> 1
   | Probe -> 2
@@ -74,157 +84,201 @@ let kind_index = function
   | Update_aborted -> 23
   | Block_skip -> 24
   | Slo_breach -> 25
+  | Served -> 26
+  | Update_batch -> 27
+  | Drain -> 28
+  | Refresh_published -> 29
+  | Watchdog_trip -> 30
 
-let all_kinds =
-  [| Parse; Plan; Probe; Fetch; Join; Materialize; Query; Refresh; Mine;
-     Prune; Traverse; Update_apply; Snapshot_commit; Recovery; Decode;
-     Epoch_publish; Epoch_retire; Reader_pin;
-     Path_promoted; Path_evicted; Delta_flushed; Epoch_committed;
-     Epoch_rolled_back; Update_aborted; Block_skip; Slo_breach |]
+(* indexed by [kind_index] *)
+let kinds_and_names =
+  [| (Parse, "parse"); (Plan, "plan"); (Probe, "probe"); (Fetch, "fetch");
+     (Join, "join"); (Materialize, "materialize"); (Query, "query");
+     (Refresh, "refresh"); (Mine, "mine"); (Prune, "prune");
+     (Traverse, "traverse"); (Update_apply, "update_apply");
+     (Snapshot_commit, "snapshot_commit"); (Recovery, "recovery");
+     (Decode, "decode"); (Epoch_publish, "epoch_publish");
+     (Epoch_retire, "epoch_retire"); (Reader_pin, "reader_pin");
+     (Path_promoted, "path_promoted"); (Path_evicted, "path_evicted");
+     (Delta_flushed, "delta_flushed"); (Epoch_committed, "epoch_committed");
+     (Epoch_rolled_back, "epoch_rolled_back");
+     (Update_aborted, "update_aborted"); (Block_skip, "block_skip");
+     (Slo_breach, "slo_breach"); (Served, "served");
+     (Update_batch, "update_batch"); (Drain, "drain");
+     (Refresh_published, "refresh_published");
+     (Watchdog_trip, "watchdog_trip") |]
 [@@apex.guarded "readonly"]
 
-let kind_name = function
-  | Parse -> "parse"
-  | Plan -> "plan"
-  | Probe -> "probe"
-  | Fetch -> "fetch"
-  | Join -> "join"
-  | Materialize -> "materialize"
-  | Query -> "query"
-  | Refresh -> "refresh"
-  | Mine -> "mine"
-  | Prune -> "prune"
-  | Traverse -> "traverse"
-  | Update_apply -> "update_apply"
-  | Snapshot_commit -> "snapshot_commit"
-  | Recovery -> "recovery"
-  | Decode -> "decode"
-  | Epoch_publish -> "epoch_publish"
-  | Epoch_retire -> "epoch_retire"
-  | Reader_pin -> "reader_pin"
-  | Path_promoted -> "path_promoted"
-  | Path_evicted -> "path_evicted"
-  | Delta_flushed -> "delta_flushed"
-  | Epoch_committed -> "epoch_committed"
-  | Epoch_rolled_back -> "epoch_rolled_back"
-  | Update_aborted -> "update_aborted"
-  | Block_skip -> "block_skip"
-  | Slo_breach -> "slo_breach"
+let n_kinds = Array.length kinds_and_names
+let kind_of_index i = fst kinds_and_names.(i)
+let kind_name k = snd kinds_and_names.(kind_index k)
+let all_kinds = List.init n_kinds kind_of_index
 
 let kind_is_event k = kind_index k >= kind_index Path_promoted
 
+let always_on = function
+  | Epoch_publish | Epoch_retire | Epoch_rolled_back | Slo_breach | Served
+  | Update_batch | Drain | Refresh_published | Watchdog_trip -> true
+  | _ -> false
+
+let always_on_kinds = List.filter always_on all_kinds
+
+let[@inline] bit k = 1 lsl kind_index k
+let always_on_mask = List.fold_left (fun m k -> m lor bit k) 0 always_on_kinds
+let all_mask = (1 lsl n_kinds) - 1
+
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
 type ring = {
+  gen : int;  (* registry generation the ring belongs to *)
+  domain : int;  (* owner's Domain.id *)
   cap : int;
   kinds : int array;
-  seqs : int array;  (* global seq of the span occupying each slot *)
-  starts : float array;  (* seconds since [t0] *)
-  stops : float array;  (* -1.0 while the span is open *)
+  seqs : int array;  (* global seq of the record in each slot; -1 = empty *)
+  starts : int array;  (* monotonic ns *)
+  stops : int array;  (* monotonic ns; -1 while a span is open *)
   args : int array;
+  args2 : int array;
   notes : string array;
-  t0 : float;
-  mutable next_seq : int;
+  mutable next : int;  (* records this domain wrote into the ring *)
   counts : int array;  (* per kind; survives ring wrap *)
   histos : Metrics.Histogram.t array;  (* per-kind span durations *)
   mutable dropped_ends : int;  (* end_ whose slot was overwritten *)
 }
 
-(* Process-wide tracing state. The "telemetry" discipline: mutated only by
-   enable/disable (harness setup, before worker domains start) and by span
-   recording, whose counters tolerate benign races — traces are
-   observability data, never answers. The server PR will revisit this with
-   per-domain rings (see DESIGN.md "Domain-safety analysis"). *)
-let enabled = ref false [@@apex.guarded "telemetry"]
-let ring : ring option ref = ref None [@@apex.guarded "telemetry"]
+let make_ring ~gen ~cap =
+  { gen;
+    domain = (Domain.self () :> int);
+    cap;
+    kinds = Array.make cap 0;
+    seqs = Array.make cap (-1);
+    starts = Array.make cap 0;
+    stops = Array.make cap 0;
+    args = Array.make cap 0;
+    args2 = Array.make cap 0;
+    notes = Array.make cap "";
+    next = 0;
+    counts = Array.make n_kinds 0;
+    histos = Array.init n_kinds (fun _ -> Metrics.Histogram.create ());
+    dropped_ends = 0 }
 
-let default_capacity = 1 lsl 16
+let default_capacity = 1024
 
-let enable ?(capacity = default_capacity) () =
-  if capacity < 1 then invalid_arg "Trace.enable: capacity must be positive";
-  ring :=
-    Some
-      { cap = capacity;
-        kinds = Array.make capacity 0;
-        seqs = Array.make capacity (-1);
-        starts = Array.make capacity 0.;
-        stops = Array.make capacity 0.;
-        args = Array.make capacity 0;
-        notes = Array.make capacity "";
-        t0 = Unix.gettimeofday ();
-        next_seq = 0;
-        counts = Array.make n_kinds 0;
-        histos = Array.init n_kinds (fun _ -> Metrics.Histogram.create ());
-        dropped_ends = 0 };
-  enabled := true
+(* Slot index in the low bits of a token, sequence number above it. *)
+let slot_bits = 24
+let slot_mask = (1 lsl slot_bits) - 1
 
-let disable () = enabled := false
+(* The rings of the current generation, with the capacity new rings get
+   and the time origin of exported timestamps; all under [lock]. *)
+type registry = {
+  mutable rings : ring list;
+  mutable capacity : int;
+  mutable t0 : int;
+}
 
-let reset () =
-  enabled := false;
-  ring := None
+let lock = Mutex.create ()
 
-let is_enabled () = !enabled
+let registry = { rings = []; capacity = default_capacity; t0 = now_ns () }
+[@@apex.guarded "trace"]
 
-let alloc_slot r k =
-  let seq = r.next_seq in
-  r.next_seq <- seq + 1;
-  let i = seq mod r.cap in
+let generation = Atomic.make 0
+let next_seq = Atomic.make 0
+let mask = Atomic.make always_on_mask
+
+(* every domain's ring until its first record; never written, so it holds
+   no counters or histograms (untraced processes keep them off the heap) *)
+let unregistered = { (make_ring ~gen:(-1) ~cap:0) with counts = [||]; histos = [||] }
+[@@apex.guarded "readonly"]
+(* each domain's own ring: written by that domain only *)
+let own_key = Domain.DLS.new_key (fun () -> ref unregistered)
+[@@apex.guarded "domain"]
+
+let with_lock f =
+  Mutex.lock lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+
+(* Cold: the calling domain's first record in this generation. *)
+let register cell =
+  with_lock (fun () ->
+      let r = make_ring ~gen:(Atomic.get generation) ~cap:registry.capacity in
+      registry.rings <- r :: registry.rings;
+      cell := r;
+      r)
+
+let own_ring () =
+  let cell = Domain.DLS.get own_key in
+  let r = !cell in
+  if r.gen = Atomic.get generation then r else register cell
+
+let restart ~capacity ~mask:m =
+  with_lock (fun () ->
+      Atomic.incr generation;
+      Atomic.set next_seq 0;
+      registry.rings <- [];
+      registry.capacity <- capacity;
+      registry.t0 <- now_ns ());
+  Atomic.set mask m
+
+let enable ?(capacity = 1 lsl 16) () =
+  if capacity < 1 || capacity > slot_mask + 1 then
+    invalid_arg "Trace.enable: capacity must be in [1, 2^24]";
+  restart ~capacity ~mask:all_mask
+
+let disable () = Atomic.set mask always_on_mask
+let reset () = restart ~capacity:default_capacity ~mask:always_on_mask
+let is_enabled () = Atomic.get mask = all_mask
+let[@inline] live k = Atomic.get mask land bit k <> 0
+
+(* Claim the next slot of the caller's ring and fill it. The slot's seq is
+   cleared first and set last, so a reader on another domain can tell a
+   slot being rewritten from a whole record. *)
+let record_slot k ~start ~stop ~a ~b ~note =
+  let r = own_ring () in
+  let seq = Atomic.fetch_and_add next_seq 1 in
+  let i = r.next mod r.cap in
+  r.next <- r.next + 1;
   let ki = kind_index k in
+  r.seqs.(i) <- -1;
   r.kinds.(i) <- ki;
-  r.seqs.(i) <- seq;
-  r.args.(i) <- 0;
-  r.notes.(i) <- "";
+  r.starts.(i) <- start;
+  r.stops.(i) <- stop;
+  r.args.(i) <- a;
+  r.args2.(i) <- b;
+  r.notes.(i) <- note;
   r.counts.(ki) <- r.counts.(ki) + 1;
-  (seq, i)
+  r.seqs.(i) <- seq;
+  (seq lsl slot_bits) lor i
 
 let begin_ k =
-  if not !enabled then -1
-  else
-    match !ring with
-    | None -> -1
-    | Some r ->
-      let seq, i = alloc_slot r k in
-      r.stops.(i) <- -1.0;
-      r.starts.(i) <- Unix.gettimeofday () -. r.t0;
-      seq
+  if not (live k) then -1
+  else record_slot k ~start:(now_ns ()) ~stop:(-1) ~a:0 ~b:0 ~note:""
 
 let end_arg tok arg =
-  if tok >= 0 then
-    match !ring with
-    | None -> ()
-    | Some r ->
-      let i = tok mod r.cap in
-      if r.seqs.(i) = tok && r.stops.(i) < 0. then begin
-        let stop = Unix.gettimeofday () -. r.t0 in
-        r.stops.(i) <- stop;
-        r.args.(i) <- arg;
-        Metrics.Histogram.record r.histos.(r.kinds.(i)) (stop -. r.starts.(i))
-      end
-      else r.dropped_ends <- r.dropped_ends + 1
+  if tok >= 0 then begin
+    let r = own_ring () in
+    let i = tok land slot_mask in
+    if i < r.cap && r.seqs.(i) = tok lsr slot_bits && r.stops.(i) < 0 then begin
+      let stop = now_ns () in
+      r.stops.(i) <- stop;
+      r.args.(i) <- arg;
+      if is_enabled () then
+        Metrics.Histogram.record r.histos.(r.kinds.(i))
+          (Float.of_int (stop - r.starts.(i)) *. 1e-9)
+    end
+    else r.dropped_ends <- r.dropped_ends + 1
+  end
 
 let end_ tok = end_arg tok 0
 
-let event k arg =
-  if !enabled then
-    match !ring with
-    | None -> ()
-    | Some r ->
-      let _, i = alloc_slot r k in
-      let now = Unix.gettimeofday () -. r.t0 in
-      r.starts.(i) <- now;
-      r.stops.(i) <- now;
-      r.args.(i) <- arg
+let instant k a b note =
+  if live k then begin
+    let now = now_ns () in
+    ignore (record_slot k ~start:now ~stop:now ~a ~b ~note : int)
+  end
 
-let event_note k arg note =
-  if !enabled then
-    match !ring with
-    | None -> ()
-    | Some r ->
-      let _, i = alloc_slot r k in
-      let now = Unix.gettimeofday () -. r.t0 in
-      r.starts.(i) <- now;
-      r.stops.(i) <- now;
-      r.args.(i) <- arg;
-      r.notes.(i) <- note
+let event k arg = instant k arg 0 ""
+let event_note k arg note = instant k arg 0 note
+let record ?(note = "") k ~a ~b = instant k a b note
 
 (* Cold-path convenience: exception-safe span around [f]. The closure
    allocates at the call site, so this is for refresh/commit/recovery
@@ -239,77 +293,90 @@ let with_span k f =
     end_ tok;
     raise e
 
+(* --- reading (any domain) --- *)
+
 type span = {
   kind : kind;
   seq : int;
+  domain : int;
   start : float;
   stop : float option;  (* None: still open (e.g. aborted by a fault) *)
   arg : int;
+  arg2 : int;
   note : string;
   is_event : bool;
 }
 
+let snapshot () = with_lock (fun () -> (registry.rings, registry.t0))
+
 let iter_spans f =
-  match !ring with
-  | None -> ()
-  | Some r ->
-    let first = if r.next_seq > r.cap then r.next_seq - r.cap else 0 in
-    for seq = first to r.next_seq - 1 do
-      let i = seq mod r.cap in
-      if r.seqs.(i) = seq then begin
-        let k = all_kinds.(r.kinds.(i)) in
-        f
-          { kind = k;
-            seq;
-            start = r.starts.(i);
-            stop = (if r.stops.(i) < 0. then None else Some r.stops.(i));
-            arg = r.args.(i);
-            note = r.notes.(i);
-            is_event = kind_is_event k }
-      end
-    done
+  let rings, t0 = snapshot () in
+  let secs ns = Float.of_int (ns - t0) *. 1e-9 in
+  let spans = ref [] in
+  List.iter
+    (fun r ->
+      for n = max 0 (r.next - r.cap) to r.next - 1 do
+        let i = n mod r.cap in
+        let seq = r.seqs.(i) in
+        if seq >= 0 then begin
+          let k = kind_of_index r.kinds.(i) in
+          let s =
+            { kind = k;
+              seq;
+              domain = r.domain;
+              start = secs r.starts.(i);
+              stop = (if r.stops.(i) < 0 then None else Some (secs r.stops.(i)));
+              arg = r.args.(i);
+              arg2 = r.args2.(i);
+              note = r.notes.(i);
+              is_event = kind_is_event k }
+          in
+          (* skip a slot its owner rewrote while we read it *)
+          if r.seqs.(i) = seq then spans := s :: !spans
+        end
+      done)
+    rings;
+  List.iter f (List.sort (fun a b -> Int.compare a.seq b.seq) !spans)
 
 let kind_counts () =
-  match !ring with
-  | None -> []
-  | Some r ->
-    let acc = ref [] in
-    for ki = n_kinds - 1 downto 0 do
-      if r.counts.(ki) > 0 then acc := (all_kinds.(ki), r.counts.(ki)) :: !acc
-    done;
-    !acc
-
-let kind_histogram k =
-  match !ring with
-  | None -> None
-  | Some r ->
-    let h = r.histos.(kind_index k) in
-    if Metrics.Histogram.count h = 0 then None else Some h
+  let rings, _ = snapshot () in
+  List.filter_map
+    (fun k ->
+      let ki = kind_index k in
+      match List.fold_left (fun n r -> n + r.counts.(ki)) 0 rings with
+      | 0 -> None
+      | n -> Some (k, n))
+    all_kinds
 
 let kind_histograms () =
-  match !ring with
-  | None -> []
-  | Some r ->
-    let acc = ref [] in
-    for ki = n_kinds - 1 downto 0 do
-      let h = r.histos.(ki) in
-      if Metrics.Histogram.count h > 0 then acc := (all_kinds.(ki), h) :: !acc
-    done;
-    !acc
+  let rings, _ = snapshot () in
+  List.filter_map
+    (fun k ->
+      let h =
+        List.fold_left
+          (fun h r -> Metrics.Histogram.merge h r.histos.(kind_index k))
+          (Metrics.Histogram.create ()) rings
+      in
+      if Metrics.Histogram.count h = 0 then None else Some (k, h))
+    all_kinds
+
+let kind_histogram k = List.assoc_opt k (kind_histograms ())
 
 type stats = {
   recorded : int;  (* spans + events ever recorded *)
-  retained : int;  (* still present in the ring *)
+  retained : int;  (* still present in the rings *)
   overwritten : int;  (* lost to ring wrap *)
   dropped_ends : int;  (* end_ calls whose slot had been reused *)
 }
 
 let stats () =
-  match !ring with
-  | None -> { recorded = 0; retained = 0; overwritten = 0; dropped_ends = 0 }
-  | Some r ->
-    let overwritten = if r.next_seq > r.cap then r.next_seq - r.cap else 0 in
-    { recorded = r.next_seq;
-      retained = r.next_seq - overwritten;
-      overwritten;
-      dropped_ends = r.dropped_ends }
+  let rings, _ = snapshot () in
+  List.fold_left
+    (fun st r ->
+      let kept = min r.next r.cap in
+      { recorded = st.recorded + r.next;
+        retained = st.retained + kept;
+        overwritten = st.overwritten + (r.next - kept);
+        dropped_ends = st.dropped_ends + r.dropped_ends })
+    { recorded = 0; retained = 0; overwritten = 0; dropped_ends = 0 }
+    rings

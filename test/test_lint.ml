@@ -227,7 +227,9 @@ let real_tree () =
   Alcotest.(check string) "lru cache guarded" "lru" (guard_of "Extent_store.cache");
   Alcotest.(check string) "lru nodes inherit" "lru" (guard_of "Extent_store.cache_node");
   Alcotest.(check string) "pool subtree guarded" "pool" (guard_of "Buffer_pool.t");
-  Alcotest.(check string) "flight ring guarded" "flight" (guard_of "Flight.ring");
+  (* the event rings are domain-owned, never reachable from published state *)
+  Alcotest.(check string) "Trace.ring" "mutable" (verdict "Trace.ring");
+  Alcotest.(check string) "trace rings unshared" "<unreached>" (guard_of "Trace.ring");
   Alcotest.(check string) "slo cells inherit" "slo" (guard_of "Slo.cell");
   Alcotest.(check string) "roots are unguarded" "<none>" (guard_of "Apex.t");
   (* the epoch registry's writer-side fields carry the retire discipline;

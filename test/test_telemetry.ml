@@ -105,6 +105,57 @@ let stale_token_dropped () =
   Alcotest.(check int) "stale end counted, not applied" 1 st.Trace.dropped_ends;
   Trace.reset ()
 
+(* Two domains record concurrently, each its own span kind and instant
+   kind, with the owner tagged in every arg. Each domain owns its ring, so
+   nothing is lost, torn or attributed to the other's kind. (nproc may be
+   2: never spawn more than two.) *)
+let multi_domain_rings () =
+  let k = 20_000 in
+  Trace.enable ~capacity:(1 lsl 17) ();
+  let work (span_kind, event_kind, tag) () =
+    for i = 1 to k do
+      let tok = Trace.begin_ span_kind in
+      Trace.end_arg tok (tag + i);
+      Trace.event event_kind (tag + i)
+    done
+  in
+  let owners =
+    [ (Trace.Probe, Trace.Path_promoted, 1_000_000);
+      (Trace.Fetch, Trace.Block_skip, 2_000_000) ]
+  in
+  List.iter Domain.join (List.map (fun o -> Domain.spawn (work o)) owners);
+  Trace.disable ();
+  let counts = Trace.kind_counts () in
+  List.iter
+    (fun kind ->
+      Alcotest.(check int) (Trace.kind_name kind ^ " count") k
+        (Option.value (List.assoc_opt kind counts) ~default:0))
+    [ Trace.Probe; Trace.Path_promoted; Trace.Fetch; Trace.Block_skip ];
+  List.iter
+    (fun (kind, h) ->
+      Alcotest.(check bool) (Trace.kind_name kind ^ " is a span") false
+        (Trace.kind_is_event kind);
+      Alcotest.(check int) (Trace.kind_name kind ^ " durations") k
+        (Metrics.Histogram.count h))
+    (Trace.kind_histograms ());
+  let last = ref (-1) and n = ref 0 in
+  Trace.iter_spans (fun s ->
+      if s.Trace.seq <= !last then
+        Alcotest.failf "seq %d after %d: not unique and increasing" s.Trace.seq !last;
+      last := s.Trace.seq;
+      incr n;
+      let span_kind, event_kind, _ =
+        List.nth owners ((s.Trace.arg / 1_000_000) - 1)
+      in
+      let own = if s.Trace.is_event then event_kind else span_kind in
+      if s.Trace.kind <> own then
+        Alcotest.failf "arg %d recorded as %s" s.Trace.arg (Trace.kind_name s.Trace.kind);
+      match s.Trace.stop with
+      | Some stop when stop >= s.Trace.start -> ()
+      | _ -> Alcotest.failf "seq %d: open or stop < start" s.Trace.seq);
+  Alcotest.(check int) "every record retained" (4 * k) !n;
+  Trace.reset ()
+
 (* ---------- export round-trip + schema ---------- *)
 
 let populate_ring () =
@@ -207,6 +258,29 @@ let schema_validation () =
   Sys.remove jsonl;
   Sys.remove chrome;
   Trace.reset ()
+
+(* A directory or missing file is an [Error], never an escaping
+   [Sys_error] ("apexctl validate --schema schemas x.jsonl" used to die
+   with an uncaught exception). *)
+let unreadable_inputs_are_errors () =
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "apex_no_such_file.json" in
+  let schema =
+    match Export.Schema.load schema_path with
+    | Ok s -> s
+    | Error m -> Alcotest.failf "schema load: %s" m
+  in
+  List.iter
+    (fun path ->
+      let is_error = function Ok _ -> false | Error _ -> true in
+      Alcotest.(check bool) ("Schema.load " ^ path) true (is_error (Export.Schema.load path));
+      Alcotest.(check bool) ("read_jsonl " ^ path) true (is_error (Export.read_jsonl path));
+      Alcotest.(check bool) ("validate_jsonl " ^ path) true
+        (is_error (Export.Schema.validate_jsonl schema path));
+      Alcotest.(check bool) ("validate_chrome " ^ path) true
+        (is_error (Export.Schema.validate_chrome schema path));
+      Alcotest.(check bool) ("incident validate " ^ path) true
+        (is_error (Flight.validate_file ~schema_path:path path)))
+    [ Filename.dirname schema_path; missing ]
 
 (* ---------- metrics registry ---------- *)
 
@@ -336,56 +410,67 @@ let prop_quantile_bounded =
 
 (* ---------- flight recorder ---------- *)
 
-(* The whole point of the flight recorder is staying armed in production:
-   the record path must not allocate. Same Gc.minor_words technique as
+(* The whole point of the always-on kinds is staying on in production:
+   their record path must not allocate. Same Gc.minor_words technique as
    the disabled-tracer test. *)
 let flight_zero_alloc () =
-  let f = Flight.create ~capacity:256 () in
-  Flight.tick f;
+  Trace.reset ();
+  let f = Flight.create () in
   Flight.set_watchdog f ~threshold:1.0;
-  Alcotest.(check bool) "armed on creation" true (Flight.is_armed f);
   for i = 1 to 100 do
-    Flight.record f Flight.Query ~a:1 ~b:i;
+    Trace.record Trace.Served ~a:1 ~b:i;
     ignore (Flight.check_latency f ~generation:1 ~latency_ns:i : bool)
   done;
   let n = 100_000 in
   let before = Gc.minor_words () in
   for i = 1 to n do
-    Flight.record f Flight.Query ~a:1 ~b:i;
-    Flight.record f Flight.Publish ~a:i ~b:0;
+    Trace.record Trace.Served ~a:1 ~b:i;
+    Trace.end_arg (Trace.begin_ Trace.Epoch_publish) i;
     ignore (Flight.check_latency f ~generation:i ~latency_ns:1000 : bool)
   done;
   let per_op = (Gc.minor_words () -. before) /. float_of_int (3 * n) in
   Alcotest.(check bool)
-    (Printf.sprintf "armed record allocates (%.4f words/op)" per_op)
-    true (per_op < 0.01)
+    (Printf.sprintf "always-on record allocates (%.4f words/op)" per_op)
+    true (per_op < 0.01);
+  Alcotest.(check bool) "recorded with tracing off" false (Trace.is_enabled ());
+  Alcotest.(check int) "every record counted" (n + 100)
+    (List.assoc Trace.Served (Trace.kind_counts ()));
+  Trace.reset ()
 
 let flight_ring_wrap () =
-  let f = Flight.create ~capacity:8 () in
-  Flight.tick f;
+  (* a traced run sizes the rings; disabling keeps them and the
+     always-on kinds keep recording into them *)
+  Trace.enable ~capacity:8 ();
+  Trace.disable ();
   for i = 1 to 20 do
-    Flight.record f Flight.Mark ~a:i ~b:0
+    Trace.record Trace.Update_batch ~a:i ~b:0
   done;
-  let st = Flight.stats f in
-  Alcotest.(check int) "recorded" 20 st.Flight.recorded;
-  Alcotest.(check int) "retained" 8 st.Flight.retained;
-  Alcotest.(check int) "overwritten" 12 st.Flight.overwritten;
+  let st = Trace.stats () in
+  Alcotest.(check int) "recorded" 20 st.Trace.recorded;
+  Alcotest.(check int) "retained" 8 st.Trace.retained;
+  Alcotest.(check int) "overwritten" 12 st.Trace.overwritten;
   (* oldest first, contiguous sequence, and only the newest 8 survive *)
   let seen = ref [] in
-  Flight.iter_events f (fun e -> seen := e.Flight.ev_a :: !seen);
+  Trace.iter_spans (fun s -> seen := s.Trace.arg :: !seen);
   Alcotest.(check (list int)) "newest retained oldest-first"
     [ 13; 14; 15; 16; 17; 18; 19; 20 ]
     (List.rev !seen);
   Alcotest.(check int) "per-kind count survives wrap" 20
-    (List.assoc Flight.Mark (Flight.kind_counts f));
-  (* disarm: records become flag tests, nothing changes *)
-  Flight.disarm f;
-  Flight.record f Flight.Mark ~a:99 ~b:0;
-  Alcotest.(check int) "disarmed record dropped" 20 (Flight.stats f).Flight.recorded
+    (List.assoc Trace.Update_batch (Trace.kind_counts ()));
+  (* tracing off: pipeline kinds stay flag tests, nothing changes *)
+  Trace.event Trace.Path_promoted 99;
+  Alcotest.(check int) "traced-only kind dropped" 20 (Trace.stats ()).Trace.recorded;
+  (* untraced, the always-on rings keep the default 1024 slots *)
+  Trace.reset ();
+  for i = 1 to Trace.default_capacity + 6 do
+    Trace.record Trace.Drain ~a:i ~b:0
+  done;
+  Alcotest.(check int) "default capacity" 1024 (Trace.stats ()).Trace.retained;
+  Trace.reset ()
 
 let flight_watchdog () =
-  let f = Flight.create ~capacity:32 () in
-  Flight.tick f;
+  Trace.reset ();
+  let f = Flight.create () in
   Alcotest.(check bool) "no threshold, no trip" false
     (Flight.check_latency f ~generation:1 ~latency_ns:1_000_000_000);
   Flight.set_watchdog f ~threshold:0.001;
@@ -395,16 +480,23 @@ let flight_watchdog () =
     (Flight.check_latency f ~generation:2 ~latency_ns:2_000_000);
   Alcotest.(check int) "trip counted" 1 (Flight.trips f);
   Alcotest.(check int) "trip recorded as event" 1
-    (List.assoc Flight.Watchdog_trip (Flight.kind_counts f))
+    (List.assoc Trace.Watchdog_trip (Trace.kind_counts ()));
+  Trace.reset ()
+
+let load_json path =
+  match Json.parse (In_channel.with_open_text path In_channel.input_all) with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "parse %s: %s" path e
 
 (* dump -> validate against the committed contract -> parse back *)
 let flight_incident_roundtrip () =
+  Trace.enable ~capacity:64 ();
   let metrics = Metrics.create () in
   let c = Metrics.counter metrics "test.queries" in
-  let f = Flight.create ~capacity:16 ~metrics () in
-  Flight.tick f;
-  Flight.record f Flight.Publish ~a:2 ~b:0;
-  Flight.record f Flight.Query ~a:2 ~b:1500;
+  let f = Flight.create ~metrics () in
+  Trace.end_arg (Trace.begin_ Trace.Epoch_publish) 2;
+  Trace.end_arg (Trace.begin_ Trace.Probe) 5;
+  Trace.record Trace.Served ~a:2 ~b:1500;
   Metrics.add c 7;
   let path = Filename.temp_file "apex_incident" ".json" in
   Flight.dump ~reason:"unit test" f path;
@@ -413,14 +505,19 @@ let flight_incident_roundtrip () =
    | Ok () -> ()
    | Error errors ->
      Alcotest.failf "incident file invalid: %s" (String.concat "; " errors));
-  let text = In_channel.with_open_text path In_channel.input_all in
+  let json = load_json path in
   Sys.remove path;
-  let json =
-    match Json.parse text with Ok v -> v | Error e -> Alcotest.failf "parse: %s" e
-  in
   (match Option.bind (Json.member "incident" json) (Json.member "reason") with
    | Some (Json.Str "unit test") -> ()
    | _ -> Alcotest.fail "reason not preserved");
+  (* each fact once: always-on records are events, the rest spans *)
+  let names section key =
+    match Json.member section json with
+    | Some (Json.Arr l) -> List.filter_map (fun e -> Option.bind (Json.member key e) Json.to_str) l
+    | _ -> Alcotest.failf "missing %s" section
+  in
+  Alcotest.(check (list string)) "events" [ "epoch_publish"; "served" ] (names "events" "kind");
+  Alcotest.(check (list string)) "spans" [ "probe" ] (names "spans" "name");
   (* the counter bumped after the baseline snapshot must show delta 7 *)
   let deltas = match Json.member "metrics" json with Some (Json.Arr l) -> l | _ -> [] in
   let test_delta =
@@ -430,20 +527,20 @@ let flight_incident_roundtrip () =
   in
   (match Option.bind test_delta (Json.member "delta") with
    | Some (Json.Num d) -> Alcotest.(check (float 1e-9)) "metric delta" 7. d
-   | _ -> Alcotest.fail "test.queries delta missing")
+   | _ -> Alcotest.fail "test.queries delta missing");
+  Trace.reset ()
 
-let flight_guard_dumps_on_raise () =
-  let f = Flight.create ~capacity:16 () in
-  let path = Filename.temp_file "apex_incident" ".json" in
-  (match Flight.guard f ~dump_to:path (fun () -> failwith "boom") with
-   | () -> Alcotest.fail "guard swallowed the exception"
-   | exception Failure m -> Alcotest.(check string) "re-raised" "boom" m);
-  Alcotest.(check int) "fatal recorded" 1
-    (List.assoc Flight.Fatal (Flight.kind_counts f));
-  (match Flight.validate_file ~schema_path:incident_schema_path path with
-   | Ok () -> ()
-   | Error errors -> Alcotest.failf "fatal dump invalid: %s" (String.concat "; " errors));
-  Sys.remove path
+(* The incident contract lists exactly the always-on kinds' names. *)
+let incident_kinds_pinned () =
+  let schema = load_json incident_schema_path in
+  let kinds =
+    match Option.bind (Json.member "event" schema) (Json.member "kinds") with
+    | Some (Json.Arr l) -> List.filter_map Json.to_str l
+    | _ -> Alcotest.fail "incident schema: no event.kinds"
+  in
+  Alcotest.(check (list string)) "event.kinds = always-on kind names"
+    (List.map Trace.kind_name Trace.always_on_kinds)
+    kinds
 
 (* ---------- SLO monitor ---------- *)
 
@@ -610,12 +707,14 @@ let () =
         [
           Alcotest.test_case "wrap accounting" `Quick ring_wrap_accounting;
           Alcotest.test_case "stale token dropped" `Quick stale_token_dropped;
+          Alcotest.test_case "one ring per domain" `Quick multi_domain_rings;
         ] );
       ( "export",
         [
           Alcotest.test_case "jsonl round-trip" `Quick export_roundtrip;
           Alcotest.test_case "serving kinds" `Quick serving_kinds_export;
           Alcotest.test_case "schema validation" `Quick schema_validation;
+          Alcotest.test_case "unreadable inputs are errors" `Quick unreadable_inputs_are_errors;
         ] );
       ( "metrics",
         [
@@ -637,7 +736,7 @@ let () =
           Alcotest.test_case "ring wrap accounting" `Quick flight_ring_wrap;
           Alcotest.test_case "latency watchdog" `Quick flight_watchdog;
           Alcotest.test_case "incident dump validates" `Quick flight_incident_roundtrip;
-          Alcotest.test_case "guard dumps on raise" `Quick flight_guard_dumps_on_raise;
+          Alcotest.test_case "incident kinds pinned" `Quick incident_kinds_pinned;
         ] );
       ( "slo",
         [
