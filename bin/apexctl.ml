@@ -259,7 +259,13 @@ let cmd_serve dataset scale readers queries batches seed out obs slo_spec watchd
    | file ->
      Out_channel.with_open_text file (fun oc -> output_string oc json);
      Printf.printf "%d queries on %d readers across %d publishes, %d mismatches -> %s\n"
-       (Driver.total_queries report) readers report.Driver.publishes mismatches file);
+       (Driver.total_queries report) readers report.Driver.publishes mismatches file;
+     Array.iteri
+       (fun i h ->
+         let q p = Repro_telemetry.Metrics.Histogram.quantile h p *. 1e6 in
+         Printf.printf "  q%d: %d queries, p50 %.1f us, p99 %.1f us\n" (i + 1)
+           (Repro_telemetry.Metrics.Histogram.count h) (q 0.5) (q 0.99))
+       (Driver.merged_qtype_latencies report));
   (match obs with
    | None -> ()
    | Some prefix ->

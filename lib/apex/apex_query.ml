@@ -124,20 +124,19 @@ let eval_q1 ?cost t path =
     in
     sweep (n - 1) [ e_full ]
 
-(* QTYPE2 is the paper's two-phase plan: (1) query pruning and rewriting by
-   navigating G_APEX from the nodes whose incoming label is [la], collecting
-   every label sequence la.m_1...m_k.lb reachable over non-attribute edges
-   (Section 6.1's no-dereference rule); (2) each rewritten sequence is
-   answered. The rewrite search already joins extents along every branch as
-   its pruning oracle, so phase 2 reuses those partial joins directly: the
-   union of the running joins over all branches spelling a sequence IS that
-   sequence's QTYPE1 answer (each branch's join is a subset of T(seq) by
-   construction, and every data path has a witnessing branch). Re-evaluation
-   through [eval_q1] remains only as the fallback for sequences without a
-   captured join ([reuse_partial_joins:false] forces it everywhere — the old
-   two-phase plan, kept as the reference for equivalence tests). *)
-let eval_q2 ?cost ?on_sequence ?(max_rewrite_depth = 16) ?(reuse_partial_joins = true) t la
-    lb =
+(* The paper's QTYPE2 plan: (1) query pruning and rewriting by navigating
+   G_APEX from the nodes whose incoming label is [la], collecting every
+   label sequence la.m_1...m_k.lb reachable over non-attribute edges
+   (Section 6.1's no-dereference rule; only the final [lb] step may be an
+   attribute edge); (2) each rewritten sequence is answered. The search
+   joins extents along every branch as its pruning oracle, and those
+   running joins are the answers: the union of the frontiers over all
+   branches spelling a sequence IS that sequence's QTYPE1 answer (each
+   branch's join is a subset of T(seq) by construction, and every data
+   path has a witnessing branch). *)
+let max_rewrite_depth = 16
+
+let eval_q2_rewrite ?cost ?on_sequence t la lb =
   let labels = G.labels (Apex.graph t) in
   match Hash_tree.locate ?cost (Apex.tree t) ~rev_path:[ la ] with
   | None | Some (Hash_tree.Approx _) -> [||]
@@ -170,24 +169,20 @@ let eval_q2 ?cost ?on_sequence ?(max_rewrite_depth = 16) ?(reuse_partial_joins =
         Hashtbl.add extent_cache node.Gapex.id e;
         e
     in
-    (* rewriting -> union of the running joins of the branches spelling it
-       (None when partial-join reuse is off) *)
-    let rewritings : (Label.t list, int array option) Hashtbl.t = Hashtbl.create 32 in
+    (* rewriting -> union of the running joins of the branches spelling it *)
+    let rewritings : (Label.t list, int array) Hashtbl.t = Hashtbl.create 32 in
     let record seq frontier =
-      if reuse_partial_joins then
-        let acc =
-          match Hashtbl.find_opt rewritings seq with
-          | Some (Some prev) -> Int_sorted.union prev frontier
-          | Some None | None -> frontier
-        in
-        Hashtbl.replace rewritings seq (Some acc)
-      else Hashtbl.replace rewritings seq None
+      Hashtbl.replace rewritings seq
+        (match Hashtbl.find_opt rewritings seq with
+         | Some prev -> Int_sorted.union prev frontier
+         | None -> frontier)
     in
     let rec rewrite (node : Gapex.node) frontier rev_seq depth =
       visit node;
       List.iter
         (fun (l, (y : Gapex.node)) ->
-          if not (Label.is_attribute labels l) then begin
+          let attribute = Label.is_attribute labels l in
+          if l = lb || not attribute then begin
             (match cost with
              | Some c -> c.Cost.index_edge_lookups <- c.Cost.index_edge_lookups + 1
              | None -> ());
@@ -197,7 +192,8 @@ let eval_q2 ?cost ?on_sequence ?(max_rewrite_depth = 16) ?(reuse_partial_joins =
             if Array.length nxt > 0 then begin
               let rev_seq = l :: rev_seq in
               if l = lb then record (List.rev rev_seq) nxt;
-              if depth < max_rewrite_depth then rewrite y nxt rev_seq (depth + 1)
+              if depth < max_rewrite_depth && not attribute then
+                rewrite y nxt rev_seq (depth + 1)
             end
           end)
         (Gapex.out_edges node)
@@ -208,17 +204,80 @@ let eval_q2 ?cost ?on_sequence ?(max_rewrite_depth = 16) ?(reuse_partial_joins =
         rewrite start (Apex.load_endpoints ?cost t start) [ la ] 1)
       starts;
     Tr.end_arg jtok (Hashtbl.length rewritings);
-    let results =
-      Hashtbl.fold
-        (fun seq partial acc ->
-          (match on_sequence with Some f -> f seq | None -> ());
-          (match partial with
-           | Some frontier -> frontier
-           | None -> eval_q1 ?cost t seq)
-          :: acc)
-        rewritings []
+    Int_sorted.union_many
+      (Hashtbl.fold
+         (fun seq frontier acc ->
+           (match on_sequence with Some f -> f seq | None -> ());
+           frontier :: acc)
+         rewritings [])
+
+(* QTYPE2 on a document forest ({!G.is_forest}) with an element [la]: the
+   nodes reached from an [la]-node over non-attribute edges are its element
+   descendants, so [//la//lb] is every [lb]-node with a proper tree
+   ancestor tagged [la], reached through non-attribute tags. The [lb]-nodes
+   come from the exact length-1 lookup through the endpoint memo; each
+   ancestor step reads one tree edge and charges one [join_edges].
+   Consecutive candidates often share a parent, whose verdict is reused.
+
+   The rewritings are read off the answers instead of the summary: every
+   distinct tag sequence from an [la] ancestor down to a result — the set
+   the rewrite search reports. *)
+let eval_q2_tree ?cost ?on_sequence t la lb =
+  let g = Apex.graph t in
+  let labels = G.labels g in
+  match Hash_tree.locate ?cost (Apex.tree t) ~rev_path:[ lb ] with
+  | None | Some (Hash_tree.Approx _) -> [||]
+  | Some (Hash_tree.Exact nodes) ->
+    let candidates = union_endpoints ?cost t nodes in
+    let jtok = Tr.begin_ Tr.Join in
+    let steps = ref 0 in
+    let rec below_la u =
+      u >= 0
+      && begin
+        incr steps;
+        let l = G.tree_label g u in
+        l = la || (l >= 0 && (not (Label.is_attribute labels l)) && below_la (G.tree_parent g u))
+      end
     in
-    Int_sorted.union_many results
+    let out = Array.make (Array.length candidates) 0 in
+    let n_out = ref 0 in
+    let last_parent = ref (-1) and last_verdict = ref false in
+    Array.iter
+      (fun v ->
+        let p = G.tree_parent g v in
+        if p <> !last_parent then begin
+          last_parent := p;
+          last_verdict := below_la p
+        end;
+        if !last_verdict then begin
+          out.(!n_out) <- v;
+          incr n_out
+        end)
+      candidates;
+    (match cost with Some c -> c.Cost.join_edges <- c.Cost.join_edges + !steps | None -> ());
+    let result = Array.sub out 0 !n_out in
+    Tr.end_arg jtok (Array.length result);
+    (match on_sequence with
+     | None -> ()
+     | Some f ->
+       let seen = Hashtbl.create 16 in
+       let rec up u below =
+         if u >= 0 then begin
+           let l = G.tree_label g u in
+           if l = la && not (Hashtbl.mem seen (la :: below)) then begin
+             Hashtbl.add seen (la :: below) ();
+             f (la :: below)
+           end;
+           if l >= 0 && not (Label.is_attribute labels l) then up (G.tree_parent g u) (l :: below)
+         end
+       in
+       Array.iter (fun v -> up (G.tree_parent g v) [ lb ]) result);
+    result
+
+let eval_q2 ?cost ?on_sequence t la lb =
+  if G.is_forest (Apex.graph t) && not (Label.is_attribute (G.labels (Apex.graph t)) la) then
+    eval_q2_tree ?cost ?on_sequence t la lb
+  else eval_q2_rewrite ?cost ?on_sequence t la lb
 
 let eval_q3 ?cost ?table t path value =
   let candidates = eval_q1 ?cost t path in
@@ -232,7 +291,7 @@ let eval_q3 ?cost ?table t path value =
     in
     Array.of_seq (Seq.filter keep (Array.to_seq candidates))
 
-let eval ?cost ?table ?on_sequence ?max_rewrite_depth ?reuse_partial_joins t compiled =
+let eval ?cost ?table ?on_sequence t compiled =
   (* plan selection is a constructor dispatch — the span is (honestly)
      zero-length, but its presence makes per-query phase coverage uniform *)
   let ptok = Tr.begin_ Tr.Plan in
@@ -240,8 +299,7 @@ let eval ?cost ?table ?on_sequence ?max_rewrite_depth ?reuse_partial_joins t com
   let result =
     match compiled with
     | Query.C1 path -> eval_q1 ?cost t path
-    | Query.C2 (la, lb) ->
-      eval_q2 ?cost ?on_sequence ?max_rewrite_depth ?reuse_partial_joins t la lb
+    | Query.C2 (la, lb) -> eval_q2 ?cost ?on_sequence t la lb
     | Query.C3 (path, value) -> eval_q3 ?cost ?table t path value
   in
   let mtok = Tr.begin_ Tr.Materialize in

@@ -19,12 +19,16 @@ type t = {
       (* XML id -> (nid, tag); retained so fragments appended later can
          reference existing elements *)
   mutable id_inv : (int, string) Hashtbl.t option;  (* nid -> id, lazy *)
+  forest : bool;
+      (* a document forest (see the mli): set by [of_document], inherited
+         by the update ops, checked by [Builder.build] *)
   mutable in_adj : int array array option;
   mutable by_label : (Label.t, Edge_set.t) Hashtbl.t option;
 }
 
 let labels g = g.labels
 let root g = g.root
+let is_forest g = g.forest
 let n_nodes g = Array.length g.out
 let n_edges g = g.n_edges
 
@@ -69,6 +73,64 @@ let iter_in g v f =
   check_nid g v "iter_in";
   let a = ensure_in_adj g in
   Array.iter (fun e -> f (adj_label e) (adj_node e)) a.(v)
+
+(* A node's tree (document) edge is its first incoming edge — reference
+   edges always come from attribute nodes created after the referencing
+   element, so they sort later in the reverse adjacency (see Subtree). *)
+let tree_in_edge_packed g v =
+  let a = ensure_in_adj g in
+  if Array.length a.(v) = 0 then None else Some a.(v).(0)
+
+let tree_label g v =
+  check_nid g v "tree_label";
+  let row = (ensure_in_adj g).(v) in
+  if Array.length row = 0 then -1 else adj_label row.(0)
+
+let tree_parent g v =
+  check_nid g v "tree_parent";
+  let row = (ensure_in_adj g).(v) in
+  if Array.length row = 0 then -1 else adj_node row.(0)
+
+(* The document-forest test of the mli, in one pass over the reverse
+   adjacency: one label per node, every later in-edge from an attribute
+   node, and every upward walk through non-attribute tree edges ending
+   (walks are marked on the way up, so each node is settled once). *)
+let check_forest g =
+  let a = ensure_in_adj g in
+  let stops u = Array.length a.(u) = 0 || Label.is_attribute g.labels (adj_label a.(u).(0)) in
+  let attribute_node u = Array.length a.(u) > 0 && stops u in
+  let local_ok v =
+    let row = a.(v) in
+    let ok = ref true in
+    Array.iteri
+      (fun i e ->
+        if adj_label e <> adj_label row.(0) || (i > 0 && not (attribute_node (adj_node e))) then
+          ok := false)
+      row;
+    !ok
+  in
+  (* 0 = unseen, 1 = on the walk in progress, 2 = its walk ends *)
+  let state = Array.make (n_nodes g) 0 in
+  let rec walk u path =
+    match state.(u) with
+    | 2 -> Some path
+    | 1 -> None
+    | _ ->
+      state.(u) <- 1;
+      if stops u then Some (u :: path) else walk (adj_node a.(u).(0)) (u :: path)
+  in
+  let ends v =
+    match walk v [] with
+    | Some path ->
+      List.iter (fun u -> state.(u) <- 2) path;
+      true
+    | None -> false
+  in
+  let ok = ref true in
+  for v = 0 to n_nodes g - 1 do
+    if !ok && not (local_ok v && ends v) then ok := false
+  done;
+  !ok
 
 let idref_labels g = g.idref_label_ids
 
@@ -141,7 +203,7 @@ module Builder = struct
     adj := pack_adj l v :: !adj;
     b.b_edges <- b.b_edges + 1
 
-  let freeze ?idref_label_ids ~root b =
+  let freeze ?idref_label_ids ?forest ~root b =
     check b root "build";
     let out = Array.map (fun l -> Array.of_list (List.rev !l)) (Vec.to_array b.b_out) in
     let g =
@@ -153,6 +215,7 @@ module Builder = struct
         idref_label_ids = [];
         ids = Hashtbl.create 4;
         id_inv = None;
+        forest = false;
         in_adj = None;
         by_label = None
       }
@@ -169,7 +232,8 @@ module Builder = struct
               Hashtbl.replace candidates l ());
         List.sort Int.compare (Hashtbl.fold (fun l () acc -> l :: acc) candidates [])
     in
-    { g with idref_label_ids = idrefs }
+    let forest = match forest with Some f -> f | None -> check_forest g in
+    { g with idref_label_ids = idrefs; forest }
 
   let build ~root b = freeze ~root b
 end
@@ -247,7 +311,7 @@ let of_document ?(id_attrs = [ "id" ]) ?(idref_attrs = []) (doc : Repro_xml.Xml_
       idref_label_names []
     |> List.sort Int.compare
   in
-  let g = Builder.freeze ~idref_label_ids ~root b in
+  let g = Builder.freeze ~idref_label_ids ~forest:true ~root b in
   Hashtbl.iter (fun id target -> Hashtbl.replace g.ids id target) ids;
   g
 
@@ -366,16 +430,10 @@ let append_subtree ?(id_attrs = [ "id" ]) ?(idref_attrs = [ ]) g ~parent
     idref_label_ids;
     ids;
     id_inv = None;
+    forest = g.forest;
     in_adj = None;
     by_label = None
   }
-
-(* A node's tree (document) edge is its first incoming edge — reference
-   edges always come from attribute nodes created after the referencing
-   element, so they sort later in the reverse adjacency (see Subtree). *)
-let tree_in_edge_packed g v =
-  let a = ensure_in_adj g in
-  if Array.length a.(v) = 0 then None else Some a.(v).(0)
 
 let delete_subtree g ~node =
   check_nid g node "delete_subtree";
@@ -429,6 +487,7 @@ let delete_subtree g ~node =
       idref_label_ids = g.idref_label_ids;
       ids;
       id_inv = None;
+      forest = g.forest;
       in_adj = None;
       by_label = None
     }
@@ -465,6 +524,7 @@ let add_ref_edge g ~owner ~attr ~target =
       idref_label_ids = List.sort_uniq Int.compare (l_attr :: g.idref_label_ids);
       ids = g.ids;
       id_inv = None;
+      forest = g.forest;
       in_adj = None;
       by_label = None
     }
@@ -524,6 +584,7 @@ let remove_ref_edge g ~owner ~attr ~target =
         idref_label_ids = g.idref_label_ids;
         ids = g.ids;
         id_inv = None;
+        forest = g.forest;
         in_adj = None;
         by_label = None
       }

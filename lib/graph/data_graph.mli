@@ -53,6 +53,34 @@ val edges_with_label : t -> Label.t -> Edge_set.t
 (** All edges [<u, v>] such that [u --l--> v]; computed on first use per
     label and cached. *)
 
+(** {1 Document structure}
+
+    A node's {e tree edge} is its first incoming edge in {!iter_in}
+    order; the node's {e tag} is that edge's label and its {e tree parent}
+    that edge's source. An {e attribute node} is one whose tag is an
+    attribute label. The graph is a {e document forest} when:
+    - every incoming edge of a node carries the node's tag;
+    - every incoming edge other than the tree edge leaves an attribute
+      node (reference edges leave IDREF attribute nodes; every edge that
+      leaves an element is its target's tree edge);
+    - walking up tree edges while the tag is not an attribute label always
+      ends, at a node with no incoming edge or at an attribute node.
+
+    On a forest, the nodes reached from an element over non-attribute
+    edges are exactly its element descendants along tree edges, which is
+    what lets QTYPE2 ([//a//b]) be answered by walking tree parents.
+    {!of_document} graphs are forests by construction and the four update
+    operations keep the property, so they inherit it without a check;
+    {!Builder.build} checks hand-built graphs once, in O(nodes + edges). *)
+
+val is_forest : t -> bool
+
+val tree_label : t -> nid -> Label.t
+(** The node's tag, or [-1] when it has no incoming edge. *)
+
+val tree_parent : t -> nid -> nid
+(** The node's tree parent, or [-1] when it has no incoming edge. *)
+
 (** {1 Construction} *)
 
 val of_document :
@@ -97,8 +125,8 @@ module Builder : sig
 
   val build : root:nid -> t -> graph
   (** Freeze. Labels beginning with ['@'] whose target has outgoing edges
-      are recorded as IDREF labels. @raise Invalid_argument on unknown
-      root. *)
+      are recorded as IDREF labels, and the document-forest property is
+      checked. @raise Invalid_argument on unknown root. *)
 end
 
 val append_subtree :

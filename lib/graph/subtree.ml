@@ -1,11 +1,9 @@
 module T = Repro_xml.Xml_tree
 
-(* a node's tree (document) edge is its first incoming edge; reference
-   edges are added after the tree walk, so they always come later *)
 let tree_in_edge g v =
-  let result = ref None in
-  Data_graph.iter_in g v (fun l u -> if Option.is_none !result then result := Some (l, u));
-  !result
+  match Data_graph.tree_parent g v with
+  | -1 -> None
+  | u -> Some (Data_graph.tree_label g v, u)
 
 let is_tree_child g ~parent ~label v =
   match tree_in_edge g v with

@@ -59,7 +59,9 @@ val fig13 : context -> (string * series_point list) list
     the minSup sweep (paper Figure 13). *)
 
 val fig14 : context -> (string * series_point list) list
-(** Total QTYPE2 cost: SDG vs APEX0 vs APEX(chosen) (paper Figure 14). *)
+(** Total QTYPE2 cost: SDG vs APEX0 vs APEX(chosen) (paper Figure 14),
+    each APEX index under both plans — the paper's rewrite search
+    (["APEX0 rewrite"]) and the tree-ancestor plan (["APEX0 tree"]). *)
 
 val fig15 : context -> (string * series_point list) list
 (** Total QTYPE3 cost: Index Fabric vs SDG vs APEX(chosen) (paper

@@ -71,7 +71,7 @@ type reader_outcome = {
   queries_run : int;
   passes : int;
   errors : string list;
-  latencies : Metrics.Histogram.t;  (* seconds *)
+  latencies : Metrics.Histogram.t array;  (* seconds, per QTYPE1/2/3 *)
   observations : observation list;  (* oldest first *)
 }
 
@@ -102,8 +102,10 @@ let query_stream ~seed ~reader ~n g =
   let n3 = max 1 (n - n1 - n2) in
   Array.concat [ Generate.qtype1 ~n:n1 rand g; Generate.qtype2 ~n:n2 rand g; Generate.qtype3 ~n:n3 rand g ]
 
+let qtype_index = function Query.Qtype1 _ -> 0 | Query.Qtype2 _ -> 1 | Query.Qtype3 _ -> 2
+
 let reader_body cfg server go writer_done first_pass_done reader stream =
-  let latencies = Metrics.Histogram.create () in
+  let latencies = Array.init 3 (fun _ -> Metrics.Histogram.create ()) in
   let observations = ref [] in
   let errors = ref [] in
   let queries_run = ref 0 in
@@ -121,7 +123,7 @@ let reader_body cfg server go writer_done first_pass_done reader stream =
         let t0 = Unix.gettimeofday () in
         match Server.query_pinned server q with
         | generation, result ->
-          Metrics.Histogram.record latencies (Unix.gettimeofday () -. t0);
+          Metrics.Histogram.record latencies.(qtype_index q) (Unix.gettimeofday () -. t0);
           incr queries_run;
           if cfg.log_observations && (!passes < cfg.max_logged_passes || last_pass) then
             observations :=
@@ -253,11 +255,16 @@ let verify_observations report =
 
 (* --- aggregates / serialization --- *)
 
+let merged_qtype_latencies report =
+  Array.init 3 (fun i ->
+      Array.fold_left
+        (fun acc o -> Metrics.Histogram.merge acc o.latencies.(i))
+        (Metrics.Histogram.create ())
+        report.outcomes)
+
 let merged_latencies report =
-  Array.fold_left
-    (fun acc o -> Metrics.Histogram.merge acc o.latencies)
-    (Metrics.Histogram.create ())
-    report.outcomes
+  Array.fold_left Metrics.Histogram.merge (Metrics.Histogram.create ())
+    (merged_qtype_latencies report)
 
 let total_queries report = Array.fold_left (fun acc o -> acc + o.queries_run) 0 report.outcomes
 let total_errors report = Array.fold_left (fun acc o -> acc + List.length o.errors) 0 report.outcomes
@@ -302,6 +309,15 @@ let report_json ~dataset ~checksum_mismatches report =
     (q 0.5) (q 0.9) (q 0.99)
     (Metrics.Histogram.mean h *. 1e6)
     (Metrics.Histogram.max_value h *. 1e6);
+  add "  \"latency_by_qtype_us\": { %s },\n"
+    (String.concat ", "
+       (Array.to_list
+          (Array.mapi
+             (fun i h ->
+               let q p = Metrics.Histogram.quantile h p *. 1e6 in
+               Printf.sprintf "\"q%d\": { \"count\": %d, \"p50\": %.2f, \"p99\": %.2f }" (i + 1)
+                 (Metrics.Histogram.count h) (q 0.5) (q 0.99))
+             (merged_qtype_latencies report))));
   add "  \"writer\": { \"batches\": %d, \"ops\": %d },\n" report.config.batches report.writer_ops;
   add "  \"feedback\": { \"drained\": %d, \"dropped\": %d },\n" report.feedback_drained
     report.feedback_dropped;

@@ -49,7 +49,8 @@ type reader_outcome = {
       (** full passes over the stream; the last one starts after the
           writer's final publish, so it's always >= 1 *)
   errors : string list;  (** exceptions caught on the reader, oldest first *)
-  latencies : Repro_telemetry.Metrics.Histogram.t;  (** seconds *)
+  latencies : Repro_telemetry.Metrics.Histogram.t array;
+      (** seconds, one histogram per query type: QTYPE1, QTYPE2, QTYPE3 *)
   observations : observation list;  (** oldest first *)
 }
 
@@ -87,7 +88,13 @@ val verify_observations : report -> int
     mismatches (0 = every concurrent result was bit-identical to the
     single-threaded oracle at its pinned generation). *)
 
+val merged_qtype_latencies : report -> Repro_telemetry.Metrics.Histogram.t array
+(** Every reader's latencies merged, per query type: QTYPE1, QTYPE2,
+    QTYPE3. *)
+
 val merged_latencies : report -> Repro_telemetry.Metrics.Histogram.t
+(** All query types merged. *)
+
 val total_queries : report -> int
 val total_errors : report -> int
 

@@ -30,7 +30,7 @@ let paths_of_query ?(q2_paths = []) labels q =
      | Some _ | None -> [])
   | Repro_pathexpr.Query.Qtype2 (a, b) ->
     (* Partial-match queries carry workload signal too: the paths the
-       rewrite search actually matched (when the evaluator reports them)
+       query matched (its rewritings, when the evaluator reports them)
        are the frequently-used paths refresh should extend the index
        with. But one query must contribute support exactly once — logging
        every matched rewriting (or a fallback entry alongside them) counts

@@ -50,6 +50,21 @@ let movie_db () =
   e at_movie "movie" movie;
   Data_graph.Builder.build ~root b
 
+(* [movie_doc] is the running example as an XML document encoded per
+   Section 3: the same five tags and two IDREF attributes as [movie_db],
+   but the movie sits under its director and is referenced from the
+   actor, so the graph is a document forest (every element has one
+   parent; the cycle runs through the @actor/@movie attribute nodes). *)
+let movie_doc () =
+  Data_graph.of_document ~idref_attrs:[ "movie"; "actor" ]
+    (Repro_xml.Xml_parser.parse_string
+       {|<MovieDB>
+  <actor id="a1" movie="m1"><name>Kevin</name></actor>
+  <actor id="a2"><name>Jeanne</name></actor>
+  <director><name>Reynolds</name>
+    <movie id="m1" actor="a1 a2"><title>Waterworld</title></movie></director>
+</MovieDB>|})
+
 let label g s =
   match Label.find (Data_graph.labels g) s with
   | Some l -> l

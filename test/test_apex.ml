@@ -2,6 +2,7 @@ open Repro_apex
 module F = Test_support.Fixtures
 module G = Repro_graph.Data_graph
 module Edge_set = Repro_graph.Edge_set
+module Label = Repro_graph.Label
 module Label_path = Repro_pathexpr.Label_path
 module Query = Repro_pathexpr.Query
 module Naive = Repro_pathexpr.Naive_eval
@@ -194,31 +195,100 @@ let test_queries_materialized () =
   Alcotest.(check bool) "pages charged when cold" true
     (cost.Repro_storage.Cost.extent_pages > 0)
 
-let test_q2_partial_join_reuse () =
-  (* answering rewritings from the running joins of the rewrite search must
-     be indistinguishable from re-evaluating every rewriting (the paper's
-     two-phase plan, [reuse_partial_joins:false]) — on every label pair,
-     including pairs with empty answers, over APEX0 and an adapted index *)
-  let g = F.movie_db () in
-  let labels = G.labels g in
-  let names = [ "actor"; "name"; "director"; "movie"; "title" ] in
-  let check apex =
-    List.iter
-      (fun la ->
-        List.iter
-          (fun lb ->
-            match Query.compile labels (Query.Qtype2 (la, lb)) with
-            | None -> Alcotest.failf "label pair %s//%s did not compile" la lb
-            | Some c ->
-              Alcotest.(check (array int))
-                (Printf.sprintf "//%s//%s" la lb)
-                (Apex_query.eval ~reuse_partial_joins:false apex c)
-                (Apex_query.eval apex c))
-          names)
-      names
+(* a QTYPE2 evaluation's result and the distinct rewritings it reported *)
+let with_rewritings eval =
+  let seen = ref [] in
+  let result = eval (fun seq -> seen := seq :: !seen) in
+  (result, List.sort_uniq Label_path.compare !seen)
+
+let test_q2_plans_agree () =
+  (* the structural plan (taken on a document forest), the paper's rewrite
+     search and the naive oracle agree on every label pair, attribute
+     labels and empty answers included, over APEX0 and an adapted index;
+     on movie_db (a DAG: the movie has two element parents) the default
+     plan falls back to the rewrite search *)
+  let check ?(adapt = [ "actor"; "name" ]) g =
+    let labels = G.labels g in
+    let names = List.init (Label.count labels) (Label.to_string labels) in
+    let check apex =
+      List.iter
+        (fun la ->
+          List.iter
+            (fun lb ->
+              match Query.compile labels (Query.Qtype2 (la, lb)) with
+              | Some (Query.C2 (a, b) as c) ->
+                let q = Printf.sprintf "//%s//%s" la lb in
+                let expected = Naive.eval g c in
+                let default, s_default =
+                  with_rewritings (fun on_sequence -> Apex_query.eval ~on_sequence apex c)
+                in
+                let rewrite, s_rewrite =
+                  with_rewritings (fun on_sequence ->
+                      Apex_query.eval_q2_rewrite ~on_sequence apex a b)
+                in
+                Alcotest.(check (array int)) (q ^ " default plan") expected default;
+                Alcotest.(check (array int)) (q ^ " rewrite plan") expected rewrite;
+                Alcotest.(check (list (list int))) (q ^ " rewritings") s_rewrite s_default
+              | Some _ | None -> Alcotest.failf "label pair %s//%s did not compile" la lb)
+            names)
+        names
+    in
+    check (Apex.build g);
+    check (Apex.build_adapted g ~workload:[ lp g adapt ] ~min_support:0.5)
   in
-  check (Apex.build g);
-  check (Apex.build_adapted g ~workload:[ lp g [ "actor"; "name" ] ] ~min_support:0.5)
+  Alcotest.(check bool) "movie_db is not a forest" false (G.is_forest (F.movie_db ()));
+  Alcotest.(check bool) "movie_doc is a forest" true (G.is_forest (F.movie_doc ()));
+  check (F.movie_db ());
+  check (F.movie_doc ());
+  (* a reference to the document root makes an attribute node the root's
+     tree parent: the walk must stop there, or it would climb back into
+     the document (and cycle); the nested [a] gives [//a//c] two
+     rewritings through one result *)
+  let root_ref =
+    G.of_document ~idref_attrs:[ "ref" ]
+      (Repro_xml.Xml_parser.parse_string
+         {|<r id="r0"><a><b ref="r0"><a><c/></a></b></a><d/></r>|})
+  in
+  Alcotest.(check bool) "root_ref is a forest" true (G.is_forest root_ref);
+  check ~adapt:[ "a"; "b" ] root_ref
+
+let test_q2_rewritings_agree () =
+  (* the rewritings fed to the query log are the same set whether the
+     structural plan reads them off its results or the rewrite search
+     matches them on G_APEX, on APEX0 and on an adapted index *)
+  let module Dataset = Repro_datagen.Dataset in
+  let module Generate = Repro_workload.Generate in
+  let several = ref 0 in
+  List.iter
+    (fun (name, scale) ->
+      let spec = Dataset.scaled (Option.get (Dataset.by_name name)) scale in
+      let g = Dataset.build_graph spec in
+      Alcotest.(check bool) (name ^ " is a forest") true (G.is_forest g);
+      let rand = Random.State.make [| spec.Dataset.seed |] in
+      let workload =
+        Repro_harness.Env.compile_workload g (Generate.qtype1 ~n:200 rand g)
+      in
+      let queries = Generate.qtype2 ~n:40 rand g in
+      List.iter
+        (fun apex ->
+          Array.iter
+            (fun q ->
+              match Query.compile (G.labels g) q with
+              | Some (Query.C2 (a, b) as c) ->
+                let tag = Printf.sprintf "%s %s" name (Query.to_string q) in
+                let r_tree, s_tree = with_rewritings (fun on_sequence -> Apex_query.eval ~on_sequence apex c) in
+                let r_rw, s_rw =
+                  with_rewritings (fun on_sequence -> Apex_query.eval_q2_rewrite ~on_sequence apex a b)
+                in
+                Alcotest.(check (array int)) (tag ^ " results") r_rw r_tree;
+                Alcotest.(check (array int)) (tag ^ " naive") (Naive.eval g c) r_tree;
+                Alcotest.(check (list (list int))) (tag ^ " rewritings") s_rw s_tree;
+                if List.compare_length_with s_tree 1 > 0 then incr several
+              | Some _ | None -> Alcotest.failf "%s: %s did not compile" name (Query.to_string q))
+            queries)
+        [ Apex.build g; Apex.build_adapted g ~workload ~min_support:0.01 ])
+    [ ("Ged01", 0.2); ("Flix01", 0.1); ("shakes_11", 0.05) ];
+  Alcotest.(check bool) "some query has several rewritings" true (!several > 0)
 
 let test_queries_materialized_varint () =
   (* compressed extents change cost, never results *)
@@ -424,7 +494,8 @@ let () =
         [ Alcotest.test_case "APEX0 vs naive" `Quick test_queries_apex0;
           Alcotest.test_case "adapted vs naive" `Quick test_queries_adapted;
           Alcotest.test_case "materialized vs naive" `Quick test_queries_materialized;
-          Alcotest.test_case "Q2 partial-join reuse" `Quick test_q2_partial_join_reuse;
+          Alcotest.test_case "Q2 plans agree" `Quick test_q2_plans_agree;
+          Alcotest.test_case "Q2 rewritings agree" `Quick test_q2_rewritings_agree;
           Alcotest.test_case "varint-materialized vs naive" `Quick test_queries_materialized_varint;
           Alcotest.test_case "QTYPE3 via data table" `Quick test_qtype3_with_table;
           Alcotest.test_case "unknown labels" `Quick test_unknown_label_queries;

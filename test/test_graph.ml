@@ -346,6 +346,78 @@ let prop_length1_equals_grouping =
       done;
       !ok)
 
+(* --- document forests --- *)
+
+(* the same graph through Builder, edge for edge in the same order, so its
+   reverse adjacency (and with it every tree edge) is identical: the
+   Builder's check then says whether a flag set by construction or
+   inherited through an update is true *)
+let rebuild g =
+  let b = Data_graph.Builder.create () in
+  let labels = Data_graph.labels g in
+  for v = 0 to Data_graph.n_nodes g - 1 do
+    ignore (Data_graph.Builder.add_node ?value:(Data_graph.value g v) b : int)
+  done;
+  Data_graph.iter_edges g (fun u l v -> Data_graph.Builder.add_edge b u (Label.to_string labels l) v);
+  Data_graph.Builder.build ~root:(Data_graph.root g) b
+
+let check_forest msg g =
+  Alcotest.(check bool) (msg ^ ": flag") true (Data_graph.is_forest g);
+  Alcotest.(check bool) (msg ^ ": checked") true (Data_graph.is_forest (rebuild g))
+
+let test_forest_of_document () =
+  check_forest "movie_doc" (F.movie_doc ());
+  List.iter
+    (fun spec ->
+      check_forest spec.Repro_datagen.Dataset.name
+        (Repro_datagen.Dataset.build_graph (Repro_datagen.Dataset.scaled spec 0.05)))
+    Repro_datagen.Dataset.small
+
+let built edges =
+  let b = Data_graph.Builder.create () in
+  let n = 1 + List.fold_left (fun m (u, _, v) -> max m (max u v)) 0 edges in
+  for _ = 1 to n do
+    ignore (Data_graph.Builder.add_node b : int)
+  done;
+  List.iter (fun (u, l, v) -> Data_graph.Builder.add_edge b u l v) edges;
+  Data_graph.Builder.build ~root:0 b
+
+let test_forest_rejects () =
+  let not_forest msg g = Alcotest.(check bool) msg false (Data_graph.is_forest g) in
+  not_forest "movie_db: the movie has two element parents" (F.movie_db ());
+  not_forest "two-parent DAG" (built [ (0, "a", 1); (0, "b", 2); (1, "c", 3); (2, "c", 3) ]);
+  not_forest "two tags on one node"
+    (built [ (0, "a", 1); (0, "@r", 2); (2, "b", 1) ]);
+  not_forest "parent cycle off the root" (built [ (0, "a", 1); (2, "b", 3); (3, "c", 2) ]);
+  Alcotest.(check bool) "small_tree" true (Data_graph.is_forest (F.small_tree ()));
+  Alcotest.(check bool) "reference from an attribute node" true
+    (Data_graph.is_forest (built [ (0, "a", 1); (0, "b", 2); (2, "@r", 3); (3, "a", 1) ]));
+  Alcotest.(check bool) "reference cycle through an attribute node" true
+    (Data_graph.is_forest (built [ (0, "a", 1); (1, "@r", 2); (2, "a", 1) ]))
+
+let test_forest_updates () =
+  let g = F.movie_doc () in
+  let labels = Data_graph.labels g in
+  let tagged name =
+    Edge_set.endpoints (Data_graph.edges_with_label g (Option.get (Label.find labels name)))
+  in
+  let director = (tagged "director").(0) and actor = (tagged "actor").(0) in
+  let movie = (tagged "movie").(0) in
+  let frag =
+    (Repro_xml.Xml_parser.parse_string
+       {|<movie id="m2" actor="a1"><title>Solo</title><award><title>Best</title></award></movie>|})
+      .Repro_xml.Xml_tree.root
+  in
+  let g1 = Data_graph.append_subtree ~idref_attrs:[ "actor" ] g ~parent:director frag in
+  check_forest "append_subtree" g1;
+  let g2, _ = Data_graph.add_ref_edge g1 ~owner:actor ~attr:"movie" ~target:(Data_graph.n_nodes g) in
+  check_forest "add_ref_edge" g2;
+  let g3, _ = Data_graph.remove_ref_edge g2 ~owner:actor ~attr:"movie" ~target:movie in
+  check_forest "remove_ref_edge" g3;
+  let g4, _ = Data_graph.delete_subtree g3 ~node:movie in
+  check_forest "delete_subtree" g4;
+  check_forest "snapshot" (Data_graph.snapshot g4)
+
 let () =
   Alcotest.run "graph"
     [ ( "edge_set",
@@ -377,6 +449,11 @@ let () =
           Alcotest.test_case "dangling ref dropped" `Quick test_of_document_dangling_ref;
           Alcotest.test_case "no idref config" `Quick test_of_document_no_idref_config;
           Alcotest.test_case "graph stats" `Quick test_graph_stats
+        ] );
+      ( "forest",
+        [ Alcotest.test_case "of_document graphs" `Quick test_forest_of_document;
+          Alcotest.test_case "non-forests rejected" `Quick test_forest_rejects;
+          Alcotest.test_case "kept by the update ops" `Quick test_forest_updates
         ] );
       ( "subtree",
         [ Alcotest.test_case "document roundtrip" `Quick test_subtree_roundtrip_document;

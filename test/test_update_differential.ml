@@ -57,6 +57,32 @@ let queries_for rand g =
   Array.concat
     [ Generate.qtype1 ~n:6 rand g; Generate.qtype2 ~n:2 rand g; Generate.qtype3 ~n:3 rand g ]
 
+(* [//a//b] where [b] tags a node of the fragment appended after [before]
+   and [a] tags one of its proper ancestors *)
+let fragment_q2 rand g ~before =
+  let labels = G.labels g in
+  let name = Repro_graph.Label.to_string labels in
+  let element l = l >= 0 && not (Repro_graph.Label.is_attribute labels l) in
+  let rec ancestors u acc =
+    if u >= 0 && element (G.tree_label g u) then ancestors (G.tree_parent g u) (u :: acc) else acc
+  in
+  let candidates =
+    List.filter_map
+      (fun v ->
+        if element (G.tree_label g v) then
+          match ancestors (G.tree_parent g v) [] with
+          | [] -> None
+          | ancs -> Some (v, Array.of_list ancs)
+        else None)
+      (List.init (G.n_nodes g - before) (fun i -> before + i))
+  in
+  match candidates with
+  | [] -> Alcotest.fail "the insert appended no element below an element"
+  | _ ->
+    let v, ancs = List.nth candidates (Random.State.int rand (List.length candidates)) in
+    let a = ancs.(Random.State.int rand (Array.length ancs)) in
+    Query.Qtype2 (name (G.tree_label g a), name (G.tree_label g v))
+
 (* one seeded interleaving: update batch -> queries -> update batch ->
    refresh -> update batch -> queries, every round compared to a rebuild
    and the oracle *)
@@ -83,9 +109,8 @@ let run_interleaving ~fault spec seed =
    | Some f ->
      Fault.arm_random f ~prob:0.02 ~kinds:[ Fault.Read_flip; Fault.Short_read ]
    | None -> ());
-  let check round =
+  let compare_queries round queries =
     let g = Apex.graph apex in
-    let queries = queries_for rand g in
     let rebuilt = Apex.build g in
     let maintained_answers = ref [] and rebuilt_answers = ref [] in
     Array.iter
@@ -107,6 +132,7 @@ let run_interleaving ~fault spec seed =
       (Printf.sprintf "%s seed=%d round=%d checksum" spec.Dataset.name seed round)
       (checksum !rebuilt_answers) (checksum !maintained_answers)
   in
+  let check round = compare_queries round (queries_for rand (Apex.graph apex)) in
   let batch i n =
     let ops, _ = Update_workload.gen_ops ~seed:((seed * 7) + i) ~n (Apex.graph apex) in
     ignore (Update.apply apex ops : Update.stats)
@@ -120,6 +146,27 @@ let run_interleaving ~fault spec seed =
   check 2;
   batch 3 3;
   check 3;
+  (* QTYPE2 after one op of each kind. The graphs are document forests, so
+     Q2 takes the tree-ancestor plan; after an insert, one more Q2 asks for
+     a tag inside the fresh fragment below one of its ancestors' tags. The
+     fragment's nids come after every old nid (out of document order), so
+     the walk from them crosses into old nodes. *)
+  List.iteri
+    (fun k (p_insert, p_delete, p_ins_ref, p_del_ref) ->
+      let before = G.n_nodes (Apex.graph apex) in
+      let ops, _ =
+        Update_workload.gen_ops ~p_insert ~p_delete ~p_ins_ref ~p_del_ref
+          ~seed:((seed * 7) + 4 + k) ~n:1 (Apex.graph apex)
+      in
+      ignore (Update.apply apex ops : Update.stats);
+      let g = Apex.graph apex in
+      let round = 4 + k in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s seed=%d round=%d forest" spec.Dataset.name seed round)
+        true (G.is_forest g);
+      let fresh = if k = 0 then [| fragment_q2 rand g ~before |] else [||] in
+      compare_queries round (Array.append (Generate.qtype2 ~n:2 rand g) fresh))
+    [ (1., 0., 0., 0.); (0., 1., 0., 0.); (0., 0., 1., 0.); (0., 0., 0., 1.) ];
   match fault_policy with
   | Some f -> ignore (Fault.injections f : int)
   | None -> ()
