@@ -91,27 +91,51 @@ let lookup ?cost t nid =
      | None -> ());
     scan_page (Buffer_pool.get t.pool t.pages.(idx)) nid
 
-let matches ?cost t nid v =
-  match lookup ?cost t nid with
-  | Some v' -> String.equal v v'
-  | None -> false
+(* bytes [i..] of [v] equal those of [buf] at [off + i..]: an in-place
+   comparison, once the caller has checked the lengths *)
+let rec value_is buf off v i =
+  i = String.length v || (Char.equal (Bytes.get buf (off + i)) v.[i] && value_is buf off v (i + 1))
 
+(* One merge pass: candidates ascend and pages are ordered by first nid, so
+   the candidates falling on one page form a run. Each run fetches its page
+   once and walks the page's records once, alongside the candidates. *)
 let filter_matching ?cost t candidates value =
-  let last_page = ref (-1) in
-  let keep nid =
-    match locate t nid with
-    | None -> false
-    | Some idx ->
-      (match cost with
-       | Some c when idx <> !last_page ->
-         last_page := idx;
-         c.Cost.table_pages <- c.Cost.table_pages + 1
-       | Some _ | None -> ());
-      (match scan_page (Buffer_pool.get t.pool t.pages.(idx)) nid with
-       | Some v -> String.equal v value
-       | None -> false)
+  let n = Array.length candidates in
+  let out = Array.make n 0 in
+  let kept = ref 0 and i = ref 0 in
+  let advance () =
+    incr i;
+    if !i < n && candidates.(!i) < candidates.(!i - 1) then
+      invalid_arg "Data_table.filter_matching: candidates not ascending"
   in
-  Array.of_seq (Seq.filter keep (Array.to_seq candidates))
+  while !i < n do
+    match locate t candidates.(!i) with
+    | None -> advance ()
+    | Some idx ->
+      (match cost with Some c -> c.Cost.table_pages <- c.Cost.table_pages + 1 | None -> ());
+      let buf = Buffer_pool.get t.pool t.pages.(idx) in
+      let last_page = idx + 1 = Array.length t.pages in
+      let off = ref header_size and remaining = ref (Codec.get_u16 buf 0) in
+      let on_page = ref true in
+      while !on_page do
+        let nid = candidates.(!i) in
+        while !remaining > 0 && Codec.get_i64 buf !off < nid do
+          off := !off + record_overhead + Codec.get_u16 buf (!off + 8);
+          decr remaining
+        done;
+        if !remaining > 0
+           && Codec.get_i64 buf !off = nid
+           && Codec.get_u16 buf (!off + 8) = String.length value
+           && value_is buf (!off + record_overhead) value 0
+        then begin
+          out.(!kept) <- nid;
+          incr kept
+        end;
+        advance ();
+        on_page := !i < n && (last_page || candidates.(!i) < t.first_nids.(idx + 1))
+      done
+  done;
+  Array.sub out 0 !kept
 
 let iter t f =
   Array.iter

@@ -4,7 +4,8 @@
     data table which keeps all node identifiers (nid) and corresponding data
     values". Records are packed into pages sorted by nid, with an in-memory
     sparse directory (first nid of each page), so a probe costs one page read
-    plus an in-page scan — charged as [table_pages] on the {!Cost.t}. *)
+    plus an in-page scan — charged as [table_pages] on the {!Cost.t}. A
+    QTYPE3 batch ({!filter_matching}) reads and scans each touched page once. *)
 
 type t
 
@@ -15,17 +16,25 @@ val build : Buffer_pool.t -> Repro_graph.Data_graph.t -> t
 val n_entries : t -> int
 val n_pages : t -> int
 
-val lookup : ?cost:Cost.t -> t -> Repro_graph.Data_graph.nid -> string option
+val locate : t -> Repro_graph.Data_graph.nid -> int option
+(** Index of the table page whose nid range may hold the node — the last
+    page whose first nid is at most [nid] — or [None] below the first
+    page. A probe touches exactly this page. *)
 
-val matches : ?cost:Cost.t -> t -> Repro_graph.Data_graph.nid -> string -> bool
-(** [matches t nid v] — the node has a data value equal to [v]. *)
+val lookup : ?cost:Cost.t -> t -> Repro_graph.Data_graph.nid -> string option
 
 val filter_matching :
   ?cost:Cost.t -> t -> Repro_graph.Data_graph.nid array -> string -> Repro_graph.Data_graph.nid array
-(** Keep the candidates whose value equals the given string. The candidate
-    array must be sorted ascending; each table page is charged once per
-    call (consecutive candidates share pages — the per-query working-set
-    cost model). *)
+(** Keep the candidates whose value equals the given string, in input
+    order; a repeated candidate is kept as often as it occurs. The
+    candidates must be ascending ([Int_sorted], as [eval_q1] returns
+    them). One merge pass: the candidates that fall on one table page are
+    a consecutive run, so each touched page is fetched from the pool once
+    and its records are walked once per call, alongside the run. Values
+    are compared in place in the page buffer; nothing is copied out. Each
+    touched page is charged once as [table_pages] — the per-query
+    working-set cost model.
+    @raise Invalid_argument when the candidates are not ascending. *)
 
 val iter : t -> (Repro_graph.Data_graph.nid -> string -> unit) -> unit
 (** Iterate all (nid, value) records in nid order, bypassing the cache (used

@@ -75,12 +75,20 @@ let read_with_faults t f pid =
     settle copy 0
   end
 
-let read t pid =
+let read_into t pid buf =
   check t pid;
+  if Bytes.length buf <> t.page_size then
+    invalid_arg
+      (Printf.sprintf "Pager.read_into: buffer is %d bytes, page size is %d" (Bytes.length buf)
+         t.page_size);
   t.stats.disk_reads <- t.stats.disk_reads + 1;
-  match t.fault with
-  | None -> Bytes.copy (Vec.get t.pages pid)
-  | Some f -> read_with_faults t f pid
+  let src = match t.fault with None -> Vec.get t.pages pid | Some f -> read_with_faults t f pid in
+  Bytes.blit src 0 buf 0 t.page_size
+
+let read t pid =
+  let buf = Bytes.create t.page_size in
+  read_into t pid buf;
+  buf
 
 let write t pid buf =
   check t pid;

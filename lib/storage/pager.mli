@@ -44,6 +44,14 @@ val read : t -> pid -> bytes
     (persistent on-page corruption).
     @raise Fault.Injected never — read faults are transient and healed. *)
 
+val read_into : t -> pid -> bytes -> unit
+(** [read_into t pid buf] is {!read} into a caller-owned buffer of
+    exactly [page_size] bytes: the same disk-read count, checksum
+    verification and retries, but no page allocated on the fault-free
+    path. On an exception [buf] holds unspecified contents.
+    @raise Invalid_argument as {!read}, or when [buf] is not [page_size]
+    long. *)
+
 val write : t -> pid -> bytes -> unit
 (** Replace the page contents; counts one disk write. The buffer must be
     exactly [page_size] long. @raise Invalid_argument otherwise.

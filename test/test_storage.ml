@@ -80,6 +80,50 @@ let test_pool_flush () =
   ignore (Buffer_pool.get pool pid);
   Alcotest.(check int) "cold again" 2 (Pager.stats p).Io_stats.cache_misses
 
+let test_pool_no_alloc () =
+  (* frames are recycled: a hit allocates nothing, and once the pool is
+     full a miss reads into the evicted frame instead of a fresh page *)
+  let page_size = 4096 in
+  let p = Pager.create ~page_size () in
+  let pids = Array.init 8 (fun _ -> Pager.alloc p) in
+  let pool = Buffer_pool.create p ~capacity:4 in
+  Array.iter (fun pid -> ignore (Buffer_pool.get pool pid : bytes)) pids;
+  let before = Gc.minor_words () in
+  for i = 1 to 1000 do
+    ignore (Buffer_pool.get pool pids.(4 + (i land 3)) : bytes)
+  done;
+  let hit_words = Gc.minor_words () -. before in
+  if hit_words >= 10.0 then Alcotest.failf "1000 hits allocated %.0f minor words" hit_words;
+  let misses = (Pager.stats p).Io_stats.cache_misses in
+  let before = Gc.allocated_bytes () in
+  for i = 0 to 999 do
+    ignore (Buffer_pool.get pool pids.(i mod 8) : bytes)
+  done;
+  let miss_bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "every get missed" (misses + 1000) (Pager.stats p).Io_stats.cache_misses;
+  if miss_bytes >= float_of_int page_size then
+    Alcotest.failf "1000 misses allocated %.0f bytes" miss_bytes
+
+let test_pool_heals_into_frame () =
+  (* a Read_flip on a miss that recycles a frame: the verified re-read
+     lands in the frame, and the pool serves the healed page from it *)
+  let p = Pager.create ~page_size:128 () in
+  let f = Fault.create ~seed:7 () in
+  Pager.set_fault p (Some f);
+  let a = Pager.alloc p and b = Pager.alloc p in
+  let page_a = Bytes.make 128 'a' and page_b = Bytes.make 128 'b' in
+  Pager.write p a page_a;
+  Pager.write p b page_b;
+  let pool = Buffer_pool.create p ~capacity:1 in
+  Alcotest.(check bytes) "page a" page_a (Buffer_pool.get pool a);
+  Fault.arm_at f Fault.Read_flip ~site:0;
+  Alcotest.(check bytes) "page b healed" page_b (Buffer_pool.get pool b);
+  Alcotest.(check bool) "fired" true (Fault.fired f);
+  Alcotest.(check bool) "retry counted" true ((Pager.stats p).Io_stats.read_retries > 0);
+  Alcotest.(check bytes) "healed frame hit" page_b (Buffer_pool.get pool b);
+  Alcotest.(check bytes) "page a reloaded" page_a (Buffer_pool.get pool a);
+  Alcotest.(check int) "one frame" 1 (Buffer_pool.cached_pages pool)
+
 let prop_pool_invariants =
   (* random Get/Write/Flush traces against a shadow model: cached_pages
      never exceeds capacity, hit+miss reconciles with the pager's counters,
@@ -469,8 +513,12 @@ let test_data_table_basic () =
   Alcotest.(check (option string)) "title" (Some "Waterworld") (Data_table.lookup table 7);
   Alcotest.(check (option string)) "name" (Some "Kevin") (Data_table.lookup table 2);
   Alcotest.(check (option string)) "non-leaf" None (Data_table.lookup table 6);
-  Alcotest.(check bool) "matches yes" true (Data_table.matches table 7 "Waterworld");
-  Alcotest.(check bool) "matches no" false (Data_table.matches table 7 "Not")
+  Alcotest.(check (option string)) "unknown nid" None (Data_table.lookup table 99);
+  Alcotest.(check (array int)) "filter" [| 7 |]
+    (Data_table.filter_matching table [| 2; 6; 7; 8 |] "Waterworld");
+  Alcotest.check_raises "descending candidates"
+    (Invalid_argument "Data_table.filter_matching: candidates not ascending") (fun () ->
+      ignore (Data_table.filter_matching table [| 7; 2 |] "Kevin"))
 
 let test_data_table_cost () =
   let g = F.movie_db () in
@@ -517,6 +565,52 @@ let test_data_table_many_pages () =
       (Data_table.lookup table (i + 1))
   done
 
+let prop_filter_matching =
+  (* the merge pass against a per-candidate lookup filter, over 128-byte
+     pages and a 2-frame pool, so frames are recycled inside one call.
+     Values are drawn from a small pool with "" and equal-length near
+     misses; candidates mix nids with and without values, nids below the
+     first page and past the last one, and repeats *)
+  let vocab = [| ""; "a"; "b"; "ab"; "ba"; "abc"; "abd"; "value-0001"; "value-0002" |] in
+  let gen =
+    QCheck.Gen.(
+      let* leaves = list_size (int_range 0 80) (opt ~ratio:0.7 (oneofa vocab)) in
+      let n_nodes = List.length leaves + 1 in
+      let* candidates = list_size (int_bound 60) (int_bound (n_nodes + 4)) in
+      let* value = oneofa vocab in
+      return (leaves, List.sort Int.compare candidates, value))
+  in
+  let print (leaves, candidates, value) =
+    Printf.sprintf "leaves=[%s] candidates=[%s] value=%S"
+      (String.concat "; " (List.map (Option.fold ~none:"-" ~some:(Printf.sprintf "%S")) leaves))
+      (String.concat "; " (List.map string_of_int candidates))
+      value
+  in
+  QCheck.Test.make ~count:300 ~name:"filter_matching = per-candidate lookup filter"
+    (QCheck.make ~print gen)
+    (fun (leaves, candidates, value) ->
+      let module B = Repro_graph.Data_graph.Builder in
+      let b = B.create () in
+      let root = B.add_node b in
+      List.iter (fun v -> B.add_edge b root "item" (B.add_node ?value:v b)) leaves;
+      let g = B.build ~root b in
+      let pool = Buffer_pool.create (Pager.create ~page_size:128 ()) ~capacity:2 in
+      let table = Data_table.build pool g in
+      let candidates = Array.of_list candidates in
+      let cost = Cost.create () in
+      let got = Data_table.filter_matching ~cost table candidates value in
+      let want =
+        Array.of_seq
+          (Seq.filter
+             (fun nid -> Option.equal String.equal (Data_table.lookup table nid) (Some value))
+             (Array.to_seq candidates))
+      in
+      let pages =
+        Array.to_list candidates |> List.filter_map (Data_table.locate table)
+        |> List.sort_uniq Int.compare
+      in
+      got = want && cost.Cost.table_pages = List.length pages)
+
 (* --- Cost --- *)
 
 let test_cost_add () =
@@ -548,6 +642,8 @@ let () =
           Alcotest.test_case "LRU eviction" `Quick test_pool_lru_eviction;
           Alcotest.test_case "write-through" `Quick test_pool_write_through;
           Alcotest.test_case "flush" `Quick test_pool_flush;
+          Alcotest.test_case "recycled frames do not allocate" `Quick test_pool_no_alloc;
+          Alcotest.test_case "read flip heals into a frame" `Quick test_pool_heals_into_frame;
           QCheck_alcotest.to_alcotest prop_pool_invariants
         ] );
       ( "faults",
@@ -579,7 +675,8 @@ let () =
         [ Alcotest.test_case "basic lookup" `Quick test_data_table_basic;
           Alcotest.test_case "cost accounting" `Quick test_data_table_cost;
           Alcotest.test_case "iter" `Quick test_data_table_iter;
-          Alcotest.test_case "many pages" `Quick test_data_table_many_pages
+          Alcotest.test_case "many pages" `Quick test_data_table_many_pages;
+          QCheck_alcotest.to_alcotest prop_filter_matching
         ] );
       ( "cost",
         [ Alcotest.test_case "add" `Quick test_cost_add;
