@@ -178,23 +178,31 @@ let calibrate measure (cast : Drift.cast) =
 
 (* --- JSON --- *)
 
-let buf_phases b reports =
-  let n = List.length reports in
-  List.iteri
-    (fun i r ->
-      Printf.bprintf b
-        "      {\"name\": \"%s\", \"refreshes\": %d, \
-         \"refreshes_to_convergence\": %d, \"stable_tail\": %d, \
-         \"state_changes\": [%s], \"index_pages\": %d, \"extent_pages\": %d, \
-         \"apex_nodes\": %d, \"apex_edges\": %d, \"tree_entries\": %d, \"p50_us\": %.2f, \
-         \"p99_us\": %.2f, \"checksum\": %d}%s\n"
-        r.r_name r.r_refreshes r.r_rtc r.r_stable_tail
-        (String.concat ", " (List.map string_of_int r.r_changes))
-        r.r_pages r.r_extent_pages r.r_nodes r.r_edges r.r_entries r.r_p50_us
-        r.r_p99_us
-        r.r_checksum
-        (if i = n - 1 then "" else ","))
-    reports
+module Json = Repro_telemetry.Json
+
+let int n = Json.Num (float_of_int n)
+
+let phases_field reports =
+  ( "phases",
+    Json.Arr
+      (List.map
+         (fun r ->
+           Json.Obj
+             [ ("name", Json.Str r.r_name);
+               ("refreshes", int r.r_refreshes);
+               ("refreshes_to_convergence", int r.r_rtc);
+               ("stable_tail", int r.r_stable_tail);
+               ("state_changes", Json.Arr (List.map int r.r_changes));
+               ("index_pages", int r.r_pages);
+               ("extent_pages", int r.r_extent_pages);
+               ("apex_nodes", int r.r_nodes);
+               ("apex_edges", int r.r_edges);
+               ("tree_entries", int r.r_entries);
+               ("p50_us", Json.Num r.r_p50_us);
+               ("p99_us", Json.Num r.r_p99_us);
+               (* 63-bit FNV: a hex string, exact where a JSON number is not *)
+               ("checksum", Json.Str (Printf.sprintf "%x" r.r_checksum)) ])
+         reports) )
 
 let run (config : Experiments.config) ~out =
   let spec =
@@ -253,35 +261,39 @@ let run (config : Experiments.config) ~out =
   in
   let smaller = List.for_all2 (fun p s -> p.r_pages < s.r_pages) policy support in
   let stable = List.for_all (fun p -> p.r_stable_tail >= 2) policy in
-  let b = Buffer.create 4096 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"experiment\": \"drift\",\n";
-  Printf.bprintf b "  \"dataset\": \"%s\",\n" spec.Dataset.name;
-  Printf.bprintf b
-    "  \"config\": {\"seed\": %d, \"minsup\": %.3f, \"window\": %d, \
-     \"n_per_phase\": %d, \"scratch_page_size\": %d, \"decay\": %.2f, \
-     \"hysteresis\": %.2f, \"cost_weight\": %.2f, \"cost_scale\": %.4f},\n"
-    seed minsup window n_per_phase scratch_page_size policy_cfg.Policy.decay
-    policy_cfg.Policy.hysteresis policy_cfg.Policy.cost_weight cost_scale;
-  Printf.bprintf b
-    "  \"calibration\": {\"expensive_unit_cost\": %.4f, \"cheap_unit_cost\": \
-     %.4f},\n"
-    ce cc;
-  Printf.bprintf b "  \"support\": {\n    \"phases\": [\n";
-  buf_phases b support;
-  Printf.bprintf b "    ]\n  },\n";
-  Printf.bprintf b "  \"policy\": {\n    \"phases\": [\n";
-  buf_phases b policy;
-  Printf.bprintf b
-    "    ],\n    \"total_promotions\": %d,\n    \"total_evictions\": %d\n  },\n"
-    (Policy.total_promotions policy_t)
-    (Policy.total_evictions policy_t);
-  Printf.bprintf b
-    "  \"invariants\": {\"checksums_match\": %b, \"policy_converges_faster\": \
-     %b, \"policy_smaller_index\": %b, \"policy_stable_tail\": %b}\n"
-    checks_ok faster smaller stable;
-  Printf.bprintf b "}\n";
-  Out_channel.with_open_text out (fun oc -> Buffer.output_buffer oc b);
+  let doc =
+    Json.Obj
+      [ ("experiment", Json.Str "drift");
+        ("dataset", Json.Str spec.Dataset.name);
+        ( "config",
+          Json.Obj
+            [ ("seed", int seed);
+              ("minsup", Json.Num minsup);
+              ("window", int window);
+              ("n_per_phase", int n_per_phase);
+              ("scratch_page_size", int scratch_page_size);
+              ("decay", Json.Num policy_cfg.Policy.decay);
+              ("hysteresis", Json.Num policy_cfg.Policy.hysteresis);
+              ("cost_weight", Json.Num policy_cfg.Policy.cost_weight);
+              ("cost_scale", Json.Num cost_scale) ] );
+        ( "calibration",
+          Json.Obj [ ("expensive_unit_cost", Json.Num ce); ("cheap_unit_cost", Json.Num cc) ] );
+        ("support", Json.Obj [ phases_field support ]);
+        ( "policy",
+          Json.Obj
+            [ phases_field policy;
+              ("total_promotions", int (Policy.total_promotions policy_t));
+              ("total_evictions", int (Policy.total_evictions policy_t)) ] );
+        ( "invariants",
+          Json.Obj
+            [ ("checksums_match", Json.Bool checks_ok);
+              ("policy_converges_faster", Json.Bool faster);
+              ("policy_smaller_index", Json.Bool smaller);
+              ("policy_stable_tail", Json.Bool stable) ] ) ]
+  in
+  Out_channel.with_open_text out (fun oc ->
+      output_string oc (Json.to_string doc);
+      output_char oc '\n');
   List.iter2
     (fun s p ->
       Printf.printf

@@ -57,80 +57,34 @@ let cmd_validate schema_path paths =
       paths;
     if !failed then exit 1
 
+module Json = Repro_telemetry.Json
+
+let read_json ~ctx path =
+  match Json.parse_file path with
+  | Ok json -> json
+  | Error e -> die "apexctl %s: %s" ctx e
+
 (* `bench-diff A.json B.json` compares per-dataset q1/q2/q3 result
    checksums between two `bench --json` outputs and exits 1 on any drift —
    the CI guard that representation changes (codecs, join kernels) never
-   change answers. A hand-rolled scanner is enough: the bench writer emits
-   exactly one "name" and three "checksum" fields per dataset row, in
-   order, and dataset names never contain escapes. *)
-
-let read_file ?(ctx = "bench-diff") path =
-  match Export.read_file path with
-  | Ok text -> text
-  | Error e -> die "apexctl %s: %s" ctx e
-
-let parse_bench path =
-  let text = read_file path in
-  let n = String.length text in
-  let name_tok = "\"name\": \"" and sum_tok = "\"checksum\": \"" in
-  let starts_with tok p =
-    p + String.length tok <= n && String.sub text p (String.length tok) = tok
-  in
-  let quoted_from p =
-    match String.index_from_opt text p '"' with
-    | Some stop -> (String.sub text p (stop - p), stop)
-    | None -> die "apexctl bench-diff: %s: unterminated string" path
-  in
-  let datasets = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    if starts_with name_tok !i then begin
-      let name, stop = quoted_from (!i + String.length name_tok) in
-      datasets := (name, ref []) :: !datasets;
-      i := stop
-    end
-    else if starts_with sum_tok !i then begin
-      let sum, stop = quoted_from (!i + String.length sum_tok) in
-      (match !datasets with
-       | [] -> die "apexctl bench-diff: %s: checksum before any dataset name" path
-       | (_, sums) :: _ -> sums := sum :: !sums);
-      i := stop
-    end;
-    incr i
-  done;
-  List.rev_map (fun (name, sums) -> (name, List.rev !sums)) !datasets
-
+   change answers. *)
 let cmd_bench_diff base other =
-  let a = parse_bench base and b = parse_bench other in
-  let common = List.filter (fun (name, _) -> List.mem_assoc name b) a in
-  if common = [] then
-    die "apexctl bench-diff: no dataset in common between %s and %s" base other;
-  let mismatches = ref 0 in
-  List.iter
-    (fun (name, sums_a) ->
-      let sums_b = List.assoc name b in
-      if List.length sums_a <> List.length sums_b then begin
-        incr mismatches;
-        Printf.printf "%s: %d checksum(s) vs %d\n" name (List.length sums_a)
-          (List.length sums_b)
-      end
-      else
-        List.iteri
-          (fun qi ca ->
-            let cb = List.nth sums_b qi in
-            if ca <> cb then begin
-              incr mismatches;
-              Printf.printf "%s q%d: checksum %s <> %s\n" name (qi + 1) ca cb
-            end)
-          sums_a)
-    common;
-  if !mismatches > 0 then begin
-    Printf.printf "%d checksum mismatch(es)\n" !mismatches;
+  let module E = Repro_harness.Experiments in
+  match
+    E.diff_checksums ~base:(read_json ~ctx:"bench-diff" base)
+      ~other:(read_json ~ctx:"bench-diff" other)
+  with
+  | Error e -> die "apexctl bench-diff: %s vs %s: %s" base other e
+  | Ok (common, []) -> Printf.printf "bench checksums match: %s\n" (String.concat ", " common)
+  | Ok (_, mismatches) ->
+    let show = Option.value ~default:"(absent)" in
+    List.iter
+      (fun (m : E.checksum_mismatch) ->
+        Printf.printf "%s %s: checksum %s <> %s\n" m.dataset m.qtype (show m.base_checksum)
+          (show m.other_checksum))
+      mismatches;
+    Printf.printf "%d checksum mismatch(es)\n" (List.length mismatches);
     exit 1
-  end
-  else
-    Printf.printf "bench checksums match: %s\n"
-      (String.concat ", " (List.map fst common))
 
 (* `drift-check BENCH_DRIFT.json` validates a drift-bench report: on every
    phase the cost-benefit policy must converge in fewer refreshes than
@@ -140,14 +94,8 @@ let cmd_bench_diff base other =
    that a policy change doesn't quietly reintroduce threshold-flapping.
    Exit 1 on any regression. *)
 
-module Json = Repro_telemetry.Json
-
 let cmd_drift_check report max_rtc =
-  let json =
-    match Json.parse (read_file ~ctx:"drift-check" report) with
-    | Ok v -> v
-    | Error e -> die "apexctl drift-check: %s: %s" report e
-  in
+  let json = read_json ~ctx:"drift-check" report in
   let failures = ref 0 in
   let complain fmt =
     Printf.ksprintf (fun m -> incr failures; Printf.printf "FAIL %s\n" m) fmt
@@ -192,7 +140,12 @@ let cmd_drift_check report max_rtc =
       let tail = num "stable_tail" p in
       if tail < 2. then
         complain "%s: policy stable tail %.0f refreshes (need >= 2)" ph tail;
-      if not (Float.equal (num "checksum" s) (num "checksum" p)) then
+      let checksum ph =
+        match Option.bind (Json.member "checksum" ph) Json.to_str with
+        | Some c -> c
+        | None -> die "apexctl drift-check: %s: phase checksum is not a hex string" report
+      in
+      if checksum s <> checksum p then
         complain "%s: support and policy result checksums differ" ph)
     support policy;
   (match Json.member "invariants" json with
@@ -373,9 +326,7 @@ let render_top json =
 
 let cmd_top file interval once =
   let frame () =
-    match Json.parse (read_file ~ctx:"top" file) with
-    | Ok json -> render_top json
-    | Error e -> die "apexctl top: %s: %s" file e
+    render_top (read_json ~ctx:"top" file)
   in
   if once then print_string (frame ())
   else begin
@@ -393,11 +344,7 @@ let cmd_top file interval once =
 (* --- incident-dump: validate + summarize a flight-recorder dump --- *)
 
 let cmd_incident_dump file schema =
-  let json =
-    match Json.parse (read_file ~ctx:"incident-dump" file) with
-    | Ok v -> v
-    | Error e -> die "apexctl incident-dump: %s: %s" file e
-  in
+  let json = read_json ~ctx:"incident-dump" file in
   (match schema with
    | None -> ()
    | Some schema_path ->

@@ -1,27 +1,19 @@
 (* Image layout (flat ints):
-     [magic] [n_nodes] [root_index]
+     [magic "APX2"] [n_nodes] [root_index]
      per node (in index order):
        [extent_len] extent-entries  [out_degree] ([label] [target_index])*
      hash-tree stream (Hash_tree.encode format)
 
-   Two extent encodings, distinguished by the magic:
-     v1 ("APEX"): absolute packed edges, one per entry;
-     v2 ("APX2"): first edge absolute, then gaps — extents are strictly
-       increasing, so every gap is >= 1 and far smaller than an absolute
-       packed edge. Images written today are v2; [of_image] reads both,
-       so snapshots taken before the block-compression change recover. *)
+   Extent entries are the first packed edge, then gaps: extents are
+   strictly increasing, so every gap is >= 1 and far smaller than an
+   absolute packed edge. *)
 
 module Edge_set = Repro_graph.Edge_set
 module Vec = Repro_util.Vec
 
-let magic = 0x41504558 (* "APEX": v1 *)
-let magic_v2 = 0x41505832 (* "APX2" *)
+let magic = 0x41505832 (* "APX2" *)
 
-let push_extent_v1 out extent =
-  Vec.push out (Array.length extent);
-  Array.iter (Vec.push out) extent
-
-let push_extent_v2 out (extent : int array) =
+let push_extent out (extent : int array) =
   let n = Array.length extent in
   Vec.push out n;
   if n > 0 then begin
@@ -31,7 +23,7 @@ let push_extent_v2 out (extent : int array) =
     done
   end
 
-let image ~v2 apex =
+let to_image apex =
   let gapex = Apex.summary apex in
   let nodes = Gapex.reachable gapex in
   let index_of = Hashtbl.create (List.length nodes) in
@@ -42,13 +34,13 @@ let image ~v2 apex =
     | None -> invalid_arg "Apex_persist.save: hash tree references an unreachable node"
   in
   let out = Vec.create ~capacity:1024 () in
-  Vec.push out (if v2 then magic_v2 else magic);
+  Vec.push out magic;
   Vec.push out (List.length nodes);
   Vec.push out (node_index (Gapex.xroot gapex));
   List.iter
     (fun (n : Gapex.node) ->
       let extent = (n.Gapex.extent :> int array) in
-      if v2 then push_extent_v2 out extent else push_extent_v1 out extent;
+      push_extent out extent;
       let edges = Gapex.out_edges n in
       Vec.push out (List.length edges);
       List.iter
@@ -59,9 +51,6 @@ let image ~v2 apex =
     nodes;
   List.iter (Vec.push out) (Hash_tree.encode (Apex.tree apex) ~node_index);
   Vec.to_array out
-
-let to_image apex = image ~v2:true apex
-let to_image_v1 apex = image ~v2:false apex
 
 let save apex store = Repro_storage.Extent_store.append_ints store (to_image apex)
 
@@ -79,12 +68,7 @@ let of_image graph arr =
       v
     end
   in
-  let m = next () in
-  let v2 =
-    if m = magic then false
-    else if m = magic_v2 then true
-    else invalid_arg "Apex_persist.load: bad magic"
-  in
+  if next () <> magic then invalid_arg "Apex_persist.load: bad magic";
   let n_nodes = next () in
   if n_nodes <= 0 || n_nodes > len_arr then invalid_arg "Apex_persist.load: bad node count";
   let root_index = next () in
@@ -94,36 +78,23 @@ let of_image graph arr =
   let edges = Array.make n_nodes [] in
   for i = 0 to n_nodes - 1 do
     let len = next () in
-    (* both encodings spend exactly [len] words on a length-[len] extent *)
+    (* a length-[len] extent spends exactly [len] words *)
     if len < 0 || len > len_arr - !pos then
       invalid_arg "Apex_persist.load: bad extent length";
-    let packed =
-      if not v2 then begin
-        let packed = Array.sub arr !pos len in
-        pos := !pos + len;
-        Array.iter
-          (fun v -> if v < 0 then invalid_arg "Apex_persist.load: bad extent entry")
-          packed;
-        packed
-      end
-      else begin
-        let packed = Array.make len 0 in
-        if len > 0 then begin
-          let first = next () in
-          if first < 0 then invalid_arg "Apex_persist.load: bad extent entry";
-          packed.(0) <- first;
-          let acc = ref first in
-          for k = 1 to len - 1 do
-            let gap = next () in
-            if gap < 1 then invalid_arg "Apex_persist.load: bad extent gap";
-            acc := !acc + gap;
-            if !acc < 0 then invalid_arg "Apex_persist.load: extent entry overflow";
-            packed.(k) <- !acc
-          done
-        end;
-        packed
-      end
-    in
+    let packed = Array.make len 0 in
+    if len > 0 then begin
+      let first = next () in
+      if first < 0 then invalid_arg "Apex_persist.load: bad extent entry";
+      packed.(0) <- first;
+      let acc = ref first in
+      for k = 1 to len - 1 do
+        let gap = next () in
+        if gap < 1 then invalid_arg "Apex_persist.load: bad extent gap";
+        acc := !acc + gap;
+        if !acc < 0 then invalid_arg "Apex_persist.load: extent entry overflow";
+        packed.(k) <- !acc
+      done
+    end;
     extents.(i) <- Edge_set.of_packed_array packed;
     let deg = next () in
     if deg < 0 || deg > (len_arr - !pos) / 2 then

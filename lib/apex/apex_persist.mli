@@ -14,22 +14,17 @@
     newest complete epoch after a crash mid-save. *)
 
 val to_image : Apex.t -> int array
-(** The flat integer image of the index, independent of any store.
-    Written in the v2 format ("APX2" magic): extents are stored as a
-    first edge plus gaps, which shrinks images the same way the [`Block]
-    extent codec shrinks stored extents. *)
-
-val to_image_v1 : Apex.t -> int array
-(** The legacy v1 image ("APEX" magic, absolute extent entries) — kept so
-    back-compat reads stay testable against freshly generated images. *)
+(** The flat integer image of the index, independent of any store
+    (["APX2"] magic): extents are stored as a first edge plus gaps, which
+    shrinks images the same way the [`Block] extent codec shrinks stored
+    extents. *)
 
 val of_image : Repro_graph.Data_graph.t -> int array -> Apex.t
-(** Inverse of {!to_image}; dispatches on the magic word and accepts both
-    the v1 and v2 formats, so pre-existing snapshots keep loading. Every
-    length and count field is validated against the remaining stream
-    before use, so arbitrarily corrupted images fail cleanly instead of
-    over-allocating or looping (v2 additionally rejects non-positive
-    gaps).
+(** Inverse of {!to_image}. Every length and count field is validated
+    against the remaining stream before use, and non-positive gaps are
+    rejected, so arbitrarily corrupted images fail cleanly instead of
+    over-allocating or looping. An image with any other magic word —
+    including the retired absolute-entry ["APEX"] format — is malformed.
     @raise Invalid_argument on any malformed image. *)
 
 val save : Apex.t -> Repro_storage.Extent_store.t -> Repro_storage.Extent_store.handle

@@ -473,7 +473,7 @@ let ablation ctx =
   Report.table ~title:"Ablation: QTYPE3 validation backend (heap table vs B+-tree)"
     ~header:[ "Data Set"; "heap table"; "B+-tree"; "tree height" ]
     table_rows;
-  (* 6. extent codec: raw 8-byte ints vs zigzag-delta varints *)
+  (* 6. extent codec: raw 8-byte ints vs the block codec queries run on *)
   let codec_rows =
     List.map
       (fun spec ->
@@ -490,46 +490,53 @@ let ablation ctx =
           (Measure.weighted m, Repro_storage.Pager.n_pages pager)
         in
         let raw_cost, raw_pages = run `Raw in
-        let var_cost, var_pages = run `Delta_varint in
+        let block_cost, block_pages = run `Block in
         [ spec.Dataset.name;
           Report.float0 raw_cost;
           string_of_int raw_pages;
-          Report.float0 var_cost;
-          string_of_int var_pages;
-          Printf.sprintf "%.1fx" (float_of_int raw_pages /. float_of_int (max 1 var_pages))
+          Report.float0 block_cost;
+          string_of_int block_pages;
+          Printf.sprintf "%.1fx" (float_of_int raw_pages /. float_of_int (max 1 block_pages))
         ])
       ctx.config.datasets
   in
-  Report.table ~title:"Ablation: extent codec (raw vs delta-varint)"
-    ~header:[ "Data Set"; "raw cost"; "raw pages"; "varint cost"; "varint pages"; "compression" ]
+  Report.table ~title:"Ablation: extent codec (raw vs block)"
+    ~header:[ "Data Set"; "raw cost"; "raw pages"; "block cost"; "block pages"; "compression" ]
     codec_rows
 
 (* --- machine-readable benchmark snapshot (--json) --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Repro_telemetry.Json
+
+let int n = Json.Num (float_of_int n)
+
+(* result checksums are 63-bit: hex strings, never JSON numbers *)
+let hex n = Json.Str (Printf.sprintf "%x" n)
+
+let write_json out doc =
+  Out_channel.with_open_text out (fun oc ->
+      output_string oc (Json.to_string doc);
+      output_char oc '\n');
+  Printf.printf "wrote %s\n%!" out
 
 let json_of_measure (m : Measure.result) =
-  Printf.sprintf
-    "{\"queries\": %d, \"answered\": %d, \"result_nodes\": %d, \"checksum\": \"%x\", \
-     \"wall_seconds\": %.6f, \"weighted_cost\": %.1f, \"extent_pages\": %d, \
-     \"extent_bytes\": %d, \"extent_edges\": %d, \"join_edges\": %d, \
-     \"blocks_skipped\": %d, \"blocks_decoded\": %d, \"extent_cache_hits\": %d, \
-     \"extent_cache_misses\": %d, \"extent_cache_hit_rate\": %.4f}"
-    m.Measure.queries m.Measure.answered m.Measure.result_nodes m.Measure.checksum
-    m.Measure.wall_seconds (Measure.weighted m) m.Measure.cost.Cost.extent_pages
-    m.Measure.cost.Cost.extent_bytes m.Measure.cost.Cost.extent_edges
-    m.Measure.cost.Cost.join_edges m.Measure.cost.Cost.blocks_skipped
-    m.Measure.cost.Cost.blocks_decoded m.Measure.cost.Cost.extent_cache_hits
-    m.Measure.cost.Cost.extent_cache_misses (Cost.extent_cache_hit_rate m.Measure.cost)
+  let c = m.Measure.cost in
+  Json.Obj
+    [ ("queries", int m.Measure.queries);
+      ("answered", int m.Measure.answered);
+      ("result_nodes", int m.Measure.result_nodes);
+      ("checksum", hex m.Measure.checksum);
+      ("wall_seconds", Json.Num m.Measure.wall_seconds);
+      ("weighted_cost", Json.Num (Measure.weighted m));
+      ("extent_pages", int c.Cost.extent_pages);
+      ("extent_bytes", int c.Cost.extent_bytes);
+      ("extent_edges", int c.Cost.extent_edges);
+      ("join_edges", int c.Cost.join_edges);
+      ("blocks_skipped", int c.Cost.blocks_skipped);
+      ("blocks_decoded", int c.Cost.blocks_decoded);
+      ("extent_cache_hits", int c.Cost.extent_cache_hits);
+      ("extent_cache_misses", int c.Cost.extent_cache_misses);
+      ("extent_cache_hit_rate", Json.Num (Cost.extent_cache_hit_rate c)) ]
 
 let json_bench config ~out =
   let ms = config.chosen_min_sup in
@@ -547,7 +554,7 @@ let json_bench config ~out =
         let batch name queries =
           verify ctx e name queries eval;
           Repro_storage.Buffer_pool.flush e.Env.pool;
-          Measure.run queries eval
+          json_of_measure (Measure.run queries eval)
         in
         let q1 = batch "q1" e.Env.q1 in
         let q2 = batch "q2" e.Env.q2 in
@@ -556,13 +563,8 @@ let json_bench config ~out =
            this dataset's pool (build + materialize + all three batches),
            emitted via [to_fields] so a new counter lands here automatically *)
         let io =
-          let stats =
-            Repro_storage.Pager.stats (Repro_storage.Buffer_pool.pager e.Env.pool)
-          in
-          String.concat ", "
-            (List.map
-               (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v)
-               (Repro_storage.Io_stats.to_fields stats))
+          Repro_storage.Io_stats.to_fields
+            (Repro_storage.Pager.stats (Repro_storage.Buffer_pool.pager e.Env.pool))
         in
         (* store-level compression: logical (8 bytes/edge) vs encoded size
            of everything appended to this dataset's extent store *)
@@ -573,34 +575,78 @@ let json_bench config ~out =
             let logical, stored = Repro_storage.Extent_store.compression_stats store in
             if stored = 0 then 1.0 else float_of_int logical /. float_of_int stored
         in
-        Printf.sprintf
-          "    {\"name\": \"%s\", \"build_seconds\": %.4f, \"apex_nodes\": %d, \
-           \"apex_edges\": %d, \"compression_ratio\": %.2f,\n     \
-           \"q1\": %s,\n     \"q2\": %s,\n     \"q3\": %s,\n     \
-           \"io\": {%s}}"
-          (json_escape spec.Dataset.name) build_seconds nodes edges compression_ratio
-          (json_of_measure q1) (json_of_measure q2) (json_of_measure q3) io)
+        Json.Obj
+          [ ("name", Json.Str spec.Dataset.name);
+            ("build_seconds", Json.Num build_seconds);
+            ("apex_nodes", int nodes);
+            ("apex_edges", int edges);
+            ("compression_ratio", Json.Num compression_ratio);
+            ("q1", q1);
+            ("q2", q2);
+            ("q3", q3);
+            ("io", Json.Obj (List.map (fun (k, v) -> (k, int v)) io)) ])
       config.datasets
   in
   (* process-wide GC state at snapshot time: allocation regressions show
      up in the same artifact CI already diffs *)
-  let gc =
-    String.concat ", "
-      (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\": %.0f" k v)
-         (Repro_telemetry.Metrics.gc_source ()))
-  in
-  let doc =
-    Printf.sprintf
-      "{\n  \"config\": {\"scale\": %g, \"n_q1\": %d, \"n_q2\": %d, \"n_q3\": %d, \
-       \"min_support\": %g, \"verified\": %b},\n  \"gc\": {%s},\n  \"datasets\": [\n%s\n  ]\n}\n"
-      config.scale config.n_q1 config.n_q2 config.n_q3 ms config.verify gc
-      (String.concat ",\n" dataset_rows)
-  in
-  let oc = open_out out in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out
+  let gc = List.map (fun (k, v) -> (k, Json.Num v)) (Repro_telemetry.Metrics.gc_source ()) in
+  write_json out
+    (Json.Obj
+       [ ( "config",
+           Json.Obj
+             [ ("scale", Json.Num config.scale);
+               ("n_q1", int config.n_q1);
+               ("n_q2", int config.n_q2);
+               ("n_q3", int config.n_q3);
+               ("min_support", Json.Num ms);
+               ("verified", Json.Bool config.verify) ] );
+         ("gc", Json.Obj gc);
+         ("datasets", Json.Arr dataset_rows) ])
+
+(* --- reading snapshots back: the answer-drift check behind bench-diff --- *)
+
+type checksum_mismatch = {
+  dataset : string;
+  qtype : string;
+  base_checksum : string option;
+  other_checksum : string option;
+}
+
+(* dataset name -> its q1/q2/q3 checksums, [None] where a batch is absent *)
+let snapshot_checksums json =
+  let str key j = Option.bind (Json.member key j) Json.to_str in
+  Option.map
+    (List.filter_map (fun row ->
+         Option.map
+           (fun name ->
+             ( name,
+               List.map
+                 (fun q -> (q, Option.bind (Json.member q row) (str "checksum")))
+                 [ "q1"; "q2"; "q3" ] ))
+           (str "name" row)))
+    (Option.bind (Json.member "datasets" json) Json.to_list)
+
+let diff_checksums ~base ~other =
+  match (snapshot_checksums base, snapshot_checksums other) with
+  | None, _ | _, None -> Error "no datasets array"
+  | Some a, Some b ->
+    let recorded (_, sums) = List.exists (fun (_, c) -> Option.is_some c) sums in
+    (match List.filter (fun (name, _) -> List.mem_assoc name b) a with
+     | [] -> Error "no dataset in common"
+     | common when not (List.exists recorded common) -> Error "no q1/q2/q3 checksums"
+     | common ->
+       let mismatches =
+         List.concat_map
+           (fun (dataset, sums) ->
+             List.filter_map
+               (fun (qtype, base_checksum) ->
+                 let other_checksum = List.assoc qtype (List.assoc dataset b) in
+                 if Option.equal String.equal base_checksum other_checksum then None
+                 else Some { dataset; qtype; base_checksum; other_checksum })
+               sums)
+           common
+       in
+       Ok (List.map fst common, mismatches))
 
 let run_all config =
   Report.section (Printf.sprintf "APEX reproduction experiments (scale %gx)" config.scale);
@@ -708,18 +754,19 @@ let updates config ~out =
                   Printf.sprintf "%x" m_maint.Measure.checksum
                 ]
                 :: !table_rows;
-              Printf.sprintf
-                "      {\"batch_ops\": %d, \"delta_edges\": %d, \"slots_patched\": %d, \
-                 \"extents_flushed\": %d, \"maintained_page_writes\": %d, \
-                 \"rebuild_page_writes\": %d, \"maintained_seconds\": %.6f, \
-                 \"rebuild_seconds\": %.6f, \"checksum\": \"%x\"}"
-                n delta ustats.Update.slots_patched ustats.Update.extents_flushed
-                maintained_writes rebuild_writes t_maint t_reb m_maint.Measure.checksum)
+              Json.Obj
+                [ ("batch_ops", int n);
+                  ("delta_edges", int delta);
+                  ("slots_patched", int ustats.Update.slots_patched);
+                  ("extents_flushed", int ustats.Update.extents_flushed);
+                  ("maintained_page_writes", int maintained_writes);
+                  ("rebuild_page_writes", int rebuild_writes);
+                  ("maintained_seconds", Json.Num t_maint);
+                  ("rebuild_seconds", Json.Num t_reb);
+                  ("checksum", hex m_maint.Measure.checksum) ])
             batch_sizes
         in
-        Printf.sprintf "    {\"name\": \"%s\", \"batches\": [\n%s\n    ]}"
-          (json_escape spec.Dataset.name)
-          (String.concat ",\n" batch_cells))
+        Json.Obj [ ("name", Json.Str spec.Dataset.name); ("batches", Json.Arr batch_cells) ])
       config.datasets
   in
   Report.table ~title:"bench updates: maintained APEX vs from-scratch rebuild"
@@ -728,17 +775,14 @@ let updates config ~out =
         "maint (s)"; "rebuild (s)"; "checksum"
       ]
     (List.rev !table_rows);
-  let doc =
-    Printf.sprintf
-      "{\n  \"config\": {\"scale\": %g, \"min_support\": %g, \"verified\": %b},\n  \
-       \"datasets\": [\n%s\n  ]\n}\n"
-      config.scale ms config.verify
-      (String.concat ",\n" dataset_rows)
-  in
-  let oc = open_out out in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out
+  write_json out
+    (Json.Obj
+       [ ( "config",
+           Json.Obj
+             [ ("scale", Json.Num config.scale);
+               ("min_support", Json.Num ms);
+               ("verified", Json.Bool config.verify) ] );
+         ("datasets", Json.Arr dataset_rows) ])
 
 (* --- fault-injection smoke --- *)
 

@@ -70,7 +70,8 @@ val fig15 : context -> (string * series_point list) list
 val ablation : context -> unit
 (** Our additions: naive vs apriori mining agreement and timing;
     incremental refresh vs fresh rebuild timing; the 1-index as a fourth
-    engine on QTYPE1; buffer-pool-size sensitivity for APEX QTYPE1. *)
+    engine on QTYPE1; buffer-pool-size sensitivity for APEX QTYPE1; the
+    QTYPE3 validation backend; raw vs [`Block] extent pages and cost. *)
 
 val run_all : config -> unit
 (** All of the above, printing every table. *)
@@ -83,6 +84,24 @@ val json_bench : config -> out:string -> unit
     [verify] is off), so the timings always describe a correct engine.
     Successive snapshots with identical config must report identical
     checksums — the perf-trajectory guard. *)
+
+type checksum_mismatch = {
+  dataset : string;
+  qtype : string;  (** ["q1"], ["q2"] or ["q3"] *)
+  base_checksum : string option;  (** [None]: the batch is absent *)
+  other_checksum : string option;
+}
+
+val diff_checksums :
+  base:Repro_telemetry.Json.t ->
+  other:Repro_telemetry.Json.t ->
+  (string list * checksum_mismatch list, string) result
+(** Compare the q1/q2/q3 result checksums of two {!json_bench} snapshots
+    (read back with {!Repro_telemetry.Json.parse}) on every dataset they
+    share: [Ok (common datasets, mismatches)], or [Error] when either has
+    no [datasets] array, they share no dataset, or the shared datasets
+    record no q1/q2/q3 checksum at all (so a snapshot of another shape
+    never passes as a match). *)
 
 val updates : config -> out:string -> unit
 (** The update-maintenance experiment ([bench updates]): per dataset and

@@ -285,42 +285,56 @@ let observed_generations report =
   if !hi = 0 then (0, 0) else (!lo, !hi)
 
 let report_json ~dataset ~checksum_mismatches report =
+  let module Json = Repro_telemetry.Json in
+  let int n = Json.Num (Float.of_int n) in
+  let us v = Json.Num (v *. 1e6) in
+  let quantiles h ps =
+    List.map (fun (name, p) -> (name, us (Metrics.Histogram.quantile h p))) ps
+  in
   let h = merged_latencies report in
-  let q p = Metrics.Histogram.quantile h p *. 1e6 in
   let gen_lo, gen_hi = observed_generations report in
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"experiment\": \"serve\",\n";
-  add "  \"dataset\": \"%s\",\n" dataset;
-  add "  \"readers\": %d,\n" report.config.readers;
-  add "  \"queries_per_reader\": %d,\n" report.config.queries_per_reader;
-  add "  \"total_queries\": %d,\n" (total_queries report);
-  add "  \"reader_errors\": %d,\n" (total_errors report);
-  add "  \"reader_stalls\": %d,\n" (stalled_readers report);
-  add "  \"checksum_mismatches\": %d,\n" checksum_mismatches;
-  add "  \"publishes\": %d,\n" report.publishes;
-  add "  \"generations\": { \"published\": %d, \"observed_min\": %d, \"observed_max\": %d },\n"
-    report.registry_stats.Registry.generations gen_lo gen_hi;
-  add "  \"epochs\": { \"freed\": %d, \"retired_live\": %d, \"rolled_back\": %d },\n"
-    report.registry_stats.Registry.freed report.registry_stats.Registry.retired_live
-    report.registry_stats.Registry.rolled_back;
-  add "  \"latency_us\": { \"p50\": %.2f, \"p90\": %.2f, \"p99\": %.2f, \"mean\": %.2f, \"max\": %.2f },\n"
-    (q 0.5) (q 0.9) (q 0.99)
-    (Metrics.Histogram.mean h *. 1e6)
-    (Metrics.Histogram.max_value h *. 1e6);
-  add "  \"latency_by_qtype_us\": { %s },\n"
-    (String.concat ", "
-       (Array.to_list
-          (Array.mapi
-             (fun i h ->
-               let q p = Metrics.Histogram.quantile h p *. 1e6 in
-               Printf.sprintf "\"q%d\": { \"count\": %d, \"p50\": %.2f, \"p99\": %.2f }" (i + 1)
-                 (Metrics.Histogram.count h) (q 0.5) (q 0.99))
-             (merged_qtype_latencies report))));
-  add "  \"writer\": { \"batches\": %d, \"ops\": %d },\n" report.config.batches report.writer_ops;
-  add "  \"feedback\": { \"drained\": %d, \"dropped\": %d },\n" report.feedback_drained
-    report.feedback_dropped;
-  add "  \"wall_seconds\": %.3f\n" report.wall_seconds;
-  add "}\n";
-  Buffer.contents b
+  let reg = report.registry_stats in
+  Json.to_string
+    (Json.Obj
+       [ ("experiment", Json.Str "serve");
+         ("dataset", Json.Str dataset);
+         ("readers", int report.config.readers);
+         ("queries_per_reader", int report.config.queries_per_reader);
+         ("total_queries", int (total_queries report));
+         ("reader_errors", int (total_errors report));
+         ("reader_stalls", int (stalled_readers report));
+         ("checksum_mismatches", int checksum_mismatches);
+         ("publishes", int report.publishes);
+         ( "generations",
+           Json.Obj
+             [ ("published", int reg.Registry.generations);
+               ("observed_min", int gen_lo);
+               ("observed_max", int gen_hi) ] );
+         ( "epochs",
+           Json.Obj
+             [ ("freed", int reg.Registry.freed);
+               ("retired_live", int reg.Registry.retired_live);
+               ("rolled_back", int reg.Registry.rolled_back) ] );
+         ( "latency_us",
+           Json.Obj
+             (quantiles h [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ]
+             @ [ ("mean", us (Metrics.Histogram.mean h));
+                 ("max", us (Metrics.Histogram.max_value h)) ]) );
+         ( "latency_by_qtype_us",
+           Json.Obj
+             (Array.to_list
+                (Array.mapi
+                   (fun i h ->
+                     ( Printf.sprintf "q%d" (i + 1),
+                       Json.Obj
+                         (("count", int (Metrics.Histogram.count h))
+                         :: quantiles h [ ("p50", 0.5); ("p99", 0.99) ]) ))
+                   (merged_qtype_latencies report))) );
+         ( "writer",
+           Json.Obj [ ("batches", int report.config.batches); ("ops", int report.writer_ops) ] );
+         ( "feedback",
+           Json.Obj
+             [ ("drained", int report.feedback_drained);
+               ("dropped", int report.feedback_dropped) ] );
+         ("wall_seconds", Json.Num report.wall_seconds) ])
+  ^ "\n"

@@ -4,7 +4,6 @@ module Vec = Repro_util.Vec
 
 type codec =
   [ `Raw
-  | `Delta_varint
   | `Block
   ]
 
@@ -22,7 +21,7 @@ type handle = {
 (* What a cache entry holds. Under the [`Block] codec a sorted extent
    stays in its parsed-but-compressed form ([Blocks]): headers are
    materialized, payloads decode on demand through the view kernels.
-   Everything else — raw/varint codecs, delta payloads, unsorted int
+   Everything else — the raw codec, delta payloads, unsorted int
    streams — is a plain decoded array ([Flat]). *)
 type repr =
   | Flat of int array
@@ -208,10 +207,6 @@ let encode enc ints =
     let buf = Bytes.create (8 * Array.length ints) in
     Array.iteri (fun i v -> Codec.set_i64 buf (i * 8) v) ints;
     Bytes.unsafe_to_string buf
-  | `Delta_varint ->
-    let buf = Buffer.create (Array.length ints * 2) in
-    add_zigzag_varints buf ints;
-    Buffer.contents buf
   | `Block ->
     (* Sorted non-negative data — i.e. every full extent — gets the
        block-compressed queryable form behind tag 1. Anything else
@@ -246,16 +241,10 @@ let decode_zigzag_varints data start n_ints =
   done;
   out
 
-let decode enc data n_ints =
-  match enc with
-  | `Raw ->
-    Array.init n_ints (fun i -> Codec.get_i64 (Bytes.unsafe_of_string data) (i * 8))
-  | `Delta_varint -> decode_zigzag_varints data 0 n_ints
-
 let repr_of_blob enc data n_ints =
   match enc with
-  | `Raw -> Flat (decode `Raw data n_ints)
-  | `Delta_varint -> Flat (decode `Delta_varint data n_ints)
+  | `Raw ->
+    Flat (Array.init n_ints (fun i -> Codec.get_i64 (Bytes.unsafe_of_string data) (i * 8)))
   | `Block ->
     if String.length data = 0 then Flat [||]
     else begin
@@ -517,7 +506,7 @@ let view_cardinal v = Extent_codec.n_edges v.vblocks
 
 let load_view ?cost t h =
   match t.enc with
-  | `Raw | `Delta_varint -> None
+  | `Raw -> None
   | `Block ->
     (match h.base with
      | Some _ -> None  (* delta chains resolve through [load] *)

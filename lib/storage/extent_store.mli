@@ -7,11 +7,8 @@
     {!Cost.t}, which is how "gather the extent" acquires its I/O cost in
     the benchmarks.
 
-    Three on-page codecs:
+    Two on-page codecs:
     - [`Raw]: 8 bytes per integer;
-    - [`Delta_varint]: zigzag-encoded deltas in LEB128 varints — sorted
-      streams (every extent is strictly increasing) compress severalfold,
-      shrinking the page counts queries pay for;
     - [`Block]: the {!Extent_codec} block-compressed form for sorted
       extents — gap varints in fixed-size blocks behind a CRC-checked
       per-block header table — which additionally supports querying
@@ -32,7 +29,6 @@ type t
 
 type codec =
   [ `Raw
-  | `Delta_varint
   | `Block
   ]
 

@@ -65,18 +65,6 @@ let save_chrome path =
 
 (* --- reading --- *)
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match really_input_string ic (in_channel_length ic) with
-        | text -> Ok text
-        | exception Sys_error e -> Error (path ^ ": " ^ e)
-        | exception End_of_file -> Error (path ^ ": truncated read"))
-
 type record = {
   name : string;
   is_event : bool;
@@ -91,7 +79,7 @@ let read_lines path =
   Result.map
     (fun text ->
       List.filter (fun line -> String.trim line <> "") (String.split_on_char '\n' text))
-    (read_file path)
+    (Json.read_file path)
 
 let record_of_json j =
   let str key = Option.bind (Json.member key j) Json.to_str in
@@ -207,8 +195,8 @@ let event_table entries =
 
 (* One block per registry entry: counters and gauges as single samples,
    histograms as cumulative le-labeled buckets plus _sum/_count. Bucket
-   upper bounds are the log2 histogram's bucket edges (2^b nanoseconds)
-   converted to base units; only buckets up to the highest non-empty one
+   upper bounds are the histogram's bucket edges
+   (Metrics.Histogram.bucket_edge); only buckets up to the highest non-empty one
    are emitted, then "+Inf". Metric names are sanitized to the
    [a-zA-Z0-9_] alphabet and prefixed "apex_". *)
 
@@ -226,10 +214,6 @@ let exposition_name name =
 let exposition_num v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.9g" v
-
-(* upper edge of bucket b in value units: 2^b ns (bucket 0's edge is 1ns) *)
-let bucket_edge b =
-  (if b = 0 then 1. else 2. ** Float.of_int b) /. Metrics.Histogram.scale
 
 let exposition m =
   let buf = Buffer.create 1024 in
@@ -253,7 +237,7 @@ let exposition m =
         for b = 0 to !top do
           cum := !cum + counts.(b);
           line "%s_bucket{le=\"%s\"} %d\n" pname
-            (exposition_num (bucket_edge b))
+            (exposition_num (Metrics.Histogram.bucket_edge b))
             !cum
         done;
         line "%s_bucket{le=\"+Inf\"} %d\n" pname (Metrics.Histogram.count h);
@@ -267,121 +251,46 @@ let save_exposition path m = with_file path (fun oc -> output_string oc (exposit
 (* --- schema validation --- *)
 
 module Schema = struct
-  (* The checked-in schema (schemas/trace_schema.json) is a small
-     domain-specific contract, not JSON Schema: per-format lists of
-     required fields with expected JSON types, the set of legal record
-     types / chrome phases, and the chrome top-level key. *)
-
-  type shape = {
-    required : (string * string) list;  (* field name -> json type name *)
-    kinds_field : string option;  (* field constrained to [kinds] *)
-    kinds : string list;
-  }
-
+  (* schemas/trace_schema.json: one section per export format, plus the
+     chrome format's top-level array key *)
   type t = {
-    jsonl : shape;
-    chrome : shape;
+    jsonl : Schema.shape;
+    chrome : Schema.shape;
     chrome_top : string;
   }
 
-  let shape_of_json j =
-    let required =
-      match Json.member "required" j with
-      | Some (Json.Obj fields) ->
-        List.filter_map
-          (fun (k, v) -> Option.map (fun t -> (k, t)) (Json.to_str v))
-          fields
-      | _ -> []
-    in
-    let kinds_field =
-      Option.bind (Json.member "kinds_field" j) Json.to_str
-    in
-    let kinds =
-      match Json.member "kinds" j with
-      | Some (Json.Arr items) -> List.filter_map Json.to_str items
-      | _ -> []
-    in
-    { required; kinds_field; kinds }
-
   let load path =
-    let parsed =
-      Result.bind (read_file path) (fun text ->
-          Result.map_error (Printf.sprintf "%s: %s" path) (Json.parse text))
-    in
-    Result.bind parsed (fun j ->
+    Result.bind (Json.parse_file path) (fun j ->
         match (Json.member "jsonl" j, Json.member "chrome" j) with
         | Some jl, Some ch ->
           let chrome_top =
-            Option.value
-              (Option.bind (Json.member "top" ch) Json.to_str)
-              ~default:"traceEvents"
+            Option.value (Option.bind (Json.member "top" ch) Json.to_str) ~default:"traceEvents"
           in
-          Ok { jsonl = shape_of_json jl; chrome = shape_of_json ch; chrome_top }
+          Ok { jsonl = Schema.shape_of_json jl; chrome = Schema.shape_of_json ch; chrome_top }
         | _ -> Error (Printf.sprintf "%s: missing jsonl/chrome sections" path))
 
-  let check_shape shape ctx j errors =
-    List.iter
-      (fun (field, expected) ->
-        match Json.member field j with
-        | None -> errors := Printf.sprintf "%s: missing %S" ctx field :: !errors
-        | Some v ->
-          let actual = Json.type_name v in
-          if actual <> expected then
-            errors :=
-              Printf.sprintf "%s: field %S is %s, expected %s" ctx field
-                actual expected
-              :: !errors)
-      shape.required;
-    match shape.kinds_field with
-    | None -> ()
-    | Some field ->
-      (match Option.bind (Json.member field j) Json.to_str with
-       | Some v when not (List.mem v shape.kinds) ->
-         errors :=
-           Printf.sprintf "%s: %S = %S not in schema kinds" ctx field v
-           :: !errors
-       | _ -> ())
-
-  (* functional face of [check_shape], for other mini-contract documents
-     (the incident schema) built from the same shape vocabulary *)
-  let check shape ~ctx j =
-    let errors = ref [] in
-    check_shape shape ctx j errors;
-    List.rev !errors
+  let result n = function [] -> Ok n | errors -> Error errors
 
   let validate_jsonl t path =
     match read_lines path with
     | Error e -> Error [ e ]
     | Ok lines ->
-      let errors = ref [] in
-      List.iteri
-        (fun i line ->
-          let ctx = Printf.sprintf "%s:%d" path (i + 1) in
-          match Json.parse line with
-          | Error e -> errors := Printf.sprintf "%s: %s" ctx e :: !errors
-          | Ok j -> check_shape t.jsonl ctx j errors)
-        lines;
-      if !errors = [] then Ok (List.length lines) else Error (List.rev !errors)
+      List.concat
+        (List.mapi
+           (fun i line ->
+             let ctx = Printf.sprintf "%s:%d" path (i + 1) in
+             match Json.parse line with
+             | Error e -> [ Printf.sprintf "%s: %s" ctx e ]
+             | Ok j -> Schema.check t.jsonl ~ctx j)
+           lines)
+      |> result (List.length lines)
 
   let validate_chrome t path =
-    match read_file path with
+    match Json.parse_file path with
     | Error e -> Error [ e ]
-    | Ok text ->
-      (match Json.parse text with
-       | Error e -> Error [ Printf.sprintf "%s: %s" path e ]
-       | Ok j ->
-         (match Option.bind (Json.member t.chrome_top j) Json.to_list with
-          | None ->
-            Error
-              [ Printf.sprintf "%s: missing top-level %S array" path
-                  t.chrome_top ]
-          | Some events ->
-            let errors = ref [] in
-            List.iteri
-              (fun i ev ->
-                let ctx = Printf.sprintf "%s[%d]" t.chrome_top i in
-                check_shape t.chrome ctx ev errors)
-              events;
-            if !errors = [] then Ok (List.length events)
-            else Error (List.rev !errors)))
+    | Ok j ->
+      (match Option.bind (Json.member t.chrome_top j) Json.to_list with
+       | None -> Error [ Printf.sprintf "%s: missing top-level %S array" path t.chrome_top ]
+       | Some events ->
+         result (List.length events) (Schema.check_items t.chrome ~ctx:t.chrome_top events))
 end

@@ -15,9 +15,6 @@ val span_json : format -> Trace.span -> Json.t
 val save_jsonl : string -> unit
 val save_chrome : string -> unit
 
-val read_file : string -> (string, string) result
-(** Whole file contents; [Error] carries the [Sys_error] message. *)
-
 type record = {
   name : string;
   is_event : bool;
@@ -49,27 +46,19 @@ val event_table : (string * int) list -> string
 val exposition : Metrics.t -> string
 (** Prometheus-style text exposition of a registry snapshot: counters and
     gauges as single samples, histograms as cumulative [le]-labeled
-    buckets (the log2 bucket edges) plus [_sum]/[_count]. Names are
+    buckets (the histogram's bucket edges) plus [_sum]/[_count]. Names are
     sanitized to [[a-zA-Z0-9_]] and prefixed ["apex_"]. *)
 
 val save_exposition : string -> Metrics.t -> unit
 
 module Schema : sig
   (** Validator for the checked-in trace schema
-      ([schemas/trace_schema.json]) — per-format required fields with
-      expected JSON types plus legal record kinds. *)
+      ([schemas/trace_schema.json]): its [jsonl] and [chrome] sections are
+      {!Repro_telemetry.Schema} shapes for the two export formats. *)
 
   type t
 
   val load : string -> (t, string) result
-
-  type shape
-  (** One record contract: required fields with expected JSON types plus
-      an optional kinds-constrained field. *)
-
-  val shape_of_json : Json.t -> shape
-  val check : shape -> ctx:string -> Json.t -> string list
-  (** Conformance errors of one JSON value against [shape]; [] = ok. *)
 
   val validate_jsonl : t -> string -> (int, string list) result
   (** [Ok n]: all [n] lines conform. *)

@@ -158,19 +158,14 @@ let validate ~schema json =
     | None, _ -> [ Printf.sprintf "schema: missing %S section" shape_name ]
     | _, None -> [ Printf.sprintf "missing %S section" section ]
     | Some shape, Some j ->
-      let shape = Export.Schema.shape_of_json shape in
+      let shape = Schema.shape_of_json shape in
       let mistyped expected =
         [ Printf.sprintf "%s: is %s, expected %s" section (Json.type_name j) expected ]
       in
       (match (section, j) with
-       | "incident", Json.Obj _ -> Export.Schema.check shape ~ctx:section j
+       | "incident", Json.Obj _ -> Schema.check shape ~ctx:section j
        | "incident", _ -> mistyped "object"
-       | _, Json.Arr items ->
-         List.concat
-           (List.mapi
-              (fun i item ->
-                Export.Schema.check shape ~ctx:(Printf.sprintf "%s[%d]" section i) item)
-              items)
+       | _, Json.Arr items -> Schema.check_items shape ~ctx:section items
        | _ -> mistyped "array")
   in
   match json with
@@ -184,11 +179,6 @@ let validate ~schema json =
      | errors -> Error errors)
   | j -> Error [ Printf.sprintf "top level is %s, expected object" (Json.type_name j) ]
 
-let load_json path =
-  match Export.read_file path with
-  | Error e -> Error [ e ]
-  | Ok text -> Result.map_error (fun e -> [ Printf.sprintf "%s: %s" path e ]) (Json.parse text)
-
 let validate_file ~schema_path path =
-  Result.bind (load_json schema_path) (fun schema ->
-      Result.bind (load_json path) (validate ~schema))
+  let load p = Result.map_error (fun e -> [ e ]) (Json.parse_file p) in
+  Result.bind (load schema_path) (fun schema -> Result.bind (load path) (validate ~schema))

@@ -1,8 +1,11 @@
-(* Minimal JSON: enough to write telemetry exports safely (string escaping)
-   and to read them back for schema validation and tests. Numbers are
-   floats; integers round-trip exactly up to 2^53, far beyond any counter
-   this layer emits. Not a general-purpose JSON library: no streaming, the
-   whole value lives in memory. *)
+(* Minimal JSON: the one path every report in the repository is written
+   and read through — telemetry exports, bench snapshots, the serve and
+   drift reports — with string escaping on the way out and a strict parser
+   on the way in. Numbers are floats; integers round-trip exactly up to
+   2^53, which covers every counter. Result checksums span the full 63-bit
+   int range, so reports carry them as hex strings, never as numbers. Not a
+   general-purpose JSON library: no streaming, the whole value lives in
+   memory. *)
 
 type t =
   | Null
@@ -238,6 +241,22 @@ let parse text =
       Error (Printf.sprintf "at byte %d: trailing garbage" c.pos)
     else Ok v
   | exception Parse_error m -> Error m
+
+let read_file path =
+  match open_in_bin path with
+  | exception Sys_error e -> Error e
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        match really_input_string ic (in_channel_length ic) with
+        | text -> Ok text
+        | exception Sys_error e -> Error (path ^ ": " ^ e)
+        | exception End_of_file -> Error (path ^ ": truncated read"))
+
+let parse_file path =
+  Result.bind (read_file path) (fun text ->
+      Result.map_error (Printf.sprintf "%s: %s" path) (parse text))
 
 (* --- accessors --- *)
 

@@ -19,15 +19,18 @@ let set g v = g.level <- v
 let level g = g.level
 
 module Histogram = struct
-  (* Log2-bucketed histogram. Bucket 0 holds non-positive samples; bucket
-     b >= 1 holds values in [2^(b-1), 2^b) nanoseconds, i.e. the value
-     scaled by 1e9 — latencies are recorded in seconds, sizes as floats of
-     ints (where the 1e9 scale just shifts which buckets are used; the
-     bucketing stays logarithmic and quantile estimates stay within a
-     factor of 2). 96 buckets cover ~1ns to ~2.5e19s, far beyond any
-     recordable value, so clamping at the top bucket never triggers in
-     practice. *)
-  let n_buckets = 96
+  (* Log-linear (HDR-style) histogram over values scaled by 1e9 —
+     latencies are recorded in seconds, so the scaled value is in
+     nanoseconds; sizes recorded as floats of ints just shift which buckets
+     are used. Bucket 0 holds samples below 1 (non-positive included).
+     Above that, each power of two [2^k, 2^(k+1)) is cut into [sub] equal
+     sub-buckets, so a bucket is at most 1/[sub] of its lower edge wide and
+     a quantile estimate is within 12.5% of the true value. 95 octaves cover
+     ~1ns to ~2.5e19s, far beyond any recordable value, so clamping at the
+     top bucket never triggers in practice. *)
+  let sub = 4
+  let octaves = 95
+  let n_buckets = 1 + (sub * octaves)
 
   type t = {
     buckets : int array;
@@ -65,20 +68,35 @@ module Histogram = struct
   let scale = 1e9
 
   let bucket_of v =
-    if not (v > 0.) then 0
+    let scaled = v *. scale in
+    if not (scaled >= 1.) then 0
+    else if scaled >= Float.ldexp 1. octaves then n_buckets - 1
     else begin
-      let scaled = v *. scale in
-      if scaled < 1. then 0
-      else begin
-        let b = 1 + int_of_float (Float.log2 scaled) in
-        if b >= n_buckets then n_buckets - 1 else b
-      end
+      (* octave k with 2^k <= scaled < 2^(k+1); log2 can round across an
+         exact power of two, so re-anchor k (log2/ldexp do not allocate,
+         unlike frexp's tuple) *)
+      let k = int_of_float (Float.log2 scaled) in
+      let k =
+        if Float.ldexp 1. k > scaled then k - 1
+        else if Float.ldexp 1. (k + 1) <= scaled then k + 1
+        else k
+      in
+      1 + (sub * k) + int_of_float ((Float.ldexp scaled (-k) -. 1.) *. Float.of_int sub)
     end
 
-  (* geometric-ish midpoint of bucket b, back in value units *)
+  (* [lo, hi) of bucket b >= 1, back in value units *)
+  let bucket_bounds b =
+    let octave = (b - 1) / sub and s = (b - 1) mod sub in
+    let at i = Float.ldexp (1. +. (Float.of_int i /. Float.of_int sub)) octave /. scale in
+    (at s, at (s + 1))
+
+  let bucket_edge b = if b = 0 then 1. /. scale else snd (bucket_bounds b)
+
   let bucket_mid b =
     if b = 0 then 0.
-    else Float.of_int (1 lsl (b - 1)) *. 1.5 /. scale
+    else
+      let lo, hi = bucket_bounds b in
+      (lo +. hi) /. 2.
 
   let record t v =
     let b = bucket_of v in
@@ -125,8 +143,8 @@ module Histogram = struct
     && Float.equal a.vmax b.vmax
 
   (* Quantile estimate by bucket walk: the answer is the midpoint of the
-     bucket containing the q-th sample, exact to within the bucket's
-     factor-of-2 width. q outside [0,1] is clamped. [quantile] of an empty
+     bucket containing the q-th sample, exact to within half the bucket's
+     width. q outside [0,1] is clamped. [quantile] of an empty
      histogram degenerates to 0. — callers that must distinguish "no data"
      from "zero latency" (SLO evaluation, percentile tables) use
      [quantile_opt]. A 1-sample histogram reports that sample exactly for

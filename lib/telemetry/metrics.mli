@@ -17,10 +17,11 @@ val set : gauge -> float -> unit
 val level : gauge -> float
 
 module Histogram : sig
-  (** Log2-bucketed histogram: bucket 0 holds non-positive samples,
-      bucket [b >= 1] holds values in [[2^(b-1), 2^b)] nanoseconds.
+  (** Log-linear histogram over values in nanoseconds (seconds scaled by
+      1e9): bucket 0 holds values below 1ns, and each power of two
+      [[2^k, 2^(k+1))] above it is split into 4 equal-width buckets.
       Recording is O(1); quantiles are estimated by bucket walk and are
-      exact to within the bucket's factor-of-2 width. *)
+      within 12.5% of the true value. *)
 
   type t
 
@@ -42,14 +43,12 @@ module Histogram : sig
   val bucket_counts : t -> int array
   (** Copy of the per-bucket sample counts; sums to {!count}. *)
 
-  val scale : float
-  (** Value-to-bucket scale (1e9: seconds record as nanoseconds). *)
-
   val bucket_of : float -> int
   (** Bucket index a value records into. *)
 
-  val bucket_mid : int -> float
-  (** Geometric-ish midpoint of a bucket, back in value units. *)
+  val bucket_edge : int -> float
+  (** Exclusive upper edge of a bucket in value units (bucket 0's is 1ns)
+      — the Prometheus [le] label of the bucket. *)
 
   val merge : t -> t -> t
   (** Pure: returns a fresh histogram, arguments unchanged. *)

@@ -101,6 +101,119 @@ let test_fig13_ged_shape () =
       true (apex < sdg)
   | _ -> Alcotest.fail "expected one dataset row"
 
+(* --- bench snapshots: written as Json.t, read back with Json.parse --- *)
+
+module Json = Repro_telemetry.Json
+
+let load path =
+  match Json.parse_file path with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "%s" e
+
+let parse text =
+  match Json.parse text with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "parse: %s" e
+
+let keys = function
+  | Some (Json.Obj fields) -> List.map fst fields
+  | _ -> Alcotest.fail "not an object"
+
+let datasets json =
+  match Option.bind (Json.member "datasets" json) Json.to_list with
+  | Some rows -> rows
+  | None -> Alcotest.fail "no datasets array"
+
+let mismatch =
+  Alcotest.testable
+    (fun ppf (m : Experiments.checksum_mismatch) ->
+      let show = Option.value ~default:"-" in
+      Format.fprintf ppf "%s %s %s/%s" m.dataset m.qtype (show m.base_checksum)
+        (show m.other_checksum))
+    ( = )
+
+let diff base other =
+  match Experiments.diff_checksums ~base ~other with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "diff_checksums: %s" e
+
+(* [json] with [dataset]'s [qtype] checksum replaced by [sum] *)
+let with_checksum json ~dataset ~qtype sum =
+  let replace key f = function
+    | Json.Obj fields -> Json.Obj (List.map (fun (k, x) -> (k, if k = key then f x else x)) fields)
+    | j -> j
+  in
+  let row r =
+    if Json.member "name" r <> Some (Json.Str dataset) then r
+    else replace qtype (replace "checksum" (fun _ -> Json.Str sum)) r
+  in
+  replace "datasets" (function Json.Arr rows -> Json.Arr (List.map row rows) | j -> j) json
+
+let test_diff_committed () =
+  let pr1 = load "../BENCH_PR1.json" in
+  let common, mismatches = diff pr1 pr1 in
+  Alcotest.(check (list string)) "datasets in common" [ "Ged01"; "Flix01" ] common;
+  Alcotest.(check (list mismatch)) "self matches" [] mismatches;
+  let changed = with_checksum pr1 ~dataset:"Flix01" ~qtype:"q2" "0" in
+  Alcotest.(check (list mismatch)) "one changed checksum"
+    [ { Experiments.dataset = "Flix01";
+        qtype = "q2";
+        base_checksum = Some "97c557c083618ae";
+        other_checksum = Some "0" } ]
+    (snd (diff pr1 changed));
+  (* the later block-codec snapshot answers identically *)
+  let _, mismatches = diff pr1 (load "../BENCH_PR6.json") in
+  Alcotest.(check (list mismatch)) "BENCH_PR6 matches BENCH_PR1" [] mismatches
+
+let test_diff_escaped_name () =
+  let doc sum =
+    parse (Printf.sprintf {|{"datasets": [{"name": "a\"b", "q1": {"checksum": "%s"}}]}|} sum)
+  in
+  let common, mismatches = diff (doc "1f") (doc "2f") in
+  Alcotest.(check (list string)) "escaped quote in name" [ "a\"b" ] common;
+  Alcotest.(check (list mismatch)) "absent batches agree, q1 differs"
+    [ { Experiments.dataset = "a\"b";
+        qtype = "q1";
+        base_checksum = Some "1f";
+        other_checksum = Some "2f" } ]
+    mismatches;
+  (* the updates snapshot keeps its checksums under "batches": two such
+     documents must not pass as matching bench snapshots *)
+  let updates = parse {|{"datasets": [{"name": "a\"b", "batches": []}]}|} in
+  List.iter
+    (fun (what, base, other) ->
+      match Experiments.diff_checksums ~base ~other with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "compared documents %s" what)
+    [ ("without datasets", doc "1", parse {|{"config": {}}|});
+      ("without q batches", updates, updates) ]
+
+let test_json_bench_snapshot () =
+  let out = Filename.temp_file "apex_bench" ".json" in
+  Experiments.json_bench
+    { tiny_config with Experiments.datasets = [ Option.get (Dataset.by_name "Flix01") ] }
+    ~out;
+  let snap = load out in
+  Sys.remove out;
+  (* same keys, same nesting as the committed block-codec snapshot *)
+  let pr6 = List.hd (datasets (load "../BENCH_PR6.json")) in
+  let row = List.hd (datasets snap) in
+  Alcotest.(check (list string)) "dataset keys" (keys (Some pr6)) (keys (Some row));
+  List.iter
+    (fun q ->
+      Alcotest.(check (list string))
+        (q ^ " keys") (keys (Json.member q pr6)) (keys (Json.member q row));
+      match Option.bind (Json.member q row) (Json.member "checksum") with
+      | Some (Json.Str hex) ->
+        Alcotest.(check bool) (q ^ " checksum is hex") true (int_of_string_opt ("0x" ^ hex) <> None)
+      | _ -> Alcotest.failf "%s checksum is not a string" q)
+    [ "q1"; "q2"; "q3" ];
+  Alcotest.(check bool) "verified" true
+    (Option.bind (Json.member "config" snap) (Json.member "verified") = Some (Json.Bool true));
+  let common, mismatches = diff snap snap in
+  Alcotest.(check (list string)) "bench-diff reads it" [ "Flix01" ] common;
+  Alcotest.(check (list mismatch)) "self matches" [] mismatches
+
 let () =
   Alcotest.run "harness"
     [ ( "env",
@@ -115,5 +228,10 @@ let () =
       ( "experiments",
         [ Alcotest.test_case "end to end" `Slow test_experiments_end_to_end;
           Alcotest.test_case "fig13 Ged shape" `Slow test_fig13_ged_shape
+        ] );
+      ( "snapshots",
+        [ Alcotest.test_case "checksum diff on committed snapshots" `Quick test_diff_committed;
+          Alcotest.test_case "escaped dataset name" `Quick test_diff_escaped_name;
+          Alcotest.test_case "json_bench reads back" `Quick test_json_bench_snapshot
         ] )
     ]

@@ -140,32 +140,22 @@ let fuzz_image g apex image seed =
   Alcotest.(check bool) "pristine image loads" true
     (extents_equal apex (Apex_persist.of_image g image))
 
-(* both on-disk formats face the same battery: v2 (gap-coded, written
-   today) and v1 (absolute entries, pre-block-compression snapshots) *)
 let test_fuzz_of_image () =
   let g = F.movie_db () in
   let apex = Apex.build_adapted g ~workload:(movie_workload g) ~min_support:0.5 in
-  fuzz_image g apex (Apex_persist.to_image apex) 0xF022;
-  fuzz_image g apex (Apex_persist.to_image_v1 apex) 0xF023
+  fuzz_image g apex (Apex_persist.to_image apex) 0xF022
 
-let test_v1_image_compat () =
-  (* a legacy v1 image loads bit-for-bit like its v2 counterpart and is
-     strictly larger (gaps beat absolute packed edges) *)
+let test_old_magic_rejected () =
+  (* the retired absolute-entry format ("APEX" magic) has no reader: such
+     an image is malformed, reported as of_image's documented error *)
   let g = F.movie_db () in
   let apex = Apex.build_adapted g ~workload:(movie_workload g) ~min_support:0.5 in
-  let v1 = Apex_persist.to_image_v1 apex and v2 = Apex_persist.to_image apex in
-  Alcotest.(check bool) "formats differ" true (v1 <> v2);
-  Alcotest.(check int) "same word count" (Array.length v1) (Array.length v2);
-  let from_v1 = Apex_persist.of_image g v1 and from_v2 = Apex_persist.of_image g v2 in
-  Alcotest.(check bool) "v1 loads" true (extents_equal apex from_v1);
-  Alcotest.(check bool) "v1 = v2" true (extents_equal from_v1 from_v2);
-  (* queries through the v1-loaded copy agree with the original *)
-  List.iter
-    (fun text ->
-      let q = Result.get_ok (Query.parse text) in
-      Alcotest.(check (array int)) text (Apex_query.eval_query apex q)
-        (Apex_query.eval_query from_v1 q))
-    [ "//actor/name"; "//name"; "//movie//title" ]
+  let image = Array.copy (Apex_persist.to_image apex) in
+  image.(0) <- 0x41504558;
+  match Apex_persist.of_image g image with
+  | _ -> Alcotest.fail "an APEX-magic image loaded"
+  | exception Invalid_argument m -> Alcotest.(check string) "error" "Apex_persist.load: bad magic" m
+  | exception e -> Alcotest.failf "of_image escaped with %s" (Printexc.to_string e)
 
 (* --- crash-consistent snapshot epochs --- *)
 
@@ -256,7 +246,7 @@ let () =
           Alcotest.test_case "refreshable after load" `Quick test_loaded_index_refreshable;
           Alcotest.test_case "multiple images" `Quick test_multiple_images_one_store;
           Alcotest.test_case "corrupt image rejected" `Quick test_corrupt_image_rejected;
-          Alcotest.test_case "v1 image compat" `Quick test_v1_image_compat
+          Alcotest.test_case "old APEX magic rejected" `Quick test_old_magic_rejected
         ] );
       ( "fuzz",
         [ Alcotest.test_case "of_image on mutated images" `Quick test_fuzz_of_image ] );

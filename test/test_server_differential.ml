@@ -134,7 +134,30 @@ let check_run seed () =
   in
   Alcotest.(check int) "introspect epoch count"
     (List.length attribution)
-    (List.length attr_json)
+    (List.length attr_json);
+  (* the serve report (BENCH_SERVE.json) reads back through Json.parse
+     with the fields its readers use, agreeing with the typed totals *)
+  let serve =
+    match
+      J.parse
+        (Driver.report_json ~dataset:"movie_db"
+           ~checksum_mismatches:(Driver.verify_observations report) report)
+    with
+    | Ok v -> v
+    | Error m -> Alcotest.failf "serve report does not parse: %s" m
+  in
+  Alcotest.(check int) "report total_queries" (Driver.total_queries report)
+    (int_field serve "total_queries");
+  Alcotest.(check int) "report checksum_mismatches" 0 (int_field serve "checksum_mismatches");
+  Alcotest.(check int) "report publishes" expected_publishes (int_field serve "publishes");
+  List.iter (fun k -> ignore (int_field (get serve "latency_us") k)) [ "p50"; "p90"; "p99" ];
+  Alcotest.(check int) "report per-qtype counts add up" (Driver.total_queries report)
+    (List.fold_left
+       (fun acc q ->
+         let row = get (get serve "latency_by_qtype_us") q in
+         ignore (int_field row "p50" + int_field row "p99");
+         acc + int_field row "count")
+       0 [ "q1"; "q2"; "q3" ])
 
 let () =
   let cases =

@@ -25,6 +25,8 @@ let schema_path = Filename.concat ".." (Filename.concat "schemas" "trace_schema.
 let incident_schema_path =
   Filename.concat ".." (Filename.concat "schemas" "incident_schema.json")
 
+let lint_schema_path = Filename.concat ".." (Filename.concat "schemas" "lint_report_schema.json")
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -282,6 +284,38 @@ let unreadable_inputs_are_errors () =
         (is_error (Flight.validate_file ~schema_path:path path)))
     [ Filename.dirname schema_path; missing ]
 
+(* The shared validator accepts null only where a section lists the field
+   as nullable: the lint report's guard fields, never a trace field. *)
+let schema_nulls () =
+  let section path name =
+    match Result.map (Json.member name) (Json.parse_file path) with
+    | Ok (Some j) -> Repro_telemetry.Schema.shape_of_json j
+    | Ok None | Error _ -> Alcotest.failf "%s: no %S section" path name
+  in
+  let parse text = match Json.parse text with Ok j -> j | Error e -> Alcotest.fail e in
+  let errors shape text = Repro_telemetry.Schema.check shape ~ctx:"t" (parse text) in
+  let jsonl = section schema_path "jsonl" in
+  Alcotest.(check int) "trace record conforms" 0
+    (List.length
+       (errors jsonl {|{"type":"span","name":"probe","seq":1,"ts":0,"dur":0,"arg":0}|}));
+  Alcotest.(check (list string)) "null trace field rejected"
+    [ {|t: field "name" is null, expected string|} ]
+    (errors jsonl {|{"type":"span","name":null,"seq":1,"ts":0,"dur":0,"arg":0}|});
+  let site = section lint_schema_path "site_item" in
+  let site_json guard file =
+    Printf.sprintf
+      {|{"file":%s,"line":1,"col":0,"op":"<-","target":"t","fn":"f","class":"owner",
+         "guard":%s,"reachable_from":[]}|}
+      file guard
+  in
+  Alcotest.(check (list string)) "null lint guard accepted" []
+    (errors site (site_json "null" {|"a.ml"|}));
+  Alcotest.(check (list string)) "string lint guard accepted" []
+    (errors site (site_json {|"g"|} {|"a.ml"|}));
+  Alcotest.(check (list string)) "null lint file rejected"
+    [ {|t: field "file" is null, expected string|} ]
+    (errors site (site_json "null" "null"))
+
 (* ---------- metrics registry ---------- *)
 
 let registry_basics () =
@@ -407,6 +441,31 @@ let prop_quantile_bounded =
           let v = Metrics.Histogram.quantile h q in
           v >= lo && v <= hi)
         [ 0.; 0.5; 0.9; 0.99; 1. ])
+
+(* Linear sub-buckets: 5us and 7us share the octave [4096, 8192) ns, so
+   at factor-2 resolution p50 and p99 collapsed onto one estimate; with
+   four sub-buckets per octave they land in different buckets. *)
+let quantile_resolution () =
+  let h = of_samples (List.init 900 (fun _ -> 5e-6) @ List.init 100 (fun _ -> 7e-6)) in
+  let p50 = Metrics.Histogram.quantile h 0.5 and p99 = Metrics.Histogram.quantile h 0.99 in
+  Alcotest.(check bool) (Printf.sprintf "p50 %g < p99 %g" p50 p99) true (p50 < p99);
+  List.iter
+    (fun (q, v) ->
+      let est = Metrics.Histogram.quantile h q in
+      Alcotest.(check bool)
+        (Printf.sprintf "p%g within 12.5%% of %g" (q *. 100.) v)
+        true
+        (Float.abs (est -. v) <= 0.125 *. v))
+    [ (0.5, 5e-6); (0.99, 7e-6) ];
+  (* each bucket's upper edge (the Prometheus le label) separates it from
+     the next bucket *)
+  for b = 0 to Metrics.Histogram.n_buckets - 2 do
+    let edge = Metrics.Histogram.bucket_edge b in
+    let below = Metrics.Histogram.bucket_of (edge *. (1. -. 1e-9))
+    and above = Metrics.Histogram.bucket_of (edge *. (1. +. 1e-9)) in
+    if below <> b || above <> b + 1 then
+      Alcotest.failf "bucket %d: values around its edge %g record into %d and %d" b edge below above
+  done
 
 (* ---------- flight recorder ---------- *)
 
@@ -715,6 +774,7 @@ let () =
           Alcotest.test_case "serving kinds" `Quick serving_kinds_export;
           Alcotest.test_case "schema validation" `Quick schema_validation;
           Alcotest.test_case "unreadable inputs are errors" `Quick unreadable_inputs_are_errors;
+          Alcotest.test_case "schema nulls" `Quick schema_nulls;
         ] );
       ( "metrics",
         [
@@ -729,6 +789,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_merge_is_concat;
           QCheck_alcotest.to_alcotest prop_bucket_conservation;
           QCheck_alcotest.to_alcotest prop_quantile_bounded;
+          Alcotest.test_case "sub-bucket quantile resolution" `Quick quantile_resolution;
         ] );
       ( "flight",
         [

@@ -183,68 +183,19 @@ let build (i : input) : Json.t =
 
 let to_string json = Json.to_string json
 
-(* --- schema validation (mini-contract, same style as Export.Schema) --- *)
+(* --- schema validation (the shared mini-contract vocabulary) --- *)
 
 module Schema = struct
-  type shape = {
-    required : (string * string) list;
-    kinds_field : string option;
-    kinds : string list;
-  }
+  module Shape = Repro_telemetry.Schema
 
-  type t = (string * shape) list  (* section name -> shape *)
-
-  let shape_of_json j =
-    let required =
-      match Json.member "required" j with
-      | Some (Json.Obj fields) ->
-        List.filter_map (fun (k, v) -> Option.map (fun t -> (k, t)) (Json.to_str v)) fields
-      | _ -> []
-    in
-    let kinds_field = Option.bind (Json.member "kinds_field" j) Json.to_str in
-    let kinds =
-      match Json.member "kinds" j with
-      | Some (Json.Arr items) -> List.filter_map Json.to_str items
-      | _ -> []
-    in
-    { required; kinds_field; kinds }
+  type t = (string * Shape.shape) list  (* section name -> shape *)
 
   let load path =
-    match
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception Sys_error e -> Error e
-    | text ->
-      (match Json.parse text with
-       | Error e -> Error (Printf.sprintf "%s: %s" path e)
-       | Ok (Json.Obj sections) ->
-         Ok (List.map (fun (name, j) -> (name, shape_of_json j)) sections)
-       | Ok _ -> Error (Printf.sprintf "%s: schema must be a JSON object" path))
-
-  let check_shape (shape : shape) ctx j errors =
-    List.iter
-      (fun (field, expected) ->
-        match Json.member field j with
-        | None -> errors := Printf.sprintf "%s: missing %S" ctx field :: !errors
-        | Some v ->
-          let actual = Json.type_name v in
-          (* "guard" style fields are declared at their non-null type; null
-             means absent and is always legal *)
-          if actual <> expected && actual <> "null" then
-            errors :=
-              Printf.sprintf "%s: field %S is %s, expected %s" ctx field actual expected
-              :: !errors)
-      shape.required;
-    match shape.kinds_field with
-    | None -> ()
-    | Some field ->
-      (match Option.bind (Json.member field j) Json.to_str with
-       | Some v when not (List.mem v shape.kinds) ->
-         errors := Printf.sprintf "%s: %S = %S not in schema kinds" ctx field v :: !errors
-       | _ -> ())
+    match Json.parse_file path with
+    | Error e -> Error e
+    | Ok (Json.Obj sections) ->
+      Ok (List.map (fun (name, j) -> (name, Shape.shape_of_json j)) sections)
+    | Ok _ -> Error (Printf.sprintf "%s: schema must be a JSON object" path)
 
   (* root array field -> the schema section describing its items *)
   let item_sections =
@@ -257,21 +208,19 @@ module Schema = struct
     ]
 
   let validate (schema : t) (json : Json.t) =
-    let errors = ref [] in
-    (match List.assoc_opt "top" schema with
-     | Some shape -> check_shape shape "report" json errors
-     | None -> errors := "schema: missing \"top\" section" :: !errors);
-    List.iter
-      (fun (field, section) ->
-        match (List.assoc_opt section schema, Json.member field json) with
-        | Some shape, Some (Json.Arr items) ->
-          List.iteri
-            (fun idx item ->
-              check_shape shape (Printf.sprintf "%s[%d]" field idx) item errors)
-            items
-        | None, _ ->
-          errors := Printf.sprintf "schema: missing %S section" section :: !errors
-        | Some _, _ -> ()  (* missing/ill-typed root field already reported by top *))
-      item_sections;
-    match !errors with [] -> Ok () | errs -> Error (List.rev errs)
+    let top =
+      match List.assoc_opt "top" schema with
+      | Some shape -> Shape.check shape ~ctx:"report" json
+      | None -> [ "schema: missing \"top\" section" ]
+    in
+    let items =
+      List.concat_map
+        (fun (field, section) ->
+          match (List.assoc_opt section schema, Json.member field json) with
+          | Some shape, Some (Json.Arr items) -> Shape.check_items shape ~ctx:field items
+          | None, _ -> [ Printf.sprintf "schema: missing %S section" section ]
+          | Some _, _ -> []  (* missing/ill-typed root field already reported by top *))
+        item_sections
+    in
+    match top @ items with [] -> Ok () | errs -> Error errs
 end
