@@ -20,6 +20,16 @@ type t = {
       (* set once by [freeze], before the instance is published to reader
          domains; from then on every mutator raises and the read path
          stores nothing *)
+  mutable reach : (G.t * Bytes.t) option;
+      (* the root-reachability bitmap incremental maintenance patches per
+         update op, with the graph version it describes; stale (and
+         ignored) once [graph] moves on without it *)
+  mutable copied : (int, Edge_set.t * int array) Hashtbl.t;
+      (* Gapex.node id -> (extent, its endpoints) as handed to the last
+         [frozen_copy]. Extent arrays are immutable and replaced on change,
+         so an entry stays exact while the node holds that very array. Kept
+         apart from [endpoint_cache] so publishing does not warm the
+         writer's own query memo (whose misses charge costs). *)
 }
 [@@apex.shared]
 
@@ -97,7 +107,9 @@ let build g =
       tree = Hash_tree.create ();
       store = None;
       endpoint_cache = Hashtbl.create 256;
-      frozen = false
+      frozen = false;
+      reach = None;
+      copied = Hashtbl.create 1
     }
   in
   run_update t;
@@ -155,7 +167,15 @@ let build_adapted g ~workload ~min_support =
   t
 
 let assemble ~graph ~gapex ~tree =
-  { graph; gapex; tree; store = None; endpoint_cache = Hashtbl.create 256; frozen = false }
+  { graph;
+    gapex;
+    tree;
+    store = None;
+    endpoint_cache = Hashtbl.create 256;
+    frozen = false;
+    reach = None;
+    copied = Hashtbl.create 1
+  }
 
 let materialize ?(codec = `Block) t pool =
   check_not_frozen t "materialize";
@@ -253,9 +273,18 @@ let set_graph t g =
   check_not_frozen t "set_graph";
   t.graph <- g
 
-let invalidate_endpoints t =
+let reach t =
+  match t.reach with
+  | Some (g, bits) when g == t.graph -> Some bits
+  | Some _ | None -> None
+
+let record_reach t bits =
+  check_not_frozen t "record_reach";
+  t.reach <- Some (t.graph, bits)
+
+let invalidate_endpoints t nodes =
   check_not_frozen t "invalidate_endpoints";
-  Hashtbl.reset t.endpoint_cache
+  List.iter (fun (n : Gapex.node) -> Hashtbl.remove t.endpoint_cache n.Gapex.id) nodes
 
 let max_delta_chain = 4
 
@@ -282,8 +311,7 @@ let flush_dirty t dirty =
           n.Gapex.handle <- Some handle
         end)
       dirty;
-    Tr.event Tr.Delta_flushed (List.length dirty);
-    Hashtbl.reset t.endpoint_cache
+    Tr.event Tr.Delta_flushed (List.length dirty)
 
 let load_endpoints ?cost t (n : Gapex.node) =
   match Hashtbl.find_opt t.endpoint_cache n.Gapex.id with
@@ -332,3 +360,51 @@ let freeze t =
       (Gapex.reachable t.gapex);
     t.frozen <- true
   end
+
+(* An epoch for reader domains: private G_APEX nodes and hash tree, shared
+   immutable extents, a graph snapshot sharing the carried caches, and an
+   endpoint memo seeded from the writer's memo and from what the last copy
+   computed (patched by the extent delta where the extent changed since),
+   so [freeze] computes only the entries of new nodes. *)
+let frozen_copy t =
+  let gapex, node_of = Gapex.copy t.gapex in
+  let copy =
+    { graph = G.snapshot t.graph;
+      gapex;
+      tree = Hash_tree.copy t.tree ~node_of;
+      store = None;
+      endpoint_cache = Hashtbl.create 256;
+      frozen = false;
+      reach = None;
+      copied = Hashtbl.create 1
+    }
+  in
+  let nodes = Gapex.reachable t.gapex in
+  List.iter
+    (fun (n : Gapex.node) ->
+      let extent = n.Gapex.extent in
+      let known =
+        match Hashtbl.find_opt t.endpoint_cache n.Gapex.id with
+        | Some eps -> Some eps
+        | None ->
+          (match Hashtbl.find_opt t.copied n.Gapex.id with
+           | Some (before, eps) when before == extent -> Some eps
+           | Some (before, eps) ->
+             (* the extent changed since: patch by the delta, no sort *)
+             Some
+               (Edge_set.endpoints_after ~before:eps ~removed:(Edge_set.diff before extent)
+                  ~added:(Edge_set.diff extent before) extent)
+           | None -> None)
+      in
+      Option.iter (Hashtbl.replace copy.endpoint_cache n.Gapex.id) known)
+    nodes;
+  freeze copy;
+  let copied = Hashtbl.create (List.length nodes) in
+  List.iter
+    (fun (n : Gapex.node) ->
+      match Hashtbl.find_opt copy.endpoint_cache n.Gapex.id with
+      | Some eps -> Hashtbl.replace copied n.Gapex.id (n.Gapex.extent, eps)
+      | None -> ())
+    nodes;
+  if not t.frozen then t.copied <- copied;
+  copy

@@ -136,8 +136,18 @@ val set_graph : t -> Repro_graph.Data_graph.t -> unit
 (** Re-point the index at a mutated graph {e without} updating anything —
     the caller must have already patched extents and summary to match. *)
 
-val invalidate_endpoints : t -> unit
-(** Drop the per-node endpoint memo (call after mutating any extent). *)
+val invalidate_endpoints : t -> Gapex.node list -> unit
+(** Drop the endpoint memo entries of the given nodes (call with every node
+    whose extent was replaced); the other entries stay. *)
+
+val reach : t -> Bytes.t option
+(** The root-reachability bitmap recorded for the current graph by
+    {!record_reach}, if any ([None] once the graph was re-pointed without
+    one). Owned by the update subsystem, which patches it per operation. *)
+
+val record_reach : t -> Bytes.t -> unit
+(** Record a bitmap (byte [v] is ['\001'] iff nid [v] is reachable from the
+    root) as describing the current graph. *)
 
 val flush_dirty :
   t -> (Gapex.node * Repro_graph.Edge_set.t * Repro_graph.Edge_set.t) list -> unit
@@ -147,7 +157,9 @@ val flush_dirty :
     on its previous handle; new nodes, long chains (> 4 links), and deltas
     no smaller than the extent get a full re-append. Page I/O is therefore
     proportional to the change, not the index. No-op when the index was
-    never materialized. Entries whose both sets are empty are skipped. *)
+    never materialized. Entries whose both sets are empty are skipped. The
+    endpoint memo is left alone: drop the changed nodes' entries with
+    {!invalidate_endpoints}. *)
 
 val load_endpoints :
   ?cost:Repro_storage.Cost.t -> t -> Gapex.node -> int array
@@ -162,8 +174,8 @@ val load_endpoints :
 (** {1 Read-only publication}
 
     The serving layer ([Repro_server]) publishes epochs as frozen,
-    unmaterialized deep copies: after {!freeze}, the instance is
-    structurally immutable — every mutator raises and the query path
+    unmaterialized copies ({!frozen_copy}): after {!freeze}, the instance
+    is structurally immutable — every mutator raises and the query path
     performs no stores — so any number of reader domains can evaluate
     against it concurrently without synchronization. *)
 
@@ -177,3 +189,13 @@ val freeze : t -> unit
     lock-free. *)
 
 val frozen : t -> bool
+
+val frozen_copy : t -> t
+(** A frozen, unmaterialized copy for reader domains, built without an
+    image round-trip. Every mutable record is the copy's own: [G_APEX]
+    nodes ({!Gapex.copy}), the hash tree ({!Hash_tree.copy}), the graph
+    record ({!Repro_graph.Data_graph.snapshot}) and the endpoint memo.
+    What is immutable is shared: extent arrays, endpoint arrays, adjacency
+    rows. The memo is seeded from the source's memo and from the entries
+    the source's previous copy computed for the same extent arrays, so
+    {!freeze} computes endpoints only for extents that changed since. *)

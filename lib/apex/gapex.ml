@@ -46,6 +46,24 @@ let reachable t =
   iter_reachable t (fun n -> acc := n :: !acc);
   List.rev !acc
 
+(* Fresh node records (same ids, shared extent arrays, no store handles)
+   for the reachable part; out-edges are re-added in label order, as an
+   image load adds them. *)
+let copy t =
+  let copies : (int, node) Hashtbl.t = Hashtbl.create 64 in
+  iter_reachable t (fun n ->
+      Hashtbl.add copies n.id
+        { id = n.id; extent = n.extent; out = Hashtbl.create 4; visited = false; handle = None });
+  let node_of n =
+    match Hashtbl.find_opt copies n.id with
+    | Some c -> c
+    | None -> invalid_arg "Gapex.copy: node not reachable from the root"
+  in
+  iter_reachable t (fun n ->
+      let c = node_of n in
+      List.iter (fun (l, y) -> Hashtbl.replace c.out l (node_of y)) (out_edges n));
+  ({ next_id = t.next_id; root = node_of t.root }, node_of)
+
 let reset_visited t = iter_reachable t (fun n -> n.visited <- false)
 
 let prune_edges t ~live =

@@ -34,6 +34,13 @@ val out_edges : node -> (Repro_graph.Label.t * node) list
 val reachable : t -> node list
 (** Nodes reachable from [xroot], including it. *)
 
+val copy : t -> t * (node -> node)
+(** A structurally private copy of the reachable part: fresh node records
+    with the same ids and the same (immutable) extent arrays, no store
+    handles, and the same summary edges. The function maps an original node
+    to its copy. @raise Invalid_argument when the function is applied to a
+    node not reachable from [xroot]. *)
+
 val reset_visited : t -> unit
 (** Clear traversal marks on all reachable nodes. *)
 

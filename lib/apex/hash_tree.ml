@@ -327,6 +327,28 @@ let decode ~node_of arr ~pos =
   in
   { head = dec_hnode () }
 
+(* Fresh hnodes, entries and slots (new uids), the same labels, counts and
+   flags, slots pointing at [node_of]'s nodes; entries are added in label
+   order, as [decode] adds them. *)
+let copy t ~node_of =
+  let copy_slot s = { (mk_slot ()) with xnode = Option.map node_of s.xnode } in
+  let rec copy_hnode h =
+    let h' = mk_hnode () in
+    h'.r_slot.xnode <- Option.map node_of h.r_slot.xnode;
+    Hashtbl.fold (fun _ e acc -> e :: acc) h.entries []
+    |> List.sort (fun a b -> Int.compare a.label b.label)
+    |> List.iter (fun e ->
+           Hashtbl.add h'.entries e.label
+             { label = e.label;
+               count = e.count;
+               is_new = e.is_new;
+               e_slot = copy_slot e.e_slot;
+               next = Option.map copy_hnode e.next
+             });
+    h'
+  in
+  { head = copy_hnode t.head }
+
 let check_invariant t =
   let ok = ref true in
   iter_entries t.head (fun e -> if Option.is_some e.next && Option.is_some e.e_slot.xnode then ok := false);

@@ -135,6 +135,11 @@ val find_assignments :
     [G_APEX] stores one child per (node, label): each added assignment must
     attach to exactly the parents that witness it. *)
 
+val copy : t -> node_of:(Gapex.node -> Gapex.node) -> t
+(** A private copy: fresh hnodes, entries and slots (new uids) with the
+    same labels, counts and flags, each slot holding [node_of] of the
+    original's node. Used to publish epochs without an image round-trip. *)
+
 val check_invariant : t -> bool
 (** No entry has both a subtree and an xnode. *)
 

@@ -1,4 +1,7 @@
 module Vec = Repro_util.Vec
+module Parray = Repro_util.Parray
+module SMap = Map.Make (String)
+module IMap = Map.Make (Int)
 
 type nid = int
 
@@ -8,28 +11,37 @@ let pack_adj label node = (label lsl 32) lor node
 let adj_label e = e lsr 32
 let adj_node e = e land ((1 lsl 32) - 1)
 
+(* Versions share structure: the per-node rows sit in persistent chunked
+   arrays, an update op replaces only the rows it touches (copying their
+   chunks and the small outer table), and no row is ever written again once
+   a version holds it. Published epochs hold older versions (through
+   [snapshot]) while the writer derives new ones. *)
 type t = {
   labels : Label.table;
   root : nid;
-  out : int array array;
-  values : string option array;
+  out : int array Parray.t;
+  values : string option Parray.t;
   n_edges : int;
   idref_label_ids : Label.t list;
-  ids : (string, int * string) Hashtbl.t;
+  ids : (nid * string) SMap.t;
       (* XML id -> (nid, tag); retained so fragments appended later can
          reference existing elements *)
-  mutable id_inv : (int, string) Hashtbl.t option;  (* nid -> id, lazy *)
+  id_inv : string list IMap.t;  (* nid -> its ids, first registered first *)
   forest : bool;
       (* a document forest (see the mli): set by [of_document], inherited
          by the update ops, checked by [Builder.build] *)
-  mutable in_adj : int array array option;
-  mutable by_label : (Label.t, Edge_set.t) Hashtbl.t option;
+  mutable in_adj : int array Parray.t option;
+  mutable by_label : Edge_set.t array option;
+      (* the derived caches (reverse adjacency; edges per label id): built
+         on first use for a graph from [of_document] or [Builder]; an update
+         op carries them, patched, into the version it returns (the by-label
+         sets only when the old version has them) *)
 }
 
 let labels g = g.labels
 let root g = g.root
 let is_forest g = g.forest
-let n_nodes g = Array.length g.out
+let n_nodes g = Parray.length g.out
 let n_edges g = g.n_edges
 
 let check_nid g v ctx =
@@ -38,22 +50,22 @@ let check_nid g v ctx =
 
 let value g v =
   check_nid g v "value";
-  g.values.(v)
+  Parray.get g.values v
 
 let out_degree g v =
   check_nid g v "out_degree";
-  Array.length g.out.(v)
+  Array.length (Parray.get g.out v)
 
 let iter_out g v f =
   check_nid g v "iter_out";
-  Array.iter (fun e -> f (adj_label e) (adj_node e)) g.out.(v)
+  Array.iter (fun e -> f (adj_label e) (adj_node e)) (Parray.get g.out v)
 
 let fold_out g v f acc =
   check_nid g v "fold_out";
-  Array.fold_left (fun acc e -> f acc (adj_label e) (adj_node e)) acc g.out.(v)
+  Array.fold_left (fun acc e -> f acc (adj_label e) (adj_node e)) acc (Parray.get g.out v)
 
 let iter_edges g f =
-  Array.iteri (fun u adj -> Array.iter (fun e -> f u (adj_label e) (adj_node e)) adj) g.out
+  Parray.iteri (fun u adj -> Array.iter (fun e -> f u (adj_label e) (adj_node e)) adj) g.out
 
 let ensure_in_adj g =
   match g.in_adj with
@@ -66,29 +78,31 @@ let ensure_in_adj g =
     iter_edges g (fun u l v ->
         a.(v).(fill.(v)) <- pack_adj l u;
         fill.(v) <- fill.(v) + 1);
+    let a = Parray.of_array a in
     g.in_adj <- Some a;
     a
 
 let iter_in g v f =
   check_nid g v "iter_in";
-  let a = ensure_in_adj g in
-  Array.iter (fun e -> f (adj_label e) (adj_node e)) a.(v)
+  Array.iter (fun e -> f (adj_label e) (adj_node e)) (Parray.get (ensure_in_adj g) v)
 
 (* A node's tree (document) edge is its first incoming edge — reference
    edges always come from attribute nodes created after the referencing
    element, so they sort later in the reverse adjacency (see Subtree). *)
+let in_row g v = Parray.get (ensure_in_adj g) v
+
 let tree_in_edge_packed g v =
-  let a = ensure_in_adj g in
-  if Array.length a.(v) = 0 then None else Some a.(v).(0)
+  let row = in_row g v in
+  if Array.length row = 0 then None else Some row.(0)
 
 let tree_label g v =
   check_nid g v "tree_label";
-  let row = (ensure_in_adj g).(v) in
+  let row = in_row g v in
   if Array.length row = 0 then -1 else adj_label row.(0)
 
 let tree_parent g v =
   check_nid g v "tree_parent";
-  let row = (ensure_in_adj g).(v) in
+  let row = in_row g v in
   if Array.length row = 0 then -1 else adj_node row.(0)
 
 (* The document-forest test of the mli, in one pass over the reverse
@@ -96,11 +110,11 @@ let tree_parent g v =
    node, and every upward walk through non-attribute tree edges ending
    (walks are marked on the way up, so each node is settled once). *)
 let check_forest g =
-  let a = ensure_in_adj g in
-  let stops u = Array.length a.(u) = 0 || Label.is_attribute g.labels (adj_label a.(u).(0)) in
-  let attribute_node u = Array.length a.(u) > 0 && stops u in
+  let row = in_row g in
+  let stops u = Array.length (row u) = 0 || Label.is_attribute g.labels (adj_label (row u).(0)) in
+  let attribute_node u = Array.length (row u) > 0 && stops u in
   let local_ok v =
-    let row = a.(v) in
+    let row = row v in
     let ok = ref true in
     Array.iteri
       (fun i e ->
@@ -117,7 +131,7 @@ let check_forest g =
     | 1 -> None
     | _ ->
       state.(u) <- 1;
-      if stops u then Some (u :: path) else walk (adj_node a.(u).(0)) (u :: path)
+      if stops u then Some (u :: path) else walk (adj_node (row u).(0)) (u :: path)
   in
   let ends v =
     match walk v [] with
@@ -136,43 +150,122 @@ let idref_labels g = g.idref_label_ids
 
 let id_of g nid =
   check_nid g nid "id_of";
-  let inv =
-    match g.id_inv with
-    | Some inv when Hashtbl.length inv = Hashtbl.length g.ids -> inv
-    | Some _ | None ->
-      let inv = Hashtbl.create (Hashtbl.length g.ids) in
-      Hashtbl.iter (fun id (v, _) -> Hashtbl.replace inv v id) g.ids;
-      g.id_inv <- Some inv;
-      inv
-  in
-  Hashtbl.find_opt inv nid
+  match IMap.find_opt nid g.id_inv with
+  | Some (id :: _) -> Some id
+  | Some [] | None -> None
+
+let ids g = SMap.fold (fun id (v, _) acc -> (id, v) :: acc) g.ids [] |> List.rev
+
+(* the first registration of an id wins, as in a document's own encoding *)
+let register_id (ids, id_inv) id nid tag =
+  if SMap.mem id ids then (ids, id_inv)
+  else
+    ( SMap.add id (nid, tag) ids,
+      IMap.update nid (function None -> Some [ id ] | Some l -> Some (l @ [ id ])) id_inv )
 
 let root_edge g = Edge_set.of_list [ (Edge_set.null, g.root) ]
 
 let ensure_by_label g =
   match g.by_label with
-  | Some tbl -> tbl
+  | Some a -> a
   | None ->
-    let groups : (Label.t, int Vec.t) Hashtbl.t = Hashtbl.create 64 in
-    iter_edges g (fun u l v ->
-        let vec =
-          match Hashtbl.find_opt groups l with
-          | Some vec -> vec
-          | None ->
-            let vec = Vec.create () in
-            Hashtbl.add groups l vec;
-            vec
-        in
-        Vec.push vec (Edge_set.pack u v));
-    let tbl = Hashtbl.create (Hashtbl.length groups) in
-    Hashtbl.iter (fun l vec -> Hashtbl.add tbl l (Edge_set.of_packed_array (Vec.to_array vec))) groups;
-    g.by_label <- Some tbl;
-    tbl
+    let groups = Array.init (Label.count g.labels) (fun _ -> Vec.create ()) in
+    iter_edges g (fun u l v -> Vec.push groups.(l) (Edge_set.pack u v));
+    let a = Array.map (fun vec -> Edge_set.of_packed_array (Vec.to_array vec)) groups in
+    g.by_label <- Some a;
+    a
 
 let edges_with_label g l =
-  match Hashtbl.find_opt (ensure_by_label g) l with
-  | Some set -> set
-  | None -> Edge_set.empty
+  let a = ensure_by_label g in
+  if l >= 0 && l < Array.length a then a.(l) else Edge_set.empty
+
+let rec remove_one e = function
+  | [] -> []
+  | x :: tl -> if Int.equal x e then tl else x :: remove_one e tl
+
+(* [row] without one occurrence of each entry of [entries] (a multiset),
+   order kept; a deleted node loses its whole in-row, which the length test
+   settles without the quadratic walk *)
+let remove_entries row entries =
+  if List.length entries >= Array.length row then [||]
+  else begin
+    let pending = ref entries in
+    let keep e =
+      let rest = remove_one e !pending in
+      if List.compare_lengths rest !pending < 0 then begin
+        pending := rest;
+        false
+      end
+      else true
+    in
+    Array.of_seq (Seq.filter keep (Array.to_seq row))
+  end
+
+(* Group [(key, x)] pairs by key, each group in input order. *)
+let group_by pairs =
+  let tbl : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun (k, x) ->
+      Hashtbl.replace tbl k (x :: Option.value (Hashtbl.find_opt tbl k) ~default:[]))
+    pairs;
+  Hashtbl.filter_map_inplace (fun _ xs -> Some (List.rev xs)) tbl;
+  tbl
+
+(* [by_label] (the per-label sets of [g]) patched for the version [out] that
+   [g] becomes by losing [removed] and gaining [added]: only the sets of
+   touched labels are replaced. A removed edge leaves its label's set only
+   when no parallel copy of it survives in the new row. *)
+let patch_by_label g ~out ~added ~removed by_label =
+  let by_label' = Array.make (Int.max (Array.length by_label) (Label.count g.labels)) Edge_set.empty in
+  Array.blit by_label 0 by_label' 0 (Array.length by_label);
+  let gone (u, l, v) = not (Array.exists (Int.equal (pack_adj l v)) (Parray.get out u)) in
+  Hashtbl.iter
+    (fun l packed ->
+      by_label'.(l) <- Edge_set.diff by_label'.(l) (Edge_set.of_packed_array (Array.of_list packed)))
+    (group_by
+       (List.filter_map
+          (fun ((u, l, v) as e) -> if gone e then Some (l, Edge_set.pack u v) else None)
+          removed));
+  Hashtbl.iter
+    (fun l packed ->
+      by_label'.(l) <- Edge_set.union by_label'.(l) (Edge_set.of_packed_array (Array.of_list packed)))
+    (group_by (List.map (fun (u, l, v) -> (l, Edge_set.pack u v)) added));
+  by_label'
+
+(* The derived caches of the version [out] (with [n] nodes) that [g] becomes
+   by losing the [removed] edges and gaining the [added] ones, each given as
+   [(source, label, target)]. The reverse adjacency is always carried (the
+   ops read it), with only the in-rows of touched targets replaced; the
+   per-label sets only when [g] has them, so a chain of versions nothing
+   asks for them (a workload generator's) never builds them. [added] lists
+   edges by ascending source, a source's edges in row order, every source
+   newer than the existing in-edge sources of its target (what the
+   appending ops produce), so appending keeps each in-row in [iter_edges]
+   order, the order [ensure_in_adj] builds. *)
+let patch_caches g ~n ~out ~added ~removed =
+  let in_adj = ensure_in_adj g in
+  let dropped = group_by (List.map (fun (u, l, v) -> (v, pack_adj l u)) removed) in
+  let gained = group_by (List.map (fun (u, l, v) -> (v, pack_adj l u)) added) in
+  let touched = Hashtbl.create 16 in
+  Hashtbl.iter (fun v _ -> Hashtbl.replace touched v ()) dropped;
+  Hashtbl.iter (fun v _ -> Hashtbl.replace touched v ()) gained;
+  let rows =
+    Hashtbl.fold
+      (fun v () acc ->
+        let row = if v < Parray.length in_adj then Parray.get in_adj v else [||] in
+        let row =
+          match Hashtbl.find_opt dropped v with Some es -> remove_entries row es | None -> row
+        in
+        let row =
+          match Hashtbl.find_opt gained v with
+          | Some es -> Array.append row (Array.of_list es)
+          | None -> row
+        in
+        (v, row) :: acc)
+      touched []
+  in
+  ( Some (Parray.update in_adj ~length:n ~fill:[||] rows),
+    Option.map (patch_by_label g ~out ~added ~removed) g.by_label )
 
 module Builder = struct
   type t = {
@@ -209,12 +302,12 @@ module Builder = struct
     let g =
       { labels = b.b_labels;
         root;
-        out;
-        values = Vec.to_array b.b_values;
+        out = Parray.of_array out;
+        values = Parray.of_array (Vec.to_array b.b_values);
         n_edges = b.b_edges;
         idref_label_ids = [];
-        ids = Hashtbl.create 4;
-        id_inv = None;
+        ids = SMap.empty;
+        id_inv = IMap.empty;
         forest = false;
         in_adj = None;
         by_label = None
@@ -240,7 +333,7 @@ end
 
 let of_document ?(id_attrs = [ "id" ]) ?(idref_attrs = []) (doc : Repro_xml.Xml_tree.document) =
   let b = Builder.create () in
-  let ids : (string, nid * string) Hashtbl.t = Hashtbl.create 256 in
+  let ids = ref (SMap.empty, IMap.empty) in
   (* (element nid, attr name, idref values) collected for the second pass *)
   let pending_refs : (nid * string * string list) Vec.t = Vec.create () in
   let is_id name = List.mem name id_attrs in
@@ -264,8 +357,7 @@ let of_document ?(id_attrs = [ "id" ]) ?(idref_attrs = []) (doc : Repro_xml.Xml_
     let me = Builder.add_node ?value b in
     List.iter
       (fun (name, v) ->
-        if is_id name then
-          (if not (Hashtbl.mem ids v) then Hashtbl.add ids v (me, e.tag))
+        if is_id name then ids := register_id !ids v me e.tag
         else if is_idref name then Vec.push pending_refs (me, name, split_refs v)
         else begin
           let leaf = Builder.add_node ~value:v b in
@@ -287,12 +379,7 @@ let of_document ?(id_attrs = [ "id" ]) ?(idref_attrs = []) (doc : Repro_xml.Xml_
   Vec.iter
     (fun (owner, name, refs) ->
       let targets =
-        List.filter_map
-          (fun r ->
-            match Hashtbl.find_opt ids r with
-            | Some (target, tag) -> Some (target, tag)
-            | None -> None)
-          refs
+        List.filter_map (fun r -> SMap.find_opt r (fst !ids)) refs
       in
       match targets with
       | [] -> ()
@@ -312,14 +399,24 @@ let of_document ?(id_attrs = [ "id" ]) ?(idref_attrs = []) (doc : Repro_xml.Xml_
     |> List.sort Int.compare
   in
   let g = Builder.freeze ~idref_label_ids ~forest:true ~root b in
-  Hashtbl.iter (fun id target -> Hashtbl.replace g.ids id target) ids;
-  g
+  { g with ids = fst !ids; id_inv = snd !ids }
 
 let of_document_dtd dtd doc =
   of_document
     ~id_attrs:(Repro_xml.Dtd.id_attributes dtd)
     ~idref_attrs:(Repro_xml.Dtd.idref_attributes dtd)
     doc
+
+let appended g g' ~parent =
+  let old_degree = out_degree g parent in
+  let added = ref [] in
+  Array.iteri
+    (fun i e -> if i >= old_degree then added := (parent, adj_label e, adj_node e) :: !added)
+    (Parray.get g'.out parent);
+  for u = n_nodes g to n_nodes g' - 1 do
+    Array.iter (fun e -> added := (u, adj_label e, adj_node e) :: !added) (Parray.get g'.out u)
+  done;
+  List.rev !added
 
 let append_subtree ?(id_attrs = [ "id" ]) ?(idref_attrs = [ ]) g ~parent
     (fragment : Repro_xml.Xml_tree.element) =
@@ -344,7 +441,7 @@ let append_subtree ?(id_attrs = [ "id" ]) ?(idref_attrs = [ ]) g ~parent
     end;
     incr new_edges
   in
-  let ids = Hashtbl.copy g.ids in
+  let ids = ref (g.ids, g.id_inv) in
   let pending_refs : (nid * string * string list) Vec.t = Vec.create () in
   let is_id name = List.mem name id_attrs in
   let is_idref name = List.mem name idref_attrs in
@@ -371,9 +468,7 @@ let append_subtree ?(id_attrs = [ "id" ]) ?(idref_attrs = [ ]) g ~parent
     let me = fresh ?value () in
     List.iter
       (fun (name, v) ->
-        if is_id name then begin
-          if not (Hashtbl.mem ids v) then Hashtbl.add ids v (me, e.tag)
-        end
+        if is_id name then ids := register_id !ids v me e.tag
         else if is_idref name then Vec.push pending_refs (me, name, split_refs v)
         else begin
           let leaf = fresh ~value:v () in
@@ -395,7 +490,7 @@ let append_subtree ?(id_attrs = [ "id" ]) ?(idref_attrs = [ ]) g ~parent
   let idref_label_names = Hashtbl.create 4 in
   Vec.iter
     (fun (owner, name, refs) ->
-      let targets = List.filter_map (fun r -> Hashtbl.find_opt ids r) refs in
+      let targets = List.filter_map (fun r -> SMap.find_opt r (fst !ids)) refs in
       match targets with
       | [] -> ()
       | targets ->
@@ -406,14 +501,13 @@ let append_subtree ?(id_attrs = [ "id" ]) ?(idref_attrs = [ ]) g ~parent
     pending_refs;
   let k = Vec.length new_values in
   let out =
-    Array.init (base + k) (fun i ->
-        if i = parent then Array.append g.out.(i) (Array.of_list (List.rev !parent_extra))
-        else if i < base then g.out.(i)
-        else Array.of_list (List.rev !(Vec.get new_out (i - base))))
+    Parray.update g.out ~length:(base + k) ~fill:[||]
+      ((parent, Array.append (Parray.get g.out parent) (Array.of_list (List.rev !parent_extra)))
+       :: List.init k (fun i -> (base + i, Array.of_list (List.rev !(Vec.get new_out i)))))
   in
   let values =
-    Array.init (base + k) (fun i ->
-        if i < base then g.values.(i) else Vec.get new_values (i - base))
+    Parray.update g.values ~length:(base + k) ~fill:None
+      (List.init k (fun i -> (base + i, Vec.get new_values i)))
   in
   let idref_label_ids =
     Hashtbl.fold
@@ -422,26 +516,32 @@ let append_subtree ?(id_attrs = [ "id" ]) ?(idref_attrs = [ ]) g ~parent
       idref_label_names g.idref_label_ids
     |> List.sort_uniq Int.compare
   in
-  { labels = g.labels;
-    root = g.root;
-    out;
-    values;
-    n_edges = g.n_edges + !new_edges;
-    idref_label_ids;
-    ids;
-    id_inv = None;
-    forest = g.forest;
-    in_adj = None;
-    by_label = None
-  }
+  let g' =
+    { labels = g.labels;
+      root = g.root;
+      out;
+      values;
+      n_edges = g.n_edges + !new_edges;
+      idref_label_ids;
+      ids = fst !ids;
+      id_inv = snd !ids;
+      forest = g.forest;
+      in_adj = None;
+      by_label = None
+    }
+  in
+  let in_adj, by_label =
+    patch_caches g ~n:(base + k) ~out ~added:(appended g g' ~parent) ~removed:[]
+  in
+  { g' with in_adj; by_label }
 
 let delete_subtree g ~node =
   check_nid g node "delete_subtree";
   if node = g.root then invalid_arg "Data_graph.delete_subtree: cannot delete the root";
-  ignore (ensure_in_adj g : int array array);
-  let n = n_nodes g in
-  let deleted = Array.make n false in
-  deleted.(node) <- true;
+  let in_adj = ensure_in_adj g in
+  let deleted : (nid, unit) Hashtbl.t = Hashtbl.create 16 in
+  Hashtbl.add deleted node ();
+  let is_deleted v = Hashtbl.mem deleted v in
   (* tree descendants: nodes whose document-parent chain passes through
      [node]; attribute leaves and IDREF attribute nodes hang off their
      owners by tree edges too, so they come along *)
@@ -452,47 +552,68 @@ let delete_subtree g ~node =
     | u :: tl ->
       stack := tl;
       iter_out g u (fun _ v ->
-          if (not deleted.(v)) && v <> g.root then
+          if (not (is_deleted v)) && v <> g.root then
             match tree_in_edge_packed g v with
             | Some e when adj_node e = u ->
-              deleted.(v) <- true;
+              Hashtbl.add deleted v ();
               stack := v :: !stack
             | Some _ | None -> ())
   done;
+  (* every removed edge leaves a deleted node or enters one: its source is
+     a deleted node or an in-row entry of one *)
+  let sources : (nid, unit) Hashtbl.t = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun v () ->
+      Hashtbl.replace sources v ();
+      Array.iter (fun e -> Hashtbl.replace sources (adj_node e) ()) (Parray.get in_adj v))
+    deleted;
+  let sources = List.sort Int.compare (Hashtbl.fold (fun u () acc -> u :: acc) sources []) in
   let removed = ref [] in
-  let n_removed = ref 0 in
-  iter_edges g (fun u l v ->
-      if deleted.(u) || deleted.(v) then begin
-        removed := (u, l, v) :: !removed;
-        incr n_removed
-      end);
-  let out =
-    Array.mapi
-      (fun u adj ->
-        if deleted.(u) then [||]
-        else if Array.exists (fun e -> deleted.(adj_node e)) adj then
-          Array.of_seq (Seq.filter (fun e -> not deleted.(adj_node e)) (Array.to_seq adj))
-        else adj)
-      g.out
+  let rows =
+    List.map
+      (fun u ->
+        let row = Parray.get g.out u in
+        Array.iter
+          (fun e ->
+            if is_deleted u || is_deleted (adj_node e) then
+              removed := (u, adj_label e, adj_node e) :: !removed)
+          row;
+        ( u,
+          if is_deleted u then [||]
+          else Array.of_seq (Seq.filter (fun e -> not (is_deleted (adj_node e))) (Array.to_seq row))
+        ))
+      sources
   in
-  let values = Array.mapi (fun v value -> if deleted.(v) then None else value) g.values in
-  let ids = Hashtbl.create (Hashtbl.length g.ids) in
-  Hashtbl.iter (fun id (v, tag) -> if not deleted.(v) then Hashtbl.add ids id (v, tag)) g.ids;
+  let removed = List.rev !removed in
+  let out = Parray.update g.out ~length:(n_nodes g) ~fill:[||] rows in
+  let values =
+    Parray.update g.values ~length:(n_nodes g) ~fill:None
+      (Hashtbl.fold (fun v () acc -> (v, None) :: acc) deleted [])
+  in
+  let ids, id_inv =
+    Hashtbl.fold
+      (fun v () (ids, id_inv) ->
+        match IMap.find_opt v id_inv with
+        | None -> (ids, id_inv)
+        | Some names -> (List.fold_left (fun ids id -> SMap.remove id ids) ids names, IMap.remove v id_inv))
+      deleted (g.ids, g.id_inv)
+  in
+  let in_adj, by_label = patch_caches g ~n:(n_nodes g) ~out ~added:[] ~removed in
   let g' =
     { labels = g.labels;
       root = g.root;
       out;
       values;
-      n_edges = g.n_edges - !n_removed;
+      n_edges = g.n_edges - List.length removed;
       idref_label_ids = g.idref_label_ids;
       ids;
-      id_inv = None;
+      id_inv;
       forest = g.forest;
-      in_adj = None;
-      by_label = None
+      in_adj;
+      by_label
     }
   in
-  (g', List.rev !removed)
+  (g', removed)
 
 let add_ref_edge g ~owner ~attr ~target =
   check_nid g owner "add_ref_edge";
@@ -509,12 +630,14 @@ let add_ref_edge g ~owner ~attr ~target =
      convention for all targets *)
   let attr_node = n_nodes g in
   let out =
-    Array.init (attr_node + 1) (fun u ->
-        if u = owner then Array.append g.out.(u) [| pack_adj l_attr attr_node |]
-        else if u = attr_node then [| pack_adj target_tag target |]
-        else g.out.(u))
+    Parray.update g.out ~length:(attr_node + 1) ~fill:[||]
+      [ (owner, Array.append (Parray.get g.out owner) [| pack_adj l_attr attr_node |]);
+        (attr_node, [| pack_adj target_tag target |])
+      ]
   in
-  let values = Array.init (attr_node + 1) (fun v -> if v = attr_node then None else g.values.(v)) in
+  let values = Parray.update g.values ~length:(attr_node + 1) ~fill:None [] in
+  let added = [ (owner, l_attr, attr_node); (attr_node, target_tag, target) ] in
+  let in_adj, by_label = patch_caches g ~n:(attr_node + 1) ~out ~added ~removed:[] in
   let g' =
     { labels = g.labels;
       root = g.root;
@@ -523,13 +646,13 @@ let add_ref_edge g ~owner ~attr ~target =
       n_edges = g.n_edges + 2;
       idref_label_ids = List.sort_uniq Int.compare (l_attr :: g.idref_label_ids);
       ids = g.ids;
-      id_inv = None;
+      id_inv = g.id_inv;
       forest = g.forest;
-      in_adj = None;
-      by_label = None
+      in_adj;
+      by_label
     }
   in
-  (g', [ (owner, l_attr, attr_node); (attr_node, target_tag, target) ])
+  (g', added)
 
 let remove_ref_edge g ~owner ~attr ~target =
   check_nid g owner "remove_ref_edge";
@@ -548,72 +671,49 @@ let remove_ref_edge g ~owner ~attr ~target =
         let a = adj_node e in
         Array.iter
           (fun e' -> if Option.is_none !found && adj_node e' = target then found := Some (a, adj_label e'))
-          g.out.(a)
+          (Parray.get g.out a)
       end)
-    g.out.(owner);
+    (Parray.get g.out owner);
   match !found with
   | None -> invalid_arg "Data_graph.remove_ref_edge: no such reference"
   | Some (attr_node, target_tag) ->
-    let remove_first arr e =
-      let idx = ref (-1) in
-      Array.iteri (fun i x -> if !idx < 0 && Int.equal x e then idx := i) arr;
-      if !idx < 0 then arr
-      else Array.init (Array.length arr - 1) (fun i -> if i < !idx then arr.(i) else arr.(i + 1))
+    let attr_row = remove_entries (Parray.get g.out attr_node) [ pack_adj target_tag target ] in
+    let rows, removed =
+      if Array.length attr_row = 0 then
+        ( [ (attr_node, attr_row);
+            (owner, remove_entries (Parray.get g.out owner) [ pack_adj l_attr attr_node ])
+          ],
+          [ (attr_node, target_tag, target); (owner, l_attr, attr_node) ] )
+      else ([ (attr_node, attr_row) ], [ (attr_node, target_tag, target) ])
     in
-    let attr_out = remove_first g.out.(attr_node) (pack_adj target_tag target) in
-    let orphaned = Array.length attr_out = 0 in
-    let removed = ref [ (attr_node, target_tag, target) ] in
-    let out =
-      Array.mapi
-        (fun u adj ->
-          if u = attr_node then attr_out
-          else if u = owner && orphaned then begin
-            removed := (owner, l_attr, attr_node) :: !removed;
-            remove_first adj (pack_adj l_attr attr_node)
-          end
-          else adj)
-        g.out
-    in
-    let n_removed = if orphaned then 2 else 1 in
+    let out = Parray.update g.out ~length:(n_nodes g) ~fill:[||] rows in
+    let in_adj, by_label = patch_caches g ~n:(n_nodes g) ~out ~added:[] ~removed in
     let g' =
       { labels = g.labels;
         root = g.root;
         out;
         values = g.values;
-        n_edges = g.n_edges - n_removed;
+        n_edges = g.n_edges - List.length removed;
         idref_label_ids = g.idref_label_ids;
         ids = g.ids;
-        id_inv = None;
+        id_inv = g.id_inv;
         forest = g.forest;
-        in_adj = None;
-        by_label = None
+        in_adj;
+        by_label
       }
     in
-    (g', List.rev !removed)
+    (g', removed)
 
-(* A reader-safe copy for the serving layer. Adjacency rows, values and the
-   edge count are shared — they are never mutated in place (updates build
-   new arrays) — but everything a concurrent writer can grow or a reader
-   can lazily force is privatized: the label table (a writer's
-   [append_subtree] interns into the shared one), the id table, and the
-   three lazy caches, which are forced eagerly here so reads on the copy
-   never store into it. *)
+(* A reader-safe copy for the serving layer: a record of its own with a
+   private label table (a writer's [append_subtree] interns into the shared
+   one) and both derived caches present, so reads on the copy never store
+   into it. Everything else is shared: adjacency rows, values, the id maps
+   and the caches' rows are never written once a version exists. The
+   caches are forced on [g] itself (the writer's version), so the next
+   update op carries them instead of rebuilding. *)
 let snapshot g =
-  let g' =
-    { g with
-      labels = Label.copy_table g.labels;
-      ids = Hashtbl.copy g.ids;
-      id_inv = None;
-      in_adj = None;
-      by_label = None
-    }
-  in
-  ignore (ensure_in_adj g' : int array array);
-  ignore (ensure_by_label g' : (Label.t, Edge_set.t) Hashtbl.t);
-  let inv = Hashtbl.create (Hashtbl.length g'.ids) in
-  Hashtbl.iter (fun id (v, _) -> Hashtbl.replace inv v id) g'.ids;
-  g'.id_inv <- Some inv;
-  g'
+  let in_adj = ensure_in_adj g and by_label = ensure_by_label g in
+  { g with labels = Label.copy_table g.labels; in_adj = Some in_adj; by_label = Some by_label }
 
 let reachable_by_label_path g path =
   match path with

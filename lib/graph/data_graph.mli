@@ -31,8 +31,10 @@ val iter_out : t -> nid -> (Label.t -> nid -> unit) -> unit
 val fold_out : t -> nid -> ('acc -> Label.t -> nid -> 'acc) -> 'acc -> 'acc
 
 val iter_in : t -> nid -> (Label.t -> nid -> unit) -> unit
-(** Iterate the incoming edges of a node as [(label, source)]. The reverse
-    adjacency is computed on first use and cached. *)
+(** Iterate the incoming edges of a node as [(label, source)], by ascending
+    source, a source's edges in its row order. The reverse adjacency of a
+    graph from {!of_document} or {!Builder} is computed on first use and
+    cached; the update operations carry it into the versions they return. *)
 
 val iter_edges : t -> (nid -> Label.t -> nid -> unit) -> unit
 (** Iterate every edge as [(source, label, target)]. *)
@@ -45,13 +47,18 @@ val root_edge : t -> Edge_set.t
 (** The singleton [<NULL, root>] pseudo-edge set seeding index builds. *)
 
 val id_of : t -> nid -> string option
-(** The XML id under which the node was registered at encoding time (for
-    graphs built by {!of_document} with ID-typed attributes); [None]
-    otherwise. The inverse map is built on first use and extended lazily. *)
+(** The XML id under which the node was registered (by {!of_document} or
+    {!append_subtree}, from ID-typed attributes; the first one when it has
+    several); [None] otherwise, and for deleted nodes. *)
+
+val ids : t -> (string * nid) list
+(** Every registered XML id with its node, sorted by id. The id maps are
+    persistent: versions derived by the update operations share them. *)
 
 val edges_with_label : t -> Label.t -> Edge_set.t
-(** All edges [<u, v>] such that [u --l--> v]; computed on first use per
-    label and cached. *)
+(** All edges [<u, v>] such that [u --l--> v]. Computed on first use and
+    cached; the update operations carry the cache into the versions they
+    return. *)
 
 (** {1 Document structure}
 
@@ -129,6 +136,20 @@ module Builder : sig
       checked. @raise Invalid_argument on unknown root. *)
 end
 
+(** {1 Update operations}
+
+    Each operation returns a new version and leaves the old one valid.
+    Per-node rows sit in persistent chunked arrays ({!Repro_util.Parray}):
+    the new version replaces only the rows the change touches, copying
+    their chunks and a small outer table; every other row, and the id maps,
+    are shared.
+    It holds its reverse adjacency already (computed first for the old
+    version if it has none yet) and, when the old version has them, its
+    per-label edge sets, both patched in the touched rows only; so the
+    work of an operation is proportional to the change (plus the sets of
+    the labels it touches), not to the graph. No row is ever written in
+    place. *)
+
 val append_subtree :
   ?id_attrs:string list ->
   ?idref_attrs:string list ->
@@ -144,6 +165,11 @@ val append_subtree :
     ids recorded when the original document was encoded plus the fragment's
     own; dangling references are dropped. The label table is shared (it
     only ever grows). @raise Invalid_argument on an unknown parent. *)
+
+val appended : t -> t -> parent:nid -> (nid * Label.t * nid) list
+(** [appended g g' ~parent] is the edges [g' = append_subtree g ~parent _]
+    added, in {!iter_edges} order: the suffix of [parent]'s row, then the
+    rows of the new nodes. Proportional to the fragment, not the graph. *)
 
 val delete_subtree : t -> node:nid -> t * (nid * Label.t * nid) list
 (** Functional subtree deletion: a new graph without [node], its tree
@@ -170,12 +196,16 @@ val remove_ref_edge : t -> owner:nid -> attr:string -> target:nid -> t * (nid * 
     @raise Invalid_argument when no such reference exists. *)
 
 val snapshot : t -> t
-(** A reader-safe copy: same nodes, edges, values and label ids, but with
-    a private label table ({!Label.copy_table}), a private id table, and
-    every lazy cache (reverse adjacency, per-label edge sets, id inverse)
-    forced eagerly — so no read on the copy ever writes to it, and no
-    writer-side {!append_subtree}/{!add_ref_edge} on the original can race
-    a reader of the copy. Used by the serving layer to publish epochs. *)
+(** A reader-safe copy: same nodes, edges, values and label ids, with a
+    private label table ({!Label.copy_table}) and both derived caches
+    (reverse adjacency, per-label edge sets) present — so no read on the
+    copy ever writes to it, and no writer-side {!append_subtree} or
+    {!add_ref_edge} on the original can race a reader of the copy. The
+    copy is a record of its own; its arrays and id maps are shared with the
+    original, which is safe because no version's rows are ever written
+    after it is returned. The caches are forced on the original too, so the
+    versions the update operations derive from it carry them. Used by the
+    serving layer to publish epochs. *)
 
 (** {1 Queries used by tests and the naive evaluator} *)
 

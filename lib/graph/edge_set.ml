@@ -48,6 +48,23 @@ let fold f acc t =
 
 let endpoints t = Int_sorted.of_unsorted (Array.map (fun e -> e land mask) t)
 
+(* A removed edge's child leaves the endpoints only when no edge of [t]
+   still ends there; the added edges' children join. One scan of [t]
+   against the (few) removed children replaces the sort [endpoints] does. *)
+let endpoints_after ~before ~removed ~added t =
+  let gone =
+    if Array.length removed = 0 then [||]
+    else begin
+      let candidates = endpoints removed in
+      let still = Vec.create () in
+      Array.iter
+        (fun e -> if Int_sorted.mem candidates (e land mask) then Vec.push still (e land mask))
+        t;
+      Int_sorted.diff candidates (Int_sorted.of_unsorted (Vec.to_array still))
+    end
+  in
+  Int_sorted.union (Int_sorted.diff before gone) (endpoints added)
+
 (* packed order is (parent, child) lexicographic, so the parent components
    are already non-decreasing: extraction is a linear dedup, no sort *)
 let parents t =

@@ -47,6 +47,12 @@ val endpoints : t -> int array
 (** Strictly increasing array of the child components — the nodes an extent
     denotes as query results. *)
 
+val endpoints_after : before:int array -> removed:t -> added:t -> t -> int array
+(** [endpoints_after ~before ~removed ~added t] is [endpoints t] for a set
+    [t] that some set with endpoints [before] became by losing [removed]
+    and gaining [added] (both disjoint from what they leave or join):
+    linear merges and one scan of [t], without the sort. *)
+
 val parents : t -> int array
 (** Strictly increasing array of the parent components ({!null} excluded).
     Linear — the packed order already sorts parents. *)

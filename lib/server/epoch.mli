@@ -1,18 +1,18 @@
 (** A published epoch: an immutable [(Apex.t, Data_graph.t)] pair that any
     number of reader domains can query concurrently.
 
-    Built by deep copy off the writer's live index: the graph through
-    {!Repro_graph.Data_graph.snapshot} (private label table, pre-forced
-    lazy caches), the index by an image round-trip
-    ({!Repro_apex.Apex_persist.to_image}/[of_image]) over that snapshot,
-    then {!Repro_apex.Apex.freeze}. Nothing mutable is shared with the
-    writer, and the frozen read path performs no stores. *)
+    Built by {!Repro_apex.Apex.frozen_copy} off the writer's live index,
+    with no image round-trip. The epoch shares immutable arrays (extents,
+    endpoint arrays, adjacency rows) and privatizes every mutable record
+    (summary nodes, hash tree, endpoint memo, graph record, label table);
+    the frozen read path performs no stores. A publish therefore costs the
+    size of the summary plus the endpoints of the extents that changed. *)
 
 type t
 
 val of_apex : ?snapshot_epoch:int -> Repro_apex.Apex.t -> t
-(** Deep-copy and freeze the given (live, possibly materialized) index
-    into a publishable epoch. [snapshot_epoch] records the durable
+(** Copy and freeze the given (live, possibly materialized) index into a
+    publishable epoch. [snapshot_epoch] records the durable
     {!Repro_apex.Apex_persist.Snapshot} epoch this copy corresponds to
     (default 0: not durably committed). *)
 

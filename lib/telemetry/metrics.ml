@@ -35,35 +35,41 @@ module Histogram = struct
   type t = {
     buckets : int array;
     mutable count : int;
-    (* compensated running sum (Neumaier): [hi] is the naive accumulator,
-       [comp] collects the rounding residue of every addition, so
-       [hi +. comp] is the exact sum correctly rounded (up to a residue of
-       the compensation additions themselves, far below one ulp of [hi]).
-       Shard merges combine both parts with error-free transformations, so
-       the reported sum is identical regardless of merge association —
-       drift-harness reports must be bit-stable across shard orders. *)
-    mutable hi : float;
-    mutable comp : float;
-    mutable vmin : float;
-    mutable vmax : float;
+    floats : Float.Array.t;
+        (* [hi; comp; vmin; vmax], unboxed so [record] allocates nothing
+           (a float field of a mixed record boxes on every store).
+           Compensated running sum (Neumaier): [hi] is the naive
+           accumulator, [comp] collects the rounding residue of every
+           addition, so [hi +. comp] is the exact sum correctly rounded (up
+           to a residue of the compensation additions themselves, far below
+           one ulp of [hi]). Shard merges combine both parts with error-free
+           transformations, so the reported sum is identical regardless of
+           merge association — drift-harness reports must be bit-stable
+           across shard orders. *)
   }
 
-  let create () =
-    { buckets = Array.make n_buckets 0;
-      count = 0;
-      hi = 0.;
-      comp = 0.;
-      vmin = infinity;
-      vmax = neg_infinity }
+  let hi = 0
+  let comp = 1
+  let vmin = 2
+  let vmax = 3
+  let get t i = Float.Array.get t.floats i
+  let set t i v = Float.Array.set t.floats i v
 
-  (* error-free transformation: returns (s, e) with s = fl(a + b) and
-     s + e = a + b exactly (Knuth two-sum; no magnitude precondition) *)
-  let two_sum a b =
-    let s = a +. b in
+  let create () =
+    let floats = Float.Array.make 4 0. in
+    Float.Array.set floats vmin infinity;
+    Float.Array.set floats vmax neg_infinity;
+    { buckets = Array.make n_buckets 0; count = 0; floats }
+
+  (* error-free transformation (Knuth two-sum; no magnitude precondition):
+     [two_sum a b] is s = fl(a + b), [two_sum_err a b s] the e with
+     s + e = a + b exactly. Two functions, so neither returns a boxed pair. *)
+  let two_sum a b = a +. b
+
+  let two_sum_err a b s =
     let a' = s -. b in
     let b' = s -. a' in
-    let e = (a -. a') +. (b -. b') in
-    (s, e)
+    (a -. a') +. (b -. b')
 
   let scale = 1e9
 
@@ -102,16 +108,17 @@ module Histogram = struct
     let b = bucket_of v in
     t.buckets.(b) <- t.buckets.(b) + 1;
     t.count <- t.count + 1;
-    let s, e = two_sum t.hi v in
-    t.hi <- s;
-    t.comp <- t.comp +. e;
-    if v < t.vmin then t.vmin <- v;
-    if v > t.vmax then t.vmax <- v
+    let h = get t hi in
+    let s = two_sum h v in
+    set t hi s;
+    set t comp (get t comp +. two_sum_err h v s);
+    if v < get t vmin then set t vmin v;
+    if v > get t vmax then set t vmax v
 
   let count t = t.count
-  let sum t = t.hi +. t.comp
-  let min_value t = if t.count = 0 then 0. else t.vmin
-  let max_value t = if t.count = 0 then 0. else t.vmax
+  let sum t = get t hi +. get t comp
+  let min_value t = if t.count = 0 then 0. else get t vmin
+  let max_value t = if t.count = 0 then 0. else get t vmax
   let mean t = if t.count = 0 then 0. else sum t /. Float.of_int t.count
   let bucket_counts t = Array.copy t.buckets
 
@@ -124,12 +131,14 @@ module Histogram = struct
     (* combine the (hi, comp) pairs and renormalize into a canonical
        double-double, so the merged pair — and therefore [sum] — depends
        only on the two operands' exact partial sums, not on association *)
-    let s, e = two_sum a.hi b.hi in
-    let s', e' = two_sum s (a.comp +. b.comp) in
-    t.hi <- s';
-    t.comp <- e' +. e;
-    t.vmin <- Float.min a.vmin b.vmin;
-    t.vmax <- Float.max a.vmax b.vmax;
+    let s = two_sum (get a hi) (get b hi) in
+    let e = two_sum_err (get a hi) (get b hi) s in
+    let c = get a comp +. get b comp in
+    let s' = two_sum s c in
+    set t hi s';
+    set t comp (two_sum_err s c s' +. e);
+    set t vmin (Float.min (get a vmin) (get b vmin));
+    set t vmax (Float.max (get a vmax) (get b vmax));
     t
 
   (* Same observable contents: bucket counts, count, and exact-comparable
@@ -139,8 +148,8 @@ module Histogram = struct
   let equal_counts a b =
     a.count = b.count
     && a.buckets = b.buckets
-    && Float.equal a.vmin b.vmin
-    && Float.equal a.vmax b.vmax
+    && Float.equal (get a vmin) (get b vmin)
+    && Float.equal (get a vmax) (get b vmax)
 
   (* Quantile estimate by bucket walk: the answer is the midpoint of the
      bucket containing the q-th sample, exact to within half the bucket's
@@ -172,7 +181,7 @@ module Histogram = struct
       let est = bucket_mid b in
       (* clamp the estimate into the observed range so p0/p100 never fall
          outside [min, max] *)
-      Float.max t.vmin (Float.min t.vmax est)
+      Float.max (get t vmin) (Float.min (get t vmax) est)
     end
 
   let quantile_opt t q = if t.count = 0 then None else Some (quantile t q)

@@ -22,18 +22,7 @@ let apply_graph g op =
   match op with
   | Insert_subtree { parent; fragment } ->
     let g' = G.append_subtree g ~parent fragment in
-    (* append_subtree only appends: the delta is the suffix of every grown
-       adjacency row plus the whole rows of the new nodes *)
-    let n_old = G.n_nodes g in
-    let added = ref [] in
-    for u = 0 to G.n_nodes g' - 1 do
-      let old_deg = if u < n_old then G.out_degree g u else 0 in
-      let i = ref 0 in
-      G.iter_out g' u (fun l v ->
-          if !i >= old_deg then added := (u, l, v) :: !added;
-          incr i)
-    done;
-    { graph = g'; added = List.rev !added; removed = [] }
+    { graph = g'; added = G.appended g g' ~parent; removed = [] }
   | Delete_subtree { node } ->
     let graph, removed = G.delete_subtree g ~node in
     { graph; added = []; removed }
@@ -63,35 +52,127 @@ type acc = {
 }
 
 let reach_bitmap g =
-  let seen = Array.make (Int.max 1 (G.n_nodes g)) false in
+  let seen = Bytes.make (Int.max 1 (G.n_nodes g)) '\000' in
   let stack = ref [ G.root g ] in
-  seen.(G.root g) <- true;
+  Bytes.set seen (G.root g) '\001';
   while !stack <> [] do
     match !stack with
     | [] -> ()
     | u :: tl ->
       stack := tl;
       G.iter_out g u (fun _ v ->
-          if not seen.(v) then begin
-            seen.(v) <- true;
+          if Bytes.get seen v = '\000' then begin
+            Bytes.set seen v '\001';
             stack := v :: !stack
           end)
   done;
   seen
+
+let reached bits v = v < Bytes.length bits && Bytes.get bits v <> '\000'
+
+(* Turn [bits], the root reachability of [g], into that of [applied.graph]
+   — in place when it has room — and return it with the nodes whose
+   reachability flipped, ascending. Additions are monotone on any graph:
+   walk only from targets they newly reach. A removal on a document forest
+   unreaches exactly the removed nodes, provided every other target of a
+   removed edge is still anchored to the root by its tree-parent chain
+   (then every old root path survives from its last removed edge on);
+   the chains are checked, and anything else recomputes from scratch. *)
+let patch_reach bits g applied =
+  let g' = applied.graph in
+  let n_old = G.n_nodes g and n_new = G.n_nodes g' in
+  let bits =
+    if Bytes.length bits >= n_new then bits
+    else begin
+      let grown = Bytes.make (Int.max n_new (2 * Bytes.length bits)) '\000' in
+      Bytes.blit bits 0 grown 0 (Bytes.length bits);
+      grown
+    end
+  in
+  let flipped = ref [] in
+  let flip v on =
+    Bytes.set bits v (if on then '\001' else '\000');
+    flipped := v :: !flipped
+  in
+  let from_scratch () =
+    let fresh = reach_bitmap g' in
+    flipped := [];
+    for v = n_new - 1 downto 0 do
+      if reached fresh v <> (v < n_old && reached bits v) then flipped := v :: !flipped
+    done;
+    (fresh, !flipped)
+  in
+  match (applied.added, applied.removed) with
+  | added, [] ->
+    let stack = ref [] in
+    List.iter
+      (fun (u, _, v) ->
+        if reached bits u && not (reached bits v) then begin
+          flip v true;
+          stack := v :: !stack
+        end)
+      added;
+    while !stack <> [] do
+      match !stack with
+      | [] -> ()
+      | u :: tl ->
+        stack := tl;
+        G.iter_out g' u (fun _ v ->
+            if not (reached bits v) then begin
+              flip v true;
+              stack := v :: !stack
+            end)
+    done;
+    (bits, List.sort Int.compare !flipped)
+  | [], removed when G.is_forest g' ->
+    let root = G.root g' in
+    let anchored : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+    let rec chain v steps =
+      v = root || Hashtbl.mem anchored v
+      || (steps <= n_new
+          &&
+          let p = G.tree_parent g' v in
+          p >= 0 && chain p (steps + 1)
+          &&
+          (Hashtbl.replace anchored v ();
+           true))
+    in
+    let unreached = ref [] in
+    let ok =
+      List.for_all
+        (fun (_, _, v) ->
+          (not (reached bits v))
+          || v = root
+          || (if G.tree_parent g' v < 0 then begin
+                (* lost every in-edge: unreachable now, and nothing can
+                   hang below it *)
+                unreached := v :: !unreached;
+                G.out_degree g' v = 0
+              end
+              else chain v 0))
+        removed
+    in
+    if not ok then from_scratch ()
+    else begin
+      List.iter (fun v -> if reached bits v then flip v false) !unreached;
+      (bits, List.sort Int.compare !flipped)
+    end
+  | _ -> from_scratch ()
 
 type presence = { mutable in_old : bool; mutable in_new : bool }
 
 (* Incrementally patch [t]'s hash tree and summary so they describe
    [applied.graph] instead of [g]. See update.mli for the algorithm and the
    subpath-closure argument it rests on. *)
-let maintain t ~old_graph:g ~applied ~acc =
+let maintain t ~old_graph:g ~applied ~reach ~flipped ~acc =
   let g' = applied.graph in
   let tree = Apex.tree t in
   let gapex = Apex.summary t in
   let n_old = G.n_nodes g and n_new = G.n_nodes g' in
-  let reach_old = reach_bitmap g and reach_new = reach_bitmap g' in
-  let reach_old_of x = x < n_old && reach_old.(x) in
-  let reach_new_of x = x < n_new && reach_new.(x) in
+  let was_flipped : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  List.iter (fun x -> Hashtbl.replace was_flipped x ()) flipped;
+  let reach_new_of x = x < n_new && reached reach x in
+  let reach_old_of x = x < n_old && reach_new_of x <> Hashtbl.mem was_flipped x in
   (* 1. sources whose trailing label windows may have shifted: nodes within
      depth-2 forward hops of a touched target, in either graph version *)
   let dirty_src : (int, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -135,11 +216,11 @@ let maintain t ~old_graph:g ~applied ~acc =
     dirty_src;
   (* a reachability flip re-routes every out-edge of the flipped node, at
      any distance from the touched region *)
-  for x = 0 to n_new - 1 do
-    let was = reach_old_of x and is = reach_new.(x) in
-    if was && not is then G.iter_out g x (fun l v -> mark `Old (x, l, v))
-    else if is && not was then G.iter_out g' x (fun l v -> mark `New (x, l, v))
-  done;
+  List.iter
+    (fun x ->
+      if reach_new_of x then G.iter_out g' x (fun l v -> mark `New (x, l, v))
+      else G.iter_out g x (fun l v -> mark `Old (x, l, v)))
+    flipped;
   (* 3. resolve each dirty edge's slots on both sides; diff by slot uid *)
   let in_edges_of g reach x =
     let acc = ref [] in
@@ -278,14 +359,17 @@ let apply_inner t ops =
   List.iter
     (fun op ->
       let g = Apex.graph t in
+      let bits = match Apex.reach t with Some bits -> bits | None -> reach_bitmap g in
       let applied = apply_graph g op in
       (* re-point the graph before maintaining: a failure in maintenance or
          flushing must not lose the data change itself *)
       Apex.set_graph t applied.graph;
+      let reach, flipped = patch_reach bits g applied in
+      Apex.record_reach t reach;
       incr n_ops;
       n_added := !n_added + List.length applied.added;
       n_removed := !n_removed + List.length applied.removed;
-      maintain t ~old_graph:g ~applied ~acc)
+      maintain t ~old_graph:g ~applied ~reach ~flipped ~acc)
     ops;
   (* hygiene: summary edges into nodes whose slot was cleared would keep
      dead extents reachable (inflating stats and re-materialization) *)
@@ -297,7 +381,8 @@ let apply_inner t ops =
       | Some n -> Hashtbl.replace live_ids n.Gapex.id ()
       | None -> ());
   Gapex.prune_edges gapex ~live:(fun n -> Hashtbl.mem live_ids n.Gapex.id);
-  Apex.invalidate_endpoints t;
+  Apex.invalidate_endpoints t
+    (Hashtbl.fold (fun _ ((n : Gapex.node), _) acc -> n :: acc) acc.baseline []);
   let dirty =
     Hashtbl.fold
       (fun _ ((n : Gapex.node), before) rest ->

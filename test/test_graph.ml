@@ -418,6 +418,106 @@ let test_forest_updates () =
   check_forest "delete_subtree" g4;
   check_forest "snapshot" (Data_graph.snapshot g4)
 
+(* --- carried caches vs a from-scratch recomputation --- *)
+
+module Update = Repro_update.Update
+module Dataset = Repro_datagen.Dataset
+
+(* what [iter_in] and [edges_with_label] must hold, recomputed from the
+   out-rows alone *)
+let check_caches msg g =
+  let n = Data_graph.n_nodes g in
+  let ins = Array.make n [] in
+  let by_label = Hashtbl.create 16 in
+  Data_graph.iter_edges g (fun u l v ->
+      ins.(v) <- (l, u) :: ins.(v);
+      Hashtbl.replace by_label l ((u, v) :: Option.value (Hashtbl.find_opt by_label l) ~default:[]));
+  for v = 0 to n - 1 do
+    let got = ref [] in
+    Data_graph.iter_in g v (fun l u -> got := (l, u) :: !got);
+    if !got <> ins.(v) then Alcotest.failf "%s: in-row of %d differs" msg v
+  done;
+  for l = 0 to Label.count (Data_graph.labels g) - 1 do
+    let expected = Edge_set.of_list (Option.value (Hashtbl.find_opt by_label l) ~default:[]) in
+    if not (Edge_set.equal expected (Data_graph.edges_with_label g l)) then
+      Alcotest.failf "%s: edges with label %s differ" msg (Label.to_string (Data_graph.labels g) l)
+  done
+
+(* [ids] lists ids of connected nodes only, and [id_of] is its inverse:
+   some id registered for the node, [None] when there is none *)
+let check_ids msg g =
+  let by_node = Hashtbl.create 16 in
+  List.iter
+    (fun (id, v) ->
+      if v <> Data_graph.root g && Data_graph.tree_parent g v < 0 then
+        Alcotest.failf "%s: id %s names disconnected node %d" msg id v;
+      Hashtbl.replace by_node v (id :: Option.value (Hashtbl.find_opt by_node v) ~default:[]))
+    (Data_graph.ids g);
+  for v = 0 to Data_graph.n_nodes g - 1 do
+    match (Data_graph.id_of g v, Hashtbl.find_opt by_node v) with
+    | None, None -> ()
+    | Some id, Some ids when List.mem id ids -> ()
+    | _ -> Alcotest.failf "%s: id_of %d disagrees with ids" msg v
+  done
+
+let rec fragment_ids (e : Repro_xml.Xml_tree.element) =
+  List.filter_map (fun (k, v) -> if k = "id" then Some v else None) e.attrs
+  @ List.concat_map
+      (function Repro_xml.Xml_tree.Element c -> fragment_ids c | Repro_xml.Xml_tree.Text _ -> [])
+      e.children
+
+(* the id set a version must hold: the previous one's, less the ids of
+   nodes the op disconnected, plus a fragment's not yet registered ids *)
+let expected_ids g g' op =
+  let before = List.map fst (Data_graph.ids g) in
+  let kept =
+    List.filter
+      (fun (_, v) -> v = Data_graph.root g' || Data_graph.tree_parent g' v >= 0)
+      (Data_graph.ids g)
+    |> List.map fst
+  in
+  let added =
+    match op with
+    | Update.Insert_subtree { fragment; _ } ->
+      List.filter (fun id -> not (List.mem id before)) (fragment_ids fragment)
+    | Update.Delete_subtree _ | Update.Insert_ref _ | Update.Delete_ref _ -> []
+  in
+  List.sort_uniq String.compare (kept @ added)
+
+let test_carried_caches spec_name () =
+  let spec =
+    match Dataset.by_name spec_name with
+    | Some s -> Dataset.scaled s 0.02
+    | None -> Alcotest.failf "no dataset %s" spec_name
+  in
+  let g0 = Dataset.build_graph spec in
+  let ops, _ = Repro_workload.Update_workload.gen_ops ~seed:11 ~n:40 g0 in
+  ignore
+    (List.fold_left
+       (fun (g, i) op ->
+         let g' = (Update.apply_graph g op).Update.graph in
+         let msg = Printf.sprintf "%s op %d" spec_name i in
+         check_caches msg g';
+         check_ids msg g';
+         Alcotest.(check (list string))
+           (msg ^ ": ids") (expected_ids g g' op)
+           (List.map fst (Data_graph.ids g'));
+         (g', i + 1))
+       (g0, 0) ops
+      : Data_graph.t * int)
+
+let test_carried_caches_non_forest () =
+  let g0 = F.movie_db () in
+  let ops, _ = Repro_workload.Update_workload.gen_ops ~seed:5 ~n:12 g0 in
+  ignore
+    (List.fold_left
+       (fun (g, i) op ->
+         let g' = (Update.apply_graph g op).Update.graph in
+         check_caches (Printf.sprintf "movie_db op %d" i) g';
+         (g', i + 1))
+       (g0, 0) ops
+      : Data_graph.t * int)
+
 let () =
   Alcotest.run "graph"
     [ ( "edge_set",
@@ -454,6 +554,11 @@ let () =
         [ Alcotest.test_case "of_document graphs" `Quick test_forest_of_document;
           Alcotest.test_case "non-forests rejected" `Quick test_forest_rejects;
           Alcotest.test_case "kept by the update ops" `Quick test_forest_updates
+        ] );
+      ( "caches",
+        [ Alcotest.test_case "Ged01 update ops" `Quick (test_carried_caches "Ged01");
+          Alcotest.test_case "Flix01 update ops" `Quick (test_carried_caches "Flix01");
+          Alcotest.test_case "movie_db update ops" `Quick test_carried_caches_non_forest
         ] );
       ( "subtree",
         [ Alcotest.test_case "document roundtrip" `Quick test_subtree_roundtrip_document;

@@ -214,6 +214,36 @@ let test_json_bench_snapshot () =
   Alcotest.(check (list string)) "bench-diff reads it" [ "Flix01" ] common;
   Alcotest.(check (list mismatch)) "self matches" [] mismatches
 
+(* The committed serve report carries every field README's field table
+   lists, the per-qtype split included, and a clean differential. *)
+let test_serve_snapshot () =
+  let serve = load "../BENCH_SERVE.json" in
+  let field path =
+    match List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some serve) path with
+    | Some v -> v
+    | None -> Alcotest.failf "BENCH_SERVE.json: missing %s" (String.concat "." path)
+  in
+  let number path =
+    match Json.to_float (field path) with
+    | Some f -> f
+    | None -> Alcotest.failf "BENCH_SERVE.json: %s is not a number" (String.concat "." path)
+  in
+  List.iter
+    (fun path -> ignore (number path : float))
+    ([ [ "readers" ]; [ "queries_per_reader" ]; [ "total_queries" ]; [ "reader_errors" ];
+       [ "reader_stalls" ]; [ "publishes" ]; [ "generations"; "published" ];
+       [ "generations"; "observed_min" ]; [ "generations"; "observed_max" ];
+       [ "epochs"; "freed" ]; [ "epochs"; "retired_live" ]; [ "epochs"; "rolled_back" ];
+       [ "writer"; "batches" ]; [ "writer"; "ops" ]; [ "feedback"; "drained" ];
+       [ "feedback"; "dropped" ]; [ "wall_seconds" ] ]
+    @ List.map (fun k -> [ "latency_us"; k ]) [ "p50"; "p90"; "p99"; "mean"; "max" ]
+    @ List.concat_map
+        (fun q -> List.map (fun k -> [ "latency_by_qtype_us"; q; k ]) [ "count"; "p50"; "p99" ])
+        [ "q1"; "q2"; "q3" ]);
+  Alcotest.(check (float 0.)) "checksum_mismatches" 0. (number [ "checksum_mismatches" ]);
+  Alcotest.(check (float 0.)) "reader_errors" 0. (number [ "reader_errors" ]);
+  Alcotest.(check (float 0.)) "reader_stalls" 0. (number [ "reader_stalls" ])
+
 let () =
   Alcotest.run "harness"
     [ ( "env",
@@ -232,6 +262,7 @@ let () =
       ( "snapshots",
         [ Alcotest.test_case "checksum diff on committed snapshots" `Quick test_diff_committed;
           Alcotest.test_case "escaped dataset name" `Quick test_diff_escaped_name;
-          Alcotest.test_case "json_bench reads back" `Quick test_json_bench_snapshot
+          Alcotest.test_case "json_bench reads back" `Quick test_json_bench_snapshot;
+          Alcotest.test_case "committed serve report" `Quick test_serve_snapshot
         ] )
     ]

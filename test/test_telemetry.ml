@@ -467,6 +467,27 @@ let quantile_resolution () =
       Alcotest.failf "bucket %d: values around its edge %g record into %d and %d" b edge below above
   done
 
+(* Every served query records latency samples on the writer's drain path:
+   [record] must not allocate. Values spread over many buckets so both
+   extrema and the compensated sum keep moving. *)
+let histogram_record_zero_alloc () =
+  let h = Metrics.Histogram.create () in
+  (* a list holds its floats boxed already, as a drained observation does:
+     reading one out of a float array would box it in the test itself *)
+  let values = List.init 1000 (fun i -> float_of_int (1000 - i) *. 1.7e-7) in
+  Metrics.Histogram.record h 1e-3;
+  let rec go = function
+    | [] -> ()
+    | v :: tl ->
+      Metrics.Histogram.record h v;
+      go tl
+  in
+  let before = Gc.minor_words () in
+  go values;
+  let words = Gc.minor_words () -. before in
+  if words >= 10.0 then Alcotest.failf "1000 records allocated %.0f minor words" words;
+  Alcotest.(check int) "all recorded" 1001 (Metrics.Histogram.count h)
+
 (* ---------- flight recorder ---------- *)
 
 (* The whole point of the always-on kinds is staying on in production:
@@ -790,6 +811,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_bucket_conservation;
           QCheck_alcotest.to_alcotest prop_quantile_bounded;
           Alcotest.test_case "sub-bucket quantile resolution" `Quick quantile_resolution;
+          Alcotest.test_case "record is zero-alloc" `Quick histogram_record_zero_alloc;
         ] );
       ( "flight",
         [

@@ -269,6 +269,94 @@ let test_refresh_after_updates () =
         (Apex_query.eval_query apex q))
     (battery g')
 
+(* --- carried writer state vs a from-scratch recomputation --- *)
+
+module Dataset = Repro_datagen.Dataset
+module Epoch = Repro_server.Epoch
+
+(* the Insert_subtree delta as an all-node scan: every row's suffix past
+   its old length *)
+let scan_delta g g' =
+  let added = ref [] in
+  for u = 0 to G.n_nodes g' - 1 do
+    let old_deg = if u < G.n_nodes g then G.out_degree g u else 0 in
+    let i = ref 0 in
+    G.iter_out g' u (fun l v ->
+        if !i >= old_deg then added := (u, l, v) :: !added;
+        incr i)
+  done;
+  List.rev !added
+
+let reachable g =
+  let seen = Array.make (G.n_nodes g) false in
+  let rec go u =
+    if not seen.(u) then begin
+      seen.(u) <- true;
+      G.iter_out g u (fun _ v -> go v)
+    end
+  in
+  go (G.root g);
+  seen
+
+let check_endpoints msg apex =
+  List.iter
+    (fun (n : Gapex.node) ->
+      if Apex.load_endpoints apex n <> Edge_set.endpoints n.Gapex.extent then
+        Alcotest.failf "%s: endpoints of summary node %d are stale" msg n.Gapex.id)
+    (Gapex.reachable (Apex.summary apex))
+
+(* One op at a time on a maintained index: the insert delta equals the
+   all-node scan, the reachability kept beside the index equals a fresh
+   walk, every endpoint memo entry (warmed before the op) matches its
+   node's extent, and so does every entry of an epoch published after it
+   (one is published after every op, so each copy patches the last). *)
+let check_carried_state msg g0 ops =
+  let apex = Apex.build g0 in
+  ignore (Epoch.of_apex apex : Epoch.t);
+  List.iteri
+    (fun i op ->
+      let msg = Printf.sprintf "%s op %d" msg i in
+      let g = Apex.graph apex in
+      (match op with
+       | Update.Insert_subtree _ ->
+         let applied = Update.apply_graph g op in
+         if applied.Update.added <> scan_delta g applied.Update.graph then
+           Alcotest.failf "%s: insert delta differs from the all-node scan" msg
+       | Update.Delete_subtree _ | Update.Insert_ref _ | Update.Delete_ref _ -> ());
+      check_endpoints (msg ^ " (warm)") apex;
+      ignore (Update.apply apex [ op ] : Update.stats);
+      let g' = Apex.graph apex in
+      (match Apex.reach apex with
+       | None -> Alcotest.failf "%s: no reachability kept" msg
+       | Some bits ->
+         Array.iteri
+           (fun v r ->
+             if r <> (Bytes.get bits v <> '\000') then
+               Alcotest.failf "%s: reachability of %d is %b, kept %b" msg v r (not r))
+           (reachable g'));
+      (* the epoch first: its entries for the patched nodes come from the
+         previous copy's, patched by the extent delta, since the writer's
+         memo lost them *)
+      check_endpoints (msg ^ " (epoch)") (Epoch.apex (Epoch.of_apex apex));
+      check_endpoints msg apex)
+    ops
+
+let test_carried_state spec_name () =
+  let spec =
+    match Dataset.by_name spec_name with
+    | Some s -> Dataset.scaled s 0.02
+    | None -> Alcotest.failf "no dataset %s" spec_name
+  in
+  let g0 = Dataset.build_graph spec in
+  let ops, _ = Repro_workload.Update_workload.gen_ops ~seed:11 ~n:40 g0 in
+  check_carried_state spec_name g0 ops
+
+(* movie_db is not a document forest: removals take the full walk *)
+let test_carried_state_non_forest () =
+  let g0 = F.movie_db () in
+  let ops, _ = Repro_workload.Update_workload.gen_ops ~seed:5 ~n:12 g0 in
+  check_carried_state "movie_db" g0 ops
+
 let () =
   Alcotest.run "update-ops"
     [ ( "graph",
@@ -287,5 +375,10 @@ let () =
           Alcotest.test_case "refreshed index" `Quick test_maintain_on_refreshed_index;
           Alcotest.test_case "materialized flush" `Quick test_maintain_materialized_flush;
           Alcotest.test_case "refresh after updates" `Quick test_refresh_after_updates
+        ] );
+      ( "carried state",
+        [ Alcotest.test_case "Ged01" `Quick (test_carried_state "Ged01");
+          Alcotest.test_case "Flix01" `Quick (test_carried_state "Flix01");
+          Alcotest.test_case "movie_db" `Quick test_carried_state_non_forest
         ] )
     ]

@@ -135,6 +135,36 @@ let prop_union_many_agrees =
       && Int_sorted.equal kway (Int_sorted.union_many_pairwise sets)
       && Int_sorted.equal kway (List.fold_left Int_sorted.union [||] sets))
 
+(* Parray against a model of plain arrays: every version reads as its own
+   model, including every older version after later updates (nothing is
+   written into an array a version holds), and out-of-range reads raise. *)
+let prop_parray_persistent =
+  let open QCheck in
+  let step = pair (int_bound 300) (small_list (pair small_nat small_nat)) in
+  Test.make ~count:200 ~name:"parray versions stay their models" (pair (int_bound 700) (small_list step))
+    (fun (n0, steps) ->
+      let module P = Repro_util.Parray in
+      let v0 = Array.init n0 (fun i -> i) in
+      let versions = ref [ (P.of_array v0, v0) ] in
+      List.iter
+        (fun (grow, sets) ->
+          match !versions with
+          | [] -> ()
+          | (p, m) :: _ ->
+            let length = Array.length m + grow in
+            let sets = if length = 0 then [] else List.map (fun (i, x) -> (i mod length, -x)) sets in
+            let m' = Array.init length (fun i -> if i < Array.length m then m.(i) else -1) in
+            List.iter (fun (i, x) -> m'.(i) <- x) sets;
+            versions := (P.update p ~length ~fill:(-1) sets, m') :: !versions)
+        steps;
+      List.for_all
+        (fun (p, m) ->
+          P.length p = Array.length m
+          && Array.for_all Fun.id (Array.mapi (fun i x -> P.get p i = x) m)
+          && (match P.get p (Array.length m) with _ -> false | exception Invalid_argument _ -> true)
+          && (match P.get p (-1) with _ -> false | exception Invalid_argument _ -> true))
+        !versions)
+
 let () =
   Alcotest.run "util"
     [ ( "vec",
@@ -156,6 +186,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_gallop_inter_agrees;
           QCheck_alcotest.to_alcotest prop_lower_bound_agrees;
           QCheck_alcotest.to_alcotest prop_mem_batch_agrees;
-          QCheck_alcotest.to_alcotest prop_union_many_agrees
+          QCheck_alcotest.to_alcotest prop_union_many_agrees;
+          QCheck_alcotest.to_alcotest prop_parray_persistent
         ] )
     ]
