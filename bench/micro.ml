@@ -134,7 +134,9 @@ let tests (env_flix : Repro_harness.Env.t) (env_ged : Repro_harness.Env.t) =
             i := (!i + 7919) land 0xFFFF;
             ignore (Repro_storage.Data_table.lookup env_flix.Env.table !i)));
     (* join engine kernels: gallop vs linear intersection on skewed sizes,
-       k-way heap union vs pairwise, range semijoin vs endpoint-sort join *)
+       pairwise union, radix vs comparison sort of a frontier (4,000
+       non-negative ints take the radix path, the negated copy cannot),
+       range semijoin vs endpoint-sort join *)
     Test.make ~name:"join/inter_gallop_skewed"
       (Staged.stage
          (let small = Array.init 32 (fun i -> i * 3_001) in
@@ -145,14 +147,18 @@ let tests (env_flix : Repro_harness.Env.t) (env_ged : Repro_harness.Env.t) =
          (let small = Array.init 32 (fun i -> i * 3_001) in
           let large = Array.init 100_000 (fun i -> i * 3) in
           fun () -> ignore (Repro_util.Int_sorted.inter_linear small large)));
-    Test.make ~name:"join/union_many_kway"
+    Test.make ~name:"join/union_many"
       (Staged.stage
          (let sets = List.init 12 (fun k -> Array.init 4_000 (fun i -> (i * 13) + k)) in
           fun () -> ignore (Repro_util.Int_sorted.union_many sets)));
-    Test.make ~name:"join/union_many_pairwise"
+    Test.make ~name:"join/of_unsorted_radix"
       (Staged.stage
-         (let sets = List.init 12 (fun k -> Array.init 4_000 (fun i -> (i * 13) + k)) in
-          fun () -> ignore (Repro_util.Int_sorted.union_many_pairwise sets)));
+         (let a = Array.init 4_000 (fun i -> i * 7919 mod 1_000_003) in
+          fun () -> ignore (Repro_util.Int_sorted.of_unsorted a)));
+    Test.make ~name:"join/of_unsorted_comparison"
+      (Staged.stage
+         (let a = Array.init 4_000 (fun i -> -(i * 7919 mod 1_000_003)) in
+          fun () -> ignore (Repro_util.Int_sorted.of_unsorted a)));
     Test.make ~name:"join/semijoin_endpoints"
       (Staged.stage
          (let module Edge_set = Repro_graph.Edge_set in

@@ -1,7 +1,7 @@
 module G = Repro_graph.Data_graph
 module Edge_set = Repro_graph.Edge_set
 module Cost = Repro_storage.Cost
-module Vec = Repro_util.Vec
+module Int_sorted = Repro_util.Int_sorted
 module Tr = Repro_telemetry.Trace
 
 type t = {
@@ -43,7 +43,7 @@ let stats t = Gapex.stats t.gapex
 (* Outgoing data edges of the endpoints of [source], grouped by label.
    Returned sorted by label for deterministic traversal. *)
 let successor_groups g source =
-  let by_label : (int, int Vec.t) Hashtbl.t = Hashtbl.create 8 in
+  let by_label : (int, Int_sorted.Buf.t) Hashtbl.t = Hashtbl.create 8 in
   Array.iter
     (fun v ->
       G.iter_out g v (fun l w ->
@@ -51,13 +51,15 @@ let successor_groups g source =
             match Hashtbl.find_opt by_label l with
             | Some vec -> vec
             | None ->
-              let vec = Vec.create () in
+              let vec = Int_sorted.Buf.create 8 in
               Hashtbl.add by_label l vec;
               vec
           in
-          Vec.push vec (Edge_set.pack v w)))
+          Int_sorted.Buf.push vec (Edge_set.pack v w)))
     (Edge_set.endpoints source);
-  Hashtbl.fold (fun l vec acc -> (l, Edge_set.of_packed_array (Vec.to_array vec)) :: acc) by_label []
+  Hashtbl.fold
+    (fun l vec acc -> (l, Edge_set.of_packed_array (Int_sorted.Buf.to_set vec)) :: acc)
+    by_label []
   |> List.sort (fun (l1, _) (l2, _) -> Int.compare l1 l2)
 
 (* The unified Figure 6 / Figure 11 traversal. Tasks carry the G_APEX node,

@@ -63,17 +63,17 @@ let target_edge_sets g ~required =
   check_acyclic g;
   let trie = Trie.create () in
   List.iter (Trie.insert trie) required;
-  let buckets : (Label_path.t, int Repro_util.Vec.t) Hashtbl.t = Hashtbl.create 64 in
+  let buckets : (Label_path.t, Repro_util.Int_sorted.Buf.t) Hashtbl.t = Hashtbl.create 64 in
   let add p edge =
     let vec =
       match Hashtbl.find_opt buckets p with
       | Some v -> v
       | None ->
-        let v = Repro_util.Vec.create () in
+        let v = Repro_util.Int_sorted.Buf.create 8 in
         Hashtbl.add buckets p v;
         v
     in
-    Repro_util.Vec.push vec edge
+    Repro_util.Int_sorted.Buf.push vec edge
   in
   (* enumerate every root data path (finite: acyclic) *)
   let rec walk u rev_labels =
@@ -86,7 +86,7 @@ let target_edge_sets g ~required =
   in
   walk (G.root g) [];
   Hashtbl.fold
-    (fun p vec acc -> (p, Edge_set.of_packed_array (Repro_util.Vec.to_array vec)) :: acc)
+    (fun p vec acc -> (p, Edge_set.of_packed_array (Repro_util.Int_sorted.Buf.to_set vec)) :: acc)
     buckets []
   |> List.sort (fun (a, _) (b, _) -> Label_path.compare a b)
 

@@ -1,4 +1,5 @@
 module Vec = Repro_util.Vec
+module Int_sorted = Repro_util.Int_sorted
 module Parray = Repro_util.Parray
 module SMap = Map.Make (String)
 module IMap = Map.Make (Int)
@@ -169,9 +170,9 @@ let ensure_by_label g =
   match g.by_label with
   | Some a -> a
   | None ->
-    let groups = Array.init (Label.count g.labels) (fun _ -> Vec.create ()) in
-    iter_edges g (fun u l v -> Vec.push groups.(l) (Edge_set.pack u v));
-    let a = Array.map (fun vec -> Edge_set.of_packed_array (Vec.to_array vec)) groups in
+    let groups = Array.init (Label.count g.labels) (fun _ -> Int_sorted.Buf.create 8) in
+    iter_edges g (fun u l v -> Int_sorted.Buf.push groups.(l) (Edge_set.pack u v));
+    let a = Array.map (fun b -> Edge_set.of_packed_array (Int_sorted.Buf.to_set b)) groups in
     g.by_label <- Some a;
     a
 

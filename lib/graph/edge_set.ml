@@ -1,5 +1,4 @@
 module Int_sorted = Repro_util.Int_sorted
-module Vec = Repro_util.Vec
 
 type t = int array
 
@@ -17,7 +16,7 @@ let unpack e = (e lsr bits, e land mask)
 (* zero-length: there is no element to mutate, sharing it is safe *)
 let empty = [||] [@@apex.guarded "readonly"]
 
-let of_packed_array a = if Int_sorted.is_sorted_set a then a else Int_sorted.of_unsorted a
+let of_packed_array = Int_sorted.of_unsorted
 
 let unsafe_of_sorted a = a
 
@@ -46,7 +45,12 @@ let fold f acc t =
   iter (fun u v -> acc := f !acc u v) t;
   !acc
 
-let endpoints t = Int_sorted.of_unsorted (Array.map (fun e -> e land mask) t)
+let endpoints (t : t) =
+  let b = Int_sorted.Buf.create (Array.length t) in
+  for i = 0 to Array.length t - 1 do
+    Int_sorted.Buf.push b (t.(i) land mask)
+  done;
+  Int_sorted.Buf.to_set b
 
 (* A removed edge's child leaves the endpoints only when no edge of [t]
    still ends there; the added edges' children join. One scan of [t]
@@ -56,39 +60,40 @@ let endpoints_after ~before ~removed ~added t =
     if Array.length removed = 0 then [||]
     else begin
       let candidates = endpoints removed in
-      let still = Vec.create () in
+      let still = Int_sorted.Buf.create (Array.length candidates) in
       Array.iter
-        (fun e -> if Int_sorted.mem candidates (e land mask) then Vec.push still (e land mask))
+        (fun e ->
+          let v = e land mask in
+          if Int_sorted.mem candidates v then Int_sorted.Buf.push still v)
         t;
-      Int_sorted.diff candidates (Int_sorted.of_unsorted (Vec.to_array still))
+      Int_sorted.diff candidates (Int_sorted.Buf.to_set still)
     end
   in
   Int_sorted.union (Int_sorted.diff before gone) (endpoints added)
 
 (* packed order is (parent, child) lexicographic, so the parent components
    are already non-decreasing: extraction is a linear dedup, no sort *)
-let parents t =
-  let out = Vec.create ~capacity:(Array.length t) () in
-  let prev = ref (-1) in
-  Array.iter
-    (fun e ->
-      let u = e lsr bits in
-      if u <> !prev then begin
-        prev := u;
-        if u <> null then Vec.push out u
-      end)
-    t;
-  Vec.to_array out
+let parents (t : t) =
+  let out = Int_sorted.Buf.create 64 in
+  for i = 0 to Array.length t - 1 do
+    let u = t.(i) lsr bits in
+    if u <> null && (i = 0 || u <> t.(i - 1) lsr bits) then Int_sorted.Buf.push out u
+  done;
+  Int_sorted.Buf.to_array out
 
 (* The packed order also makes the edges of any one parent a contiguous
    range, so a semijoin against an ascending parent array never sorts or
    scans the whole set: per wanted parent, gallop to the range start and
    copy the run. When the parent array is dense relative to the edge set a
    two-pointer merge over runs is cheaper — selected by size ratio, like
-   {!Int_sorted.inter}. *)
+   {!Int_sorted.inter}. Each kept edge is pushed as itself or, with
+   [~children], as its child component. The buffer starts small and
+   doubles, so a sparse result never costs an allocation the size of [t]. *)
 
-let semijoin_runs ~emit t sorted_parents =
+let semijoin_runs ~children t sorted_parents =
   let nt = Array.length t and np = Array.length sorted_parents in
+  let out = Int_sorted.Buf.create (Int.min nt 64) in
+  let keep = if children then mask else -1 in
   if nt = 0 || np = 0 then ()
   else if np * 4 >= nt then begin
     (* merge walk: advance whichever side is behind *)
@@ -98,43 +103,40 @@ let semijoin_runs ~emit t sorted_parents =
       if pt < p then i := Int_sorted.gallop_lower_bound t !i nt (p lsl bits)
       else if pt > p then j := Int_sorted.gallop_lower_bound sorted_parents !j np pt
       else begin
-        emit t.(!i);
+        Int_sorted.Buf.push out (t.(!i) land keep);
         incr i
       end
     done
   end
   else begin
     (* sparse parents: gallop to each parent's range and copy the run *)
-    let pos = ref 0 in
-    (try
-       Array.iter
-         (fun p ->
-           pos := Int_sorted.gallop_lower_bound t !pos nt (p lsl bits);
-           while !pos < nt && t.(!pos) lsr bits = p do
-             emit t.(!pos);
-             incr pos
-           done;
-           if !pos >= nt then raise Exit)
-         sorted_parents
-     with Exit -> ())
-  end
+    let pos = ref 0 and j = ref 0 in
+    while !j < np && !pos < nt do
+      let p = sorted_parents.(!j) in
+      pos := Int_sorted.gallop_lower_bound t !pos nt (p lsl bits);
+      while !pos < nt && t.(!pos) lsr bits = p do
+        Int_sorted.Buf.push out (t.(!pos) land keep);
+        incr pos
+      done;
+      incr j
+    done
+  end;
+  out
 
+(* runs are emitted in ascending parent order and each run is sorted *)
 let semijoin_parents t sorted_parents =
-  let out = Vec.create ~capacity:(Int.min (Array.length t) 64) () in
-  semijoin_runs ~emit:(fun e -> Vec.push out e) t sorted_parents;
-  (* runs are emitted in ascending parent order and each run is sorted *)
-  Vec.to_array out
+  Int_sorted.Buf.to_array (semijoin_runs ~children:false t sorted_parents)
 
+(* children interleave across parent runs: sort the (output-sized) result *)
 let semijoin_endpoints t sorted_parents =
-  let out = Vec.create ~capacity:(Int.min (Array.length t) 64) () in
-  semijoin_runs ~emit:(fun e -> Vec.push out (e land mask)) t sorted_parents;
-  (* children interleave across parent runs: sort the (output-sized) result *)
-  Int_sorted.of_unsorted (Vec.to_array out)
+  Int_sorted.Buf.to_set (semijoin_runs ~children:true t sorted_parents)
 
-let semijoin_children t sorted_children =
-  let out = Vec.create ~capacity:(Int.min (Array.length t) 64) () in
-  Array.iter (fun e -> if Int_sorted.mem sorted_children (e land mask) then Vec.push out e) t;
-  Vec.to_array out
+let semijoin_children (t : t) sorted_children =
+  let out = Int_sorted.Buf.create (Int.min (Array.length t) 64) in
+  for i = 0 to Array.length t - 1 do
+    if Int_sorted.mem sorted_children (t.(i) land mask) then Int_sorted.Buf.push out t.(i)
+  done;
+  Int_sorted.Buf.to_array out
 
 let join a b = semijoin_parents b (endpoints a)
 

@@ -22,7 +22,9 @@ val unpack : int -> int * int
 val empty : t
 val of_list : (int * int) list -> t
 val of_packed_array : int array -> t
-(** Takes ownership conceptually; sorts/dedups if needed. *)
+(** {!Repro_util.Int_sorted.of_unsorted}: sorts and dedups a copy, or
+    returns the argument itself when it already is a set — so the caller
+    gives the array up. *)
 
 val unsafe_of_sorted : int array -> t
 (** Wrap an array the caller {e guarantees} is a strictly increasing packed

@@ -14,9 +14,11 @@ type compiled =
      sep    ::= '/' | '//' | '=>'
      step   ::= '@'? name
      pred   ::= '[' 'text()' '=' value ']'
-   A '//' separator is only legal in the two-label QTYPE2 form. A '=>'
-   separator is surface syntax: '@a=>b' and '@a/b' denote the same label
-   path. *)
+     value  ::= '"' (char | '\"' | '\\')* '"' | [^\]]*
+   Inside a quoted value a backslash escapes a following '"' or '\';
+   before any other character it is literal. A '//' separator is only
+   legal in the two-label QTYPE2 form. A '=>' separator is surface syntax:
+   '@a=>b' and '@a/b' denote the same label path. *)
 
 let is_name_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | ':' | '.' -> true
@@ -78,12 +80,16 @@ let parse input =
               eat "=";
               let quoted = looking_at "\"" in
               if quoted then eat "\"";
-              let start = !pos in
+              let v = Buffer.create 16 in
               let stop_char = if quoted then '"' else ']' in
               while !pos < n && input.[!pos] <> stop_char do
+                if quoted && input.[!pos] = '\\' && !pos + 1 < n
+                   && (input.[!pos + 1] = '"' || input.[!pos + 1] = '\\')
+                then incr pos;
+                Buffer.add_char v input.[!pos];
                 incr pos
               done;
-              let v = String.sub input start (!pos - start) in
+              let v = Buffer.contents v in
               if quoted then
                 if looking_at "\"" then eat "\"" else pos := n + 1;
               if looking_at "]" then begin
@@ -123,10 +129,25 @@ let steps_to_string steps =
   go steps;
   Buffer.contents buf
 
+(* a value as the body of a quoted predicate: '"' and '\' escaped, any
+   other text unchanged *)
+let quote v =
+  let special c = Char.equal c '"' || Char.equal c '\\' in
+  if not (String.exists special v) then v
+  else begin
+    let buf = Buffer.create (String.length v + 8) in
+    String.iter
+      (fun c ->
+        if special c then Buffer.add_char buf '\\';
+        Buffer.add_char buf c)
+      v;
+    Buffer.contents buf
+  end
+
 let to_string = function
   | Qtype1 steps -> steps_to_string steps
   | Qtype2 (a, b) -> Printf.sprintf "//%s//%s" a b
-  | Qtype3 (steps, v) -> Printf.sprintf "%s[text()=\"%s\"]" (steps_to_string steps) v
+  | Qtype3 (steps, v) -> Printf.sprintf "%s[text()=\"%s\"]" (steps_to_string steps) (quote v)
 
 let compile tbl q =
   let resolve names =

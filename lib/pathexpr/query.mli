@@ -26,10 +26,14 @@ type compiled =
 val parse : string -> (t, string) result
 (** Parse the XQuery-style concrete syntax used in Section 6.1:
     [//a/b/c], [//a/@m=>c/d], [//a//b], [//a/b\[text()="v"\]] (quotes
-    around the value optional). *)
+    around the value optional; inside them a backslash escapes a following
+    double quote or backslash). Never raises: malformed input is an
+    [Error]. *)
 
 val to_string : t -> string
-(** Inverse of {!parse}; attribute-step/label pairs print with [=>]. *)
+(** Inverse of {!parse}; attribute-step/label pairs print with [=>], and a
+    QTYPE3 value prints quoted, its double quotes and backslashes escaped,
+    so [parse (to_string q)] is [Ok q] for every value. *)
 
 val compile : Repro_graph.Label.table -> t -> compiled option
 (** [None] when a label of the query does not occur in the data at all. *)

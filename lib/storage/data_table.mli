@@ -10,11 +10,15 @@
 type t
 
 val build : Buffer_pool.t -> Repro_graph.Data_graph.t -> t
-(** Store every node that has a data value. Values longer than what fits in
-    one page are truncated (never the case for our datasets). *)
+(** Store every node that has a data value. A value too long for one page
+    is kept whole in a chain of overflow pages that its record points to;
+    {!lookup}, {!filter_matching} and {!iter} read the chain, and each
+    overflow page read is charged as [table_pages]. *)
 
 val n_entries : t -> int
+
 val n_pages : t -> int
+(** Pages of records, overflow pages not counted. *)
 
 val locate : t -> Repro_graph.Data_graph.nid -> int option
 (** Index of the table page whose nid range may hold the node — the last
@@ -33,7 +37,8 @@ val filter_matching :
     and its records are walked once per call, alongside the run. Values
     are compared in place in the page buffer; nothing is copied out. Each
     touched page is charged once as [table_pages] — the per-query
-    working-set cost model.
+    working-set cost model — plus each overflow page read to compare a
+    spilled value of the wanted length.
     @raise Invalid_argument when the candidates are not ascending. *)
 
 val iter : t -> (Repro_graph.Data_graph.nid -> string -> unit) -> unit

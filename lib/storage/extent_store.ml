@@ -1,6 +1,5 @@
 module Edge_set = Repro_graph.Edge_set
 module Int_sorted = Repro_util.Int_sorted
-module Vec = Repro_util.Vec
 
 type codec =
   [ `Raw
@@ -561,7 +560,7 @@ let view_semijoin_endpoints ?cost v (sorted_parents : int array) =
        representation — so skipping stays a strict win, never a tax. *)
     Edge_set.semijoin_endpoints (load ?cost t v.vhandle) sorted_parents
   else begin
-    let out = Vec.create ~capacity:64 () in
+    let out = Int_sorted.Buf.create 64 in
     let scratch = t.scratch in
     let fpos = ref 0 and skipped = ref 0 and decoded = ref 0 and edges = ref 0 in
     (try
@@ -586,7 +585,7 @@ let view_semijoin_endpoints ?cost v (sorted_parents : int array) =
              else if pt > p then
                j := Int_sorted.gallop_lower_bound sorted_parents !j np pt
              else begin
-               Vec.push out (scratch.(!i) land cmask);
+               Int_sorted.Buf.push out (scratch.(!i) land cmask);
                incr i
              end
            done
@@ -594,7 +593,7 @@ let view_semijoin_endpoints ?cost v (sorted_parents : int array) =
        done
      with Exit -> ());
     note_blocks ?cost t ~skipped:!skipped ~decoded:!decoded ~edges:!edges;
-    Int_sorted.of_unsorted (Vec.to_array out)
+    Int_sorted.Buf.to_set out
   end
 
 (* [Edge_set.endpoints] without retaining the decoded extent: streams
@@ -605,18 +604,16 @@ let view_endpoints ?cost v =
   let b = v.vblocks and t = v.vstore in
   let n = Extent_codec.n_edges b in
   let nb = Extent_codec.n_blocks b in
-  let out = Array.make n 0 in
+  let out = Int_sorted.Buf.create n in
   let scratch = t.scratch in
-  let k = ref 0 in
   for bi = 0 to nb - 1 do
     let count = Extent_codec.decode_block b bi scratch in
     for i = 0 to count - 1 do
-      out.(!k) <- scratch.(i) land cmask;
-      incr k
+      Int_sorted.Buf.push out (scratch.(i) land cmask)
     done
   done;
   note_blocks ?cost t ~skipped:0 ~decoded:nb ~edges:n;
-  Int_sorted.of_unsorted out
+  Int_sorted.Buf.to_set out
 
 (* [Edge_set.semijoin_children] with header-driven skipping: a block is
    decoded only if the sorted probe set intersects its [min_child,
@@ -633,7 +630,7 @@ let view_semijoin_children ?cost v (sorted_children : int array) =
     (* same density cutoff as [view_semijoin_endpoints] *)
     Edge_set.semijoin_children (load ?cost t v.vhandle) sorted_children
   else begin
-    let out = Vec.create ~capacity:64 () in
+    let out = Int_sorted.Buf.create 64 in
     let scratch = t.scratch in
     let skipped = ref 0 and decoded = ref 0 and edges = ref 0 in
     for bi = 0 to nb - 1 do
@@ -648,10 +645,10 @@ let view_semijoin_children ?cost v (sorted_children : int array) =
         edges := !edges + count;
         for i = 0 to count - 1 do
           let e = scratch.(i) in
-          if Int_sorted.mem sorted_children (e land cmask) then Vec.push out e
+          if Int_sorted.mem sorted_children (e land cmask) then Int_sorted.Buf.push out e
         done
       end
     done;
     note_blocks ?cost t ~skipped:!skipped ~decoded:!decoded ~edges:!edges;
-    Edge_set.unsafe_of_sorted (Vec.to_array out)
+    Edge_set.unsafe_of_sorted (Int_sorted.Buf.to_array out)
   end

@@ -4,7 +4,7 @@ module Edge_set = Repro_graph.Edge_set
 module Apex = Repro_apex.Apex
 module Gapex = Repro_apex.Gapex
 module Hash_tree = Repro_apex.Hash_tree
-module Vec = Repro_util.Vec
+module Buf = Repro_util.Int_sorted.Buf
 
 type op =
   | Insert_subtree of { parent : G.nid; fragment : Repro_xml.Xml_tree.element }
@@ -236,8 +236,8 @@ let maintain t ~old_graph:g ~applied ~reach ~flipped ~acc =
     Hash_tree.finder tree ~in_edges:(in_edges_of g' reach_new_of)
       ~is_root:(fun x -> x = root_new)
   in
-  let removals : (int, Hash_tree.slot * int Vec.t) Hashtbl.t = Hashtbl.create 64 in
-  let additions : (int, Hash_tree.slot * int Vec.t) Hashtbl.t = Hashtbl.create 64 in
+  let removals : (int, Hash_tree.slot * Buf.t) Hashtbl.t = Hashtbl.create 64 in
+  let additions : (int, Hash_tree.slot * Buf.t) Hashtbl.t = Hashtbl.create 64 in
   (* (source, label, slot) of every added assignment, for the linking pass *)
   let links = ref [] in
   let note table slot packed =
@@ -246,11 +246,11 @@ let maintain t ~old_graph:g ~applied ~reach ~flipped ~acc =
       match Hashtbl.find_opt table uid with
       | Some pair -> pair
       | None ->
-        let pair = (slot, Vec.create ()) in
+        let pair = (slot, Buf.create 8) in
         Hashtbl.add table uid pair;
         pair
     in
-    Vec.push vec packed
+    Buf.push vec packed
   in
   Hashtbl.iter
     (fun (u, l, v) p ->
@@ -295,7 +295,7 @@ let maintain t ~old_graph:g ~applied ~reach ~flipped ~acc =
       | None -> () (* nothing was ever materialized under this slot *)
       | Some n ->
         note_dirty n;
-        n.Gapex.extent <- Edge_set.diff n.Gapex.extent (Edge_set.of_packed_array (Vec.to_array vec));
+        n.Gapex.extent <- Edge_set.diff n.Gapex.extent (Edge_set.of_packed_array (Buf.to_set vec));
         acc.a_slots_patched <- acc.a_slots_patched + 1)
     removals;
   Hashtbl.iter
@@ -310,7 +310,7 @@ let maintain t ~old_graph:g ~applied ~reach ~flipped ~acc =
           n
       in
       note_dirty n;
-      n.Gapex.extent <- Edge_set.union n.Gapex.extent (Edge_set.of_packed_array (Vec.to_array vec));
+      n.Gapex.extent <- Edge_set.union n.Gapex.extent (Edge_set.of_packed_array (Buf.to_set vec));
       acc.a_slots_patched <- acc.a_slots_patched + 1)
     additions;
   Hashtbl.iter

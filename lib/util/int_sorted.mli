@@ -5,10 +5,41 @@
     are skewed — galloping (doubling binary-search) intersections in the
     style of adaptive set-intersection algorithms from inverted-index
     engines. All functions expect (and produce) strictly increasing arrays;
-    {!of_unsorted} establishes the invariant. *)
+    {!of_unsorted} establishes the invariant.
+
+    {b Aliasing.} A result may be one of the argument arrays, not a copy:
+    [union a [||]] is [a], [union_many [s]] is [s], [of_unsorted] returns
+    an input that is already a set. Arguments include arrays that other
+    code shares — the endpoint arrays the index memoizes and [Server]
+    hands to every reader domain — so a caller must never write into a
+    result, nor into an argument after the call. *)
 
 val of_unsorted : int array -> int array
-(** Sort and remove duplicates (fresh array). *)
+(** Sort and remove duplicates. One scan decides the work from the input:
+    none when it already ascends (the input itself is returned when it is
+    strictly increasing), an LSD radix sort on 11-bit digits — only as
+    many passes as the largest element needs — when it is long and
+    non-negative, a comparison sort when it is short or holds a negative
+    element. *)
+
+(** A growable buffer of ints for kernels whose output size is not known
+    in advance. [to_array] and [to_set] hand over the storage: push nothing
+    after calling either. *)
+module Buf : sig
+  type t
+
+  val create : int -> t
+  (** [create capacity] — grows by doubling past [capacity]. *)
+
+  val push : t -> int -> unit
+
+  val to_array : t -> int array
+  (** The pushed elements, in push order. *)
+
+  val to_set : t -> int array
+  (** The pushed elements as a set: {!of_unsorted}, sorting in the
+      buffer's own storage. *)
+end
 
 val is_sorted_set : int array -> bool
 (** True when the array is strictly increasing. *)
@@ -52,9 +83,5 @@ val subset : int array -> int array -> bool
 val equal : int array -> int array -> bool
 
 val union_many : int array list -> int array
-(** Union of any number of sets via a k-way heap merge: O(n log k) with no
-    per-round intermediate allocations. *)
-
-val union_many_pairwise : int array list -> int array
-(** Union by repeated pairwise merging (reference implementation for
-    {!union_many}). *)
+(** Union of any number of sets by rounds of pairwise {!union}:
+    O(n log k), each round one sequential merge per pair. *)

@@ -316,6 +316,29 @@ let test_qtype3_with_table () =
   Alcotest.(check (array int)) "value query" [| 2 |] result;
   Alcotest.(check bool) "table probed" true (cost.Repro_storage.Cost.table_pages > 0)
 
+(* A value longer than a data-table page: the table plan, the plan without
+   a table and the naive evaluator must agree on it. *)
+let test_qtype3_long_value () =
+  let long = String.make 9_000 'x' in
+  let g =
+    G.of_document
+      (Repro_xml.Xml_parser.parse_string ("<a><b>" ^ long ^ "</b><b>short</b></a>"))
+  in
+  let apex = Apex.build g in
+  let pool = Repro_storage.Buffer_pool.create (Repro_storage.Pager.create ()) ~capacity:8 in
+  let table = Repro_storage.Data_table.build pool g in
+  List.iter
+    (fun value ->
+      let q = Query.Qtype3 ([ "b" ], value) in
+      let naive = Naive.eval_query g q in
+      Alcotest.(check int) "naive finds one" 1 (Array.length naive);
+      Alcotest.(check (array int)) "table plan" naive (Apex_query.eval_query ~table apex q);
+      Alcotest.(check (array int)) "no-table plan" naive (Apex_query.eval_query apex q))
+    [ long; "short" ];
+  (* same length, last byte differs: compared across the overflow pages *)
+  Alcotest.(check (array int)) "near miss" [||]
+    (Apex_query.eval_query ~table apex (Query.Qtype3 ([ "b" ], String.make 8_999 'x' ^ "y")))
+
 let test_degenerate_graphs () =
   (* a single node, no edges *)
   let b = G.Builder.create () in
@@ -500,6 +523,7 @@ let () =
           Alcotest.test_case "Q2 rewritings agree" `Quick test_q2_rewritings_agree;
           Alcotest.test_case "varint-materialized vs naive" `Quick test_queries_materialized_varint;
           Alcotest.test_case "QTYPE3 via data table" `Quick test_qtype3_with_table;
+          Alcotest.test_case "QTYPE3 value longer than a page" `Quick test_qtype3_long_value;
           Alcotest.test_case "unknown labels" `Quick test_unknown_label_queries;
           Alcotest.test_case "spec rejects cyclic data" `Quick test_spec_rejects_cyclic;
           Alcotest.test_case "degenerate graphs" `Quick test_degenerate_graphs

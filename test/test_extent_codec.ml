@@ -82,6 +82,31 @@ let prop_semijoin_children_equiv =
       let expected = Edge_set.semijoin_children set children in
       with_view set (fun v -> Edge_set.equal (ES.view_semijoin_children v children) expected))
 
+(* The view kernels against list references that use no set kernel:
+   up to 2,000 edges under at most 12 parents (one may be null), so a
+   frontier of one or two parents stays below the block count — the
+   skipping path — and still yields more endpoints than the radix
+   cutoff. *)
+let prop_view_kernels_model =
+  QCheck.Test.make ~count:200 ~name:"view kernels = list references"
+    QCheck.(
+      triple
+        (list_of_size (Gen.int_bound 2_000)
+           (pair (frequency [ (9, int_bound 12); (1, always Edge_set.null) ]) (int_bound 3_000)))
+        (list_of_size (Gen.int_bound 2) (int_bound 12))
+        (list_of_size (Gen.int_bound 6) (int_bound 3_000)))
+    (fun (pairs, parents, children) ->
+      let model = List.sort_uniq Int.compare in
+      let packed = model (List.map (fun (u, v) -> Edge_set.pack u v) pairs) in
+      let edges = List.map Edge_set.unpack packed in
+      let set = Edge_set.unsafe_of_sorted (Array.of_list packed) in
+      with_view set (fun v ->
+          Array.to_list (ES.view_semijoin_endpoints v (Array.of_list (model parents)))
+          = model (List.map snd (List.filter (fun (u, _) -> List.mem u parents) edges))
+          && Edge_set.to_list (ES.view_semijoin_children v (Array.of_list (model children)))
+             = List.filter (fun (_, c) -> List.mem c children) edges
+          && Array.to_list (ES.view_endpoints v) = model (List.map snd edges)))
+
 let test_blocks_actually_skip () =
   (* 1000 single-child parents = 8 blocks; a one-parent frontier decodes
      exactly the block holding it and skips the rest *)
@@ -167,7 +192,8 @@ let () =
             prop_header_soundness;
             prop_semijoin_endpoints_equiv;
             prop_endpoints_equiv;
-            prop_semijoin_children_equiv
+            prop_semijoin_children_equiv;
+            prop_view_kernels_model
           ] );
       ( "skipping", [ Alcotest.test_case "blocks skip" `Quick test_blocks_actually_skip ] );
       ( "corruption",

@@ -330,6 +330,75 @@ let prop_join_reference =
       Edge_set.equal (Edge_set.join a b)
         (filter_edges (fun (u, _) -> Repro_util.Int_sorted.mem eps u) b))
 
+(* --- Edge_set kernels against list references --- *)
+
+(* Edge lists as (parent, child) pairs, built into sets without any
+   Edge_set or Int_sorted kernel: List.sort_uniq over the packed ints.
+   Few parents, so parents own runs; some edges hang off the null parent;
+   up to 700 edges, so the endpoint sorts fall on both sides of the radix
+   cutoff. *)
+let gen_edge_list =
+  QCheck.Gen.(
+    list_size
+      (oneof [ int_bound 30; int_bound 700 ])
+      (pair (frequency [ (9, int_bound 40); (1, return Edge_set.null) ]) (int_bound 3_000)))
+
+let pack_all l = List.sort_uniq Int.compare (List.map (fun (u, v) -> Edge_set.pack u v) l)
+let set_of_list l = Edge_set.unsafe_of_sorted (Array.of_list (pack_all l))
+let pairs_of l = List.map Edge_set.unpack (pack_all l)
+let ints_model l = List.sort_uniq Int.compare l
+
+(* frontiers from one parent to all of them: both the gallop and the
+   merge-walk branch of the parent semijoins *)
+let gen_kernel_case =
+  QCheck.Gen.(
+    triple gen_edge_list
+      (list_size (oneof [ int_bound 3; int_bound 45 ]) (int_bound 45))
+      (list_size (int_bound 200) (int_bound 3_000)))
+
+let arb_kernel_case =
+  QCheck.make
+    ~print:QCheck.Print.(triple (list (pair int int)) (list int) (list int))
+    gen_kernel_case
+
+let prop_edge_kernels_model =
+  QCheck.Test.make ~count:300 ~name:"Edge_set kernels = list references" arb_kernel_case
+    (fun (edges, parents, children) ->
+      let t = set_of_list edges and pairs = pairs_of edges in
+      let sp = Array.of_list (ints_model parents) and sc = Array.of_list (ints_model children) in
+      let by_parent = List.filter (fun (u, _) -> List.mem u parents) pairs in
+      let by_child = List.filter (fun (_, v) -> List.mem v children) pairs in
+      Array.to_list (Edge_set.endpoints t) = ints_model (List.map snd pairs)
+      && Array.to_list (Edge_set.parents t)
+         = ints_model (List.filter (fun u -> u <> Edge_set.null) (List.map fst pairs))
+      && Edge_set.to_list (Edge_set.semijoin_parents t sp) = by_parent
+      && Array.to_list (Edge_set.semijoin_endpoints t sp) = ints_model (List.map snd by_parent)
+      && Edge_set.to_list (Edge_set.semijoin_children t sc) = by_child
+      && Edge_set.to_list (Edge_set.of_packed_array (Array.of_list (List.rev (pack_all edges))))
+         = pairs)
+
+(* [endpoints_after] against the endpoints of the set it describes:
+   [t0] loses the edges of [t0] it shares with [drop] and gains the edges
+   of [add] it lacks. *)
+let prop_endpoints_after_model =
+  QCheck.Test.make ~count:300 ~name:"endpoints_after = endpoints of result"
+    (QCheck.make
+       ~print:QCheck.Print.(
+         let edges = list (pair int int) in
+         triple edges edges edges)
+       QCheck.Gen.(triple gen_edge_list gen_edge_list gen_edge_list))
+    (fun (t0, drop, add) ->
+      let t0 = pairs_of t0 in
+      let removed = List.filter (fun e -> List.mem e (pairs_of drop)) t0 in
+      let kept = List.filter (fun e -> not (List.mem e removed)) t0 in
+      let added = List.filter (fun e -> not (List.mem e t0)) (pairs_of add) in
+      let after = kept @ added in
+      Array.to_list
+        (Edge_set.endpoints_after
+           ~before:(Array.of_list (ints_model (List.map snd t0)))
+           ~removed:(set_of_list removed) ~added:(set_of_list added) (set_of_list after))
+      = ints_model (List.map snd after))
+
 let prop_length1_equals_grouping =
   QCheck.Test.make ~count:150 ~name:"T(l) = edges_with_label l" F.arb_dag
     (fun spec ->
@@ -572,6 +641,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_semijoin_parents;
           QCheck_alcotest.to_alcotest prop_semijoin_endpoints;
           QCheck_alcotest.to_alcotest prop_semijoin_children;
-          QCheck_alcotest.to_alcotest prop_join_reference
+          QCheck_alcotest.to_alcotest prop_join_reference;
+          QCheck_alcotest.to_alcotest prop_edge_kernels_model;
+          QCheck_alcotest.to_alcotest prop_endpoints_after_model
         ] )
     ]

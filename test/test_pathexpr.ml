@@ -272,6 +272,79 @@ let test_deterministic_generation () =
   Alcotest.(check bool) "same seed, same queries" true (gen 11 = gen 11);
   Alcotest.(check bool) "different seeds differ" true (gen 11 <> gen 12)
 
+let test_escaped_value () =
+  let q = Query.Qtype3 ([ "b" ], {|say "hi" \ bye|}) in
+  Alcotest.(check string) "escaped" {|//b[text()="say \"hi\" \\ bye"]|} (Query.to_string q);
+  Alcotest.check query "roundtrip" q (parse_ok (Query.to_string q));
+  Alcotest.(check string) "text without either is unchanged" {|//b[text()="it's [x]"]|}
+    (Query.to_string (Query.Qtype3 ([ "b" ], "it's [x]")));
+  (* a backslash before any other character stays literal *)
+  Alcotest.check query "literal backslash" (Query.Qtype3 ([ "b" ], {|C:\dir|}))
+    (parse_ok {|//b[text()="C:\dir"]|})
+
+(* --- Query.parse under QCheck --- *)
+
+let gen_step =
+  QCheck.Gen.(
+    let name_char = oneofl [ 'a'; 'b'; 'z'; 'A'; '0'; '9'; '_'; '-'; ':'; '.' ] in
+    let* name = string_size ~gen:name_char (int_range 1 6) in
+    let+ attribute = bool in
+    if attribute then "@" ^ name else name)
+
+(* any bytes at all, with the characters the syntax gives meaning to
+   drawn often *)
+let gen_value =
+  QCheck.Gen.(
+    string_size
+      ~gen:(frequency [ (4, printable); (2, oneofl [ '"'; '\\'; ']'; '['; '/'; '=' ]); (1, char) ])
+      (int_bound 12))
+
+let gen_query =
+  QCheck.Gen.(
+    oneof
+      [ map (fun steps -> Query.Qtype1 steps) (list_size (int_range 1 4) gen_step);
+        map2 (fun a b -> Query.Qtype2 (a, b)) gen_step gen_step;
+        map2 (fun steps v -> Query.Qtype3 (steps, v)) (list_size (int_range 1 4) gen_step) gen_value
+      ])
+
+let arb_query = QCheck.make ~print:Query.to_string gen_query
+
+let prop_query_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"parse (to_string q) = q" arb_query (fun q ->
+      match Query.parse (Query.to_string q) with
+      | Ok q' -> Query.equal q q'
+      | Error _ -> false)
+
+(* a printed query with a few bytes inserted, deleted or overwritten:
+   [parse] must answer, never raise *)
+let gen_mutated =
+  QCheck.Gen.(
+    let* q = gen_query in
+    let byte = oneof [ printable; oneofl [ '"'; '\\'; '['; ']'; '/'; '@'; '=' ] ] in
+    let* edits = list_size (int_range 1 4) (triple (int_bound 2) nat byte) in
+    return
+      (List.fold_left
+         (fun s (kind, at, c) ->
+           let n = String.length s in
+           let at = if n = 0 then 0 else at mod (n + 1) in
+           match kind with
+           | 0 -> String.sub s 0 at ^ String.make 1 c ^ String.sub s at (n - at)
+           | 1 when at < n -> String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+           | _ when at < n -> String.mapi (fun i x -> if i = at then c else x) s
+           | _ -> String.sub s 0 (n / 2))
+         (Query.to_string q) edits))
+
+let prop_query_parse_total =
+  QCheck.Test.make ~count:3000 ~name:"parse never raises on mutated input"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mutated)
+    (fun s ->
+      match Query.parse s with
+      | Error _ -> true
+      | Ok q ->
+        (match Query.parse (Query.to_string q) with
+         | Ok q' -> Query.equal q q'
+         | Error _ -> false))
+
 let () =
   Alcotest.run "pathexpr"
     [ ( "label_path",
@@ -286,7 +359,10 @@ let () =
           Alcotest.test_case "parse QTYPE3" `Quick test_parse_qtype3;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "to_string roundtrip" `Quick test_to_string_roundtrip;
-          Alcotest.test_case "compile" `Quick test_compile
+          Alcotest.test_case "escaped value" `Quick test_escaped_value;
+          Alcotest.test_case "compile" `Quick test_compile;
+          QCheck_alcotest.to_alcotest prop_query_roundtrip;
+          QCheck_alcotest.to_alcotest prop_query_parse_total
         ] );
       ( "naive_eval",
         [ Alcotest.test_case "QTYPE1" `Quick test_naive_qtype1;

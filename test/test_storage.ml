@@ -588,6 +588,46 @@ let test_data_table_many_pages () =
       (Data_table.lookup table (i + 1))
   done
 
+(* values past one 128-byte page spill to overflow chains; every reader
+   sees them whole, and a compare reads the chain only on a length match *)
+let test_data_table_overflow () =
+  let module B = Repro_graph.Data_graph.Builder in
+  let b = B.create () in
+  let root = B.add_node b in
+  let long = String.init 1_000 (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+  let values = [ "v1"; long; "v3"; String.make 240 'z'; "v5" ] in
+  List.iter (fun v -> B.add_edge b root "item" (B.add_node ~value:v b)) values;
+  let g = B.build ~root b in
+  let pool = Buffer_pool.create (Pager.create ~page_size:128 ()) ~capacity:2 in
+  let table = Data_table.build pool g in
+  List.iteri
+    (fun i v ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "lookup %d" (i + 1))
+        (Some v)
+        (Data_table.lookup table (i + 1)))
+    values;
+  let seen = ref [] in
+  Data_table.iter table (fun nid v -> seen := (nid, v) :: !seen);
+  Alcotest.(check (list (pair int string)))
+    "iter" (List.mapi (fun i v -> (i + 1, v)) values) (List.rev !seen);
+  let all = [| 1; 2; 3; 4; 5 |] in
+  let cost = Cost.create () in
+  Alcotest.(check (array int))
+    "long value matched" [| 2 |] (Data_table.filter_matching ~cost table all long);
+  (* 1,000 bytes over 120-byte overflow payloads: 9 chain pages *)
+  let pages =
+    List.length
+      (List.sort_uniq Int.compare (List.filter_map (Data_table.locate table) (Array.to_list all)))
+  in
+  Alcotest.(check int) "chain charged" (pages + 9) cost.Cost.table_pages;
+  let near = String.sub long 0 999 ^ "!" in
+  Alcotest.(check (array int)) "near miss" [||] (Data_table.filter_matching table all near);
+  let cost = Cost.create () in
+  Alcotest.(check (array int))
+    "short value" [| 3 |] (Data_table.filter_matching ~cost table all "v3");
+  Alcotest.(check int) "length mismatch reads no chain" pages cost.Cost.table_pages
+
 let prop_filter_matching =
   (* the merge pass against a per-candidate lookup filter, over 128-byte
      pages and a 2-frame pool, so frames are recycled inside one call.
@@ -698,6 +738,7 @@ let () =
         [ Alcotest.test_case "basic lookup" `Quick test_data_table_basic;
           Alcotest.test_case "cost accounting" `Quick test_data_table_cost;
           Alcotest.test_case "iter" `Quick test_data_table_iter;
+          Alcotest.test_case "overflow pages" `Quick test_data_table_overflow;
           Alcotest.test_case "many pages" `Quick test_data_table_many_pages;
           QCheck_alcotest.to_alcotest prop_filter_matching
         ] );

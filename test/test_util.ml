@@ -123,17 +123,92 @@ let prop_mem_batch_agrees =
       Array.length batch = Array.length queries
       && Array.for_all2 (fun r q -> r = Int_sorted.mem a q) batch queries)
 
-let gen_many =
-  QCheck.Gen.(list_size (int_bound 9) (map Int_sorted.of_unsorted (array_size (int_bound 300) (int_bound 2_000))))
+(* --- kernels against independent list references --- *)
 
-let prop_union_many_agrees =
-  QCheck.Test.make ~count:100 ~name:"k-way union_many = pairwise reference"
-    (QCheck.make ~print:QCheck.Print.(list (array int)) gen_many)
+let model l = List.sort_uniq Int.compare l
+let set_of l = Array.of_list (model l)
+
+(* a packed edge whose parent is Edge_set.null (2^31 - 1): the largest
+   parent, so the value needs all 62 bits *)
+let null_parent_edge v = (((1 lsl 31) - 1) lsl 31) lor v
+
+(* Raw int lists shaped the ways [of_unsorted]'s choices split: random,
+   already ascending with repeats, strictly ascending, descending, with
+   negatives, near [max_int] (six radix passes), and packed edges some of
+   whose parents are null. Lengths fall below, around and above the radix
+   cutoff: 128 elements for two passes, 384 for six. *)
+let gen_raw =
+  let open QCheck.Gen in
+  let* n = oneof [ int_bound 20; int_range 200 320; int_bound 700 ] in
+  let* xs = list_repeat n (int_bound 5_000) in
+  let+ shape = int_bound 6 in
+  match shape with
+  | 0 -> xs
+  | 1 -> List.sort Int.compare xs
+  | 2 -> model xs
+  | 3 -> List.rev (List.sort Int.compare xs)
+  | 4 -> List.map (fun x -> x - 2_500) xs
+  | 5 -> List.map (fun x -> max_int - (x * 1_000_003)) xs
+  | _ -> List.map (fun x -> if x mod 3 = 0 then null_parent_edge x else (x lsl 31) lor (x / 7)) xs
+
+let arb_raw = QCheck.make ~print:QCheck.Print.(list int) gen_raw
+
+let prop_of_unsorted_model =
+  QCheck.Test.make ~count:500 ~name:"of_unsorted = List.sort_uniq" arb_raw (fun l ->
+      let a = Array.of_list l in
+      Array.to_list (Int_sorted.of_unsorted a) = model l
+      (* the input is read, never sorted in place *)
+      && Array.to_list a = l)
+
+let prop_buf_model =
+  QCheck.Test.make ~count:300 ~name:"Buf.to_array = pushes, Buf.to_set = List.sort_uniq" arb_raw
+    (fun l ->
+      let fill () =
+        let b = Int_sorted.Buf.create 1 in
+        List.iter (Int_sorted.Buf.push b) l;
+        b
+      in
+      Array.to_list (Int_sorted.Buf.to_array (fill ())) = l
+      && Array.to_list (Int_sorted.Buf.to_set (fill ())) = model l)
+
+(* Two sets from the shaped lists; one side is sometimes cut to a few
+   elements so [inter] takes its galloping path. *)
+let gen_set_pair =
+  QCheck.Gen.(
+    let* a = gen_raw and* b = gen_raw and* cut = int_bound 3 in
+    let b = if cut = 0 then List.filteri (fun i _ -> i < 5) b else b in
+    (* share elements so the merges meet equal keys *)
+    return (set_of a, set_of (b @ List.filteri (fun i _ -> i mod 4 = 0) a)))
+
+let prop_two_set_kernels =
+  QCheck.Test.make ~count:400 ~name:"union/inter/diff/subset = list model"
+    (QCheck.make
+       ~print:QCheck.Print.(pair (array int) (array int))
+       gen_set_pair)
+    (fun (a, b) ->
+      let la = Array.to_list a and lb = Array.to_list b in
+      let in_b x = List.mem x lb in
+      Array.to_list (Int_sorted.union a b) = model (la @ lb)
+      && Array.to_list (Int_sorted.inter a b) = List.filter in_b la
+      && Array.to_list (Int_sorted.inter b a) = List.filter in_b la
+      && Array.to_list (Int_sorted.inter_linear a b) = List.filter in_b la
+      && Array.to_list (Int_sorted.diff a b) = List.filter (fun x -> not (in_b x)) la
+      && Int_sorted.subset a b = List.for_all in_b la
+      && Int_sorted.subset (Int_sorted.inter a b) a)
+
+(* 0 to 9 sets over a narrow range, so sets repeat each other's
+   elements; some are empty and k = 1 occurs *)
+let gen_many_sets =
+  QCheck.Gen.(
+    list_size (int_bound 9)
+      (map set_of
+         (list_size (oneof [ return 0; int_bound 40; int_range 200 400 ]) (int_range (-50) 600))))
+
+let prop_union_many_model =
+  QCheck.Test.make ~count:300 ~name:"union_many = List.sort_uniq of concat"
+    (QCheck.make ~print:QCheck.Print.(list (array int)) gen_many_sets)
     (fun sets ->
-      let kway = Int_sorted.union_many sets in
-      Int_sorted.is_sorted_set kway
-      && Int_sorted.equal kway (Int_sorted.union_many_pairwise sets)
-      && Int_sorted.equal kway (List.fold_left Int_sorted.union [||] sets))
+      Array.to_list (Int_sorted.union_many sets) = model (List.concat_map Array.to_list sets))
 
 (* Parray against a model of plain arrays: every version reads as its own
    model, including every older version after later updates (nothing is
@@ -186,7 +261,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_gallop_inter_agrees;
           QCheck_alcotest.to_alcotest prop_lower_bound_agrees;
           QCheck_alcotest.to_alcotest prop_mem_batch_agrees;
-          QCheck_alcotest.to_alcotest prop_union_many_agrees;
           QCheck_alcotest.to_alcotest prop_parray_persistent
-        ] )
+        ] );
+      ( "kernels",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_of_unsorted_model;
+            prop_buf_model;
+            prop_two_set_kernels;
+            prop_union_many_model
+          ] )
     ]
