@@ -44,12 +44,12 @@ let resolve_config ~quick ~full ~scale ~datasets ~no_verify =
   in
   if no_verify then { base with Experiments.verify = false } else base
 
-let run_experiment ?json ?obs ?slo name config =
+let run_experiment ?json ?obs name config =
   match (name, json) with
   | "updates", _ ->
     (* --json overrides the default snapshot path *)
     Experiments.updates config ~out:(Option.value json ~default:"BENCH_PR4.json")
-  | "serve", _ -> Serve.run ?obs ?slo config ~out:(Option.value json ~default:"BENCH_SERVE.json")
+  | "serve", _ -> Serve.run ?obs config ~out:(Option.value json ~default:"BENCH_SERVE.json")
   | "drift", _ -> Drift_bench.run config ~out:(Option.value json ~default:"BENCH_DRIFT.json")
   | _, Some out -> Experiments.json_bench config ~out
   | _, None ->
@@ -107,19 +107,11 @@ let obs =
     & opt (some string) None
     & info [ "obs" ] ~docv:"PREFIX"
         ~doc:
-          "(serve only) Run with the observability layer on — SLO monitor, latency \
-           watchdog, auto incident dumps — and write $(docv).incident.json (flight-recorder \
-           incident file), $(docv).prom (Prometheus-style exposition), and \
-           $(docv).status.json (live introspection document).")
-
-let slo =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "slo" ] ~docv:"SPEC"
-        ~doc:
-          "(serve, with --obs) SLO objectives as comma-separated name:pQQ:threshold_seconds \
-           specs, e.g. q1:p99:0.005,q2:p99.9:0.02. Default: q1/q2/q3 at p99 <= 50ms.")
+          "(serve only) Run with the observability layer on — SLO monitor (q1/q2/q3 at \
+           p99 <= 50ms), 0.25s latency watchdog, auto incident dumps — and write \
+           $(docv).incident.json (flight-recorder incident file), $(docv).prom \
+           (Prometheus-style exposition), and $(docv).status.json (live introspection \
+           document).")
 
 let trace =
   Arg.(
@@ -154,28 +146,19 @@ let finish_trace prefix =
     Printf.printf "\ninstant events:\n%s" (Export.event_table events)
 
 let cmd =
-  let run experiment quick full scale datasets no_verify json obs slo trace =
+  let run experiment quick full scale datasets no_verify json obs trace =
     let config = resolve_config ~quick ~full ~scale ~datasets ~no_verify in
-    let slo =
-      Option.map
-        (fun spec ->
-          match Repro_telemetry.Slo.parse_objectives spec with
-          | Ok objectives -> objectives
-          | Error msg -> failwith (Printf.sprintf "--slo: %s" msg))
-        slo
-    in
     match trace with
-    | None -> run_experiment ?json ?obs ?slo experiment config
+    | None -> run_experiment ?json ?obs experiment config
     | Some prefix ->
       Trace.enable ~capacity:trace_capacity ();
       Fun.protect
         ~finally:(fun () -> finish_trace prefix)
-        (fun () -> run_experiment ?json ?obs ?slo experiment config)
+        (fun () -> run_experiment ?json ?obs experiment config)
   in
   Cmd.v
     (Cmd.info "apex-bench" ~doc:"APEX reproduction benchmarks")
     Term.(
-      const run $ experiment $ quick $ full $ scale $ datasets $ no_verify $ json $ obs $ slo
-      $ trace)
+      const run $ experiment $ quick $ full $ scale $ datasets $ no_verify $ json $ obs $ trace)
 
 let () = exit (Cmd.eval cmd)

@@ -11,18 +11,16 @@ module Driver = Repro_server.Driver
 module Server = Repro_server.Server
 module Dataset = Repro_datagen.Dataset
 module Experiments = Repro_harness.Experiments
-module Slo = Repro_telemetry.Slo
 module Export = Repro_telemetry.Export
 module Json = Repro_telemetry.Json
 
 (* With --obs PREFIX the run turns the observability layer on — SLO
-   monitor (default or --slo objectives), latency watchdog, auto incident
-   dumps — and ends by writing the introspection document, a forced
-   incident dump, and a Prometheus-style exposition next to the JSON
-   report. The CI observability-smoke job validates these artifacts. *)
-let obs_watchdog = 0.25  (* seconds; far above any healthy query *)
-
-let run ?obs ?slo (config : Experiments.config) ~out =
+   monitor on the default q1/q2/q3 objectives, latency watchdog, auto
+   incident dumps — and ends by writing the introspection document, a
+   forced incident dump, and a Prometheus-style exposition next to the
+   JSON report. The CI observability-smoke job validates these
+   artifacts. *)
+let run ?obs (config : Experiments.config) ~out =
   let spec =
     match config.Experiments.datasets with
     | spec :: _ -> Dataset.scaled spec config.Experiments.scale
@@ -32,14 +30,9 @@ let run ?obs ?slo (config : Experiments.config) ~out =
     spec.Dataset.target_nodes;
   let g = Dataset.build_graph spec in
   let driver_config =
-    match obs with
-    | None -> Driver.default_config
-    | Some prefix ->
-      { Driver.default_config with
-        Driver.slo = Option.value slo ~default:Slo.default_objectives;
-        watchdog = Some obs_watchdog;
-        incident_path = Some (prefix ^ ".incident.json")
-      }
+    { Driver.default_config with
+      Driver.incident_path = Option.map (fun prefix -> prefix ^ ".incident.json") obs
+    }
   in
   let report = Driver.run ~config:driver_config g in
   let mismatches = Driver.verify_observations report in
@@ -68,5 +61,11 @@ let run ?obs ?slo (config : Experiments.config) ~out =
     (Driver.total_errors report)
     (Driver.stalled_readers report)
     mismatches out;
+  Array.iteri
+    (fun i h ->
+      let q p = Repro_telemetry.Metrics.Histogram.quantile h p *. 1e6 in
+      Printf.printf "  q%d: %d queries, p50 %.1f us, p99 %.1f us\n%!" (i + 1)
+        (Repro_telemetry.Metrics.Histogram.count h) (q 0.5) (q 0.99))
+    (Driver.merged_qtype_latencies report);
   if Driver.total_errors report > 0 || Driver.stalled_readers report > 0 || mismatches > 0 then
     failwith "serve: reader errors, stalls, or oracle mismatches"

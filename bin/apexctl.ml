@@ -1,4 +1,21 @@
-(* apexctl: offline telemetry and static-analysis introspection.
+(* apexctl: the command-line front end of the APEX reproduction.
+
+   Data and index commands:
+
+     apexctl generate -d Flix01 -o flix.xml       # synthesize a dataset
+     apexctl graph-stats -d Ged01                  # Table 1 characteristics
+     apexctl indexes -d Ged01 --minsup 0.005       # Table 2 index sizes
+     apexctl query -d Flix01 -q '//movie/title' --index apex
+     apexctl xpath -d Flix01 -q '//movie[video]/title' --explain
+     apexctl workload -d Flix01 -n 20              # sample generated queries
+     apexctl validate-xml -f plays.xml             # DTD validation
+
+   Datasets are the nine named specs of Table 1 (four_tragedy, shakes_11,
+   shakes_all, Flix01-03, Ged01-03); --scale shrinks them. Alternatively
+   -f FILE.xml loads any XML document (with --idref naming the IDREF-typed
+   attributes).
+
+   Telemetry, report and static-analysis commands:
 
      apexctl stats trace.jsonl                    # per-phase latency percentiles
      apexctl validate --schema schemas/trace_schema.json \
@@ -10,7 +27,8 @@
    saved JSONL event log into per-phase latency histograms and
    adaptation-event totals, and `validate` checks both export formats
    against the checked-in schema (field presence, JSON types, legal
-   record kinds). `lint-report` runs the whole-program domain-safety
+   record kinds). `bench serve --obs PREFIX` produces the inputs of `top`
+   and `incident-dump`. `lint-report` runs the whole-program domain-safety
    analysis (tools/lint) and emits the mutability map, findings, and
    guarded-mutation inventory as schema-validated JSON for CI to diff
    across PRs. *)
@@ -58,6 +76,174 @@ let cmd_validate schema_path paths =
     if !failed then exit 1
 
 module Json = Repro_telemetry.Json
+
+(* --- data and index commands --- *)
+
+module Dataset = Repro_datagen.Dataset
+module G = Repro_graph.Data_graph
+module Apex = Repro_apex.Apex
+module Query = Repro_pathexpr.Query
+
+let read_file path =
+  match Json.read_file path with Ok text -> text | Error e -> die "apexctl: %s" e
+
+let load_graph ~dataset ~file ~idref ~scale =
+  match dataset, file with
+  | Some name, None ->
+    (match Dataset.by_name name with
+     | Some spec -> Dataset.build_graph (Dataset.scaled spec scale)
+     | None ->
+       die "unknown dataset %S (try: %s)" name
+         (String.concat ", " (List.map (fun s -> s.Dataset.name) Dataset.all)))
+  | None, Some path ->
+    let doc, subset = Repro_xml.Xml_parser.parse_string_full (read_file path) in
+    (match subset, idref with
+     | Some text, [] ->
+       (* ID/IDREF typing straight from the document's own DTD *)
+       (match Repro_xml.Dtd.parse text with
+        | Ok dtd -> G.of_document_dtd dtd doc
+        | Error m -> die "DTD parse error in %s: %s" path m)
+     | _, idref -> G.of_document ~idref_attrs:idref doc)
+  | _ -> die "specify exactly one of -d DATASET or -f FILE"
+
+let cmd_generate dataset output scale =
+  match Dataset.by_name dataset with
+  | None -> die "unknown dataset %S" dataset
+  | Some spec ->
+    let doc = Dataset.generate_document (Dataset.scaled spec scale) in
+    let dtd = Dataset.dtd_text spec.Dataset.family in
+    (match output with
+     | Some path ->
+       Repro_xml.Xml_print.to_file ~dtd path doc;
+       Printf.printf "wrote %s (with internal DTD)\n" path
+     | None -> print_string (Repro_xml.Xml_print.to_string ~dtd doc))
+
+let cmd_graph_stats dataset file idref scale =
+  let g = load_graph ~dataset ~file ~idref ~scale in
+  let s = Repro_graph.Graph_stats.compute g in
+  Printf.printf "nodes   %d\nedges   %d\nlabels  %d (%d IDREF-typed)\n"
+    s.Repro_graph.Graph_stats.nodes s.Repro_graph.Graph_stats.edges
+    s.Repro_graph.Graph_stats.labels s.Repro_graph.Graph_stats.idref_labels
+
+let cmd_indexes dataset file idref scale minsup n_workload =
+  let g = load_graph ~dataset ~file ~idref ~scale in
+  let apex0 = Apex.build g in
+  let n0, e0 = Apex.stats apex0 in
+  Printf.printf "APEX0       %6d nodes %6d edges\n" n0 e0;
+  let rand = Random.State.make [| 4242 |] in
+  let q1 = Repro_workload.Generate.qtype1 ~n:n_workload rand g in
+  let workload = Repro_harness.Env.compile_workload g q1 in
+  Apex.refresh apex0 ~workload ~min_support:minsup;
+  let n, e = Apex.stats apex0 in
+  Printf.printf "APEX(%.3g) %6d nodes %6d edges  (workload: %d queries)\n" minsup n e
+    (List.length workload);
+  (match Repro_baselines.Dataguide.build g with
+   | dg ->
+     let n, e = Repro_baselines.Summary_index.stats dg in
+     Printf.printf "DataGuide   %6d nodes %6d edges\n" n e
+   | exception Failure _ -> Printf.printf "DataGuide   (state explosion)\n");
+  let oi = Repro_baselines.One_index.build g in
+  let n, e = Repro_baselines.Summary_index.stats oi in
+  Printf.printf "1-index     %6d nodes %6d edges\n" n e;
+  let fab = Repro_baselines.Index_fabric.build g in
+  Printf.printf "Fabric      %6d keys  %6d trie nodes %5d blocks\n"
+    (Repro_baselines.Index_fabric.n_keys fab)
+    (Repro_baselines.Index_fabric.n_trie_nodes fab)
+    (Repro_baselines.Index_fabric.n_blocks fab)
+
+let cmd_query dataset file idref scale query_text index minsup =
+  let g = load_graph ~dataset ~file ~idref ~scale in
+  let q =
+    match Query.parse query_text with
+    | Ok q -> q
+    | Error m -> die "query parse error: %s" m
+  in
+  let cost = Repro_storage.Cost.create () in
+  let result =
+    match index with
+    | "naive" -> Repro_pathexpr.Naive_eval.eval_query g q
+    | "apex" | "apex0" ->
+      let apex = Apex.build g in
+      if String.equal index "apex" then begin
+        let rand = Random.State.make [| 4242 |] in
+        let q1 = Repro_workload.Generate.qtype1 ~n:500 rand g in
+        Apex.refresh apex ~workload:(Repro_harness.Env.compile_workload g q1)
+          ~min_support:minsup
+      end;
+      Repro_apex.Apex_query.eval_query ~cost apex q
+    | "sdg" -> Repro_baselines.Summary_index.eval_query ~cost (Repro_baselines.Dataguide.build g) q
+    | "1index" ->
+      Repro_baselines.Summary_index.eval_query ~cost (Repro_baselines.One_index.build g) q
+    | other -> die "unknown index %S (apex, apex0, sdg, 1index, naive)" other
+  in
+  Printf.printf "%d result(s)\n" (Array.length result);
+  Array.iteri (fun i nid -> if i < 20 then Printf.printf "  nid %d\n" nid) result;
+  if Array.length result > 20 then Printf.printf "  ... (%d more)\n" (Array.length result - 20);
+  if not (String.equal index "naive") then
+    Printf.printf "cost: %s\n" (Format.asprintf "%a" Repro_storage.Cost.pp cost)
+
+let cmd_xpath dataset file idref scale path_text minsup show_xml explain =
+  let g = load_graph ~dataset ~file ~idref ~scale in
+  let path =
+    match Repro_xpath.Xpath_parser.parse path_text with
+    | Ok p -> p
+    | Error m -> die "xpath parse error: %s" m
+  in
+  let apex = Apex.build g in
+  let rand = Random.State.make [| 4242 |] in
+  let q1 = Repro_workload.Generate.qtype1 ~n:500 rand g in
+  Apex.refresh apex ~workload:(Repro_harness.Env.compile_workload g q1) ~min_support:minsup;
+  if explain then
+    Printf.printf "plan: %s\n" (Repro_xpath.Xpath_plan.describe (Repro_xpath.Xpath_plan.plan g path));
+  let cost = Repro_storage.Cost.create () in
+  let result = Repro_xpath.Xpath_plan.execute ~cost apex path in
+  Printf.printf "%d result(s)\n" (Array.length result);
+  Array.iteri
+    (fun i nid ->
+      if i < 10 then
+        if show_xml then print_endline (Repro_graph.Subtree.to_xml_string g nid)
+        else Printf.printf "  nid %d\n" nid)
+    result;
+  if Array.length result > 10 then Printf.printf "  ... (%d more)\n" (Array.length result - 10);
+  Printf.printf "cost: %s\n" (Format.asprintf "%a" Repro_storage.Cost.pp cost)
+
+let cmd_validate_xml file dtd_file =
+  let text = read_file file in
+  let doc, subset = Repro_xml.Xml_parser.parse_string_full text in
+  let dtd_text =
+    match dtd_file, subset with
+    | Some path, _ -> read_file path
+    | None, Some s -> s
+    | None, None -> die "no DTD: the file has no internal subset and no --dtd was given"
+  in
+  match Repro_xml.Dtd.parse dtd_text with
+  | Error m -> die "DTD parse error: %s" m
+  | Ok dtd ->
+    (match Repro_xml.Dtd.validate dtd doc with
+     | [] -> print_endline "valid"
+     | violations ->
+       List.iteri
+         (fun i v ->
+           if i < 25 then Printf.printf "%s: %s\n" v.Repro_xml.Dtd.path v.Repro_xml.Dtd.message)
+         violations;
+       if List.length violations > 25 then
+         Printf.printf "... (%d more)\n" (List.length violations - 25);
+       exit 1)
+
+let cmd_workload dataset file idref scale n qtype =
+  let g = load_graph ~dataset ~file ~idref ~scale in
+  let rand = Random.State.make [| 4242 |] in
+  let queries =
+    match qtype with
+    | 1 -> Repro_workload.Generate.qtype1 ~n rand g
+    | 2 -> Repro_workload.Generate.qtype2 ~n rand g
+    | 3 -> Repro_workload.Generate.qtype3 ~n rand g
+    | _ -> die "--qtype must be 1, 2 or 3"
+  in
+  Array.iter (fun q -> print_endline (Query.to_string q)) queries
+
+(* --- benchmark report checks --- *)
+
 
 let read_json ~ctx path =
   match Json.parse_file path with
@@ -161,78 +347,6 @@ let cmd_drift_check report max_rtc =
   else
     Printf.printf "drift report OK: %d phases, policy converges faster and smaller\n"
       (List.length policy)
-
-(* `serve` runs the multi-client epoch-isolation driver on a generated
-   dataset: N reader domains against a live writer applying update batches
-   and refreshes, every observation differentially verified against the
-   single-threaded oracle at its pinned generation. Exit 1 on any reader
-   error, stall, or oracle mismatch. With --obs PREFIX the observability
-   layer comes on (SLO monitor, latency watchdog, auto incident dumps)
-   and the run ends by writing PREFIX.incident.json (forced flight dump),
-   PREFIX.prom (exposition), and PREFIX.status.json (introspection — the
-   document `apexctl top` renders). *)
-let cmd_serve dataset scale readers queries batches seed out obs slo_spec watchdog =
-  let spec =
-    match Repro_datagen.Dataset.by_name dataset with
-    | Some spec -> Repro_datagen.Dataset.scaled spec scale
-    | None -> die "apexctl serve: unknown dataset %s" dataset
-  in
-  let module Driver = Repro_server.Driver in
-  let module Server = Repro_server.Server in
-  let module Slo = Repro_telemetry.Slo in
-  let config =
-    { Driver.default_config with Driver.readers; queries_per_reader = queries; batches; seed }
-  in
-  let config =
-    match obs with
-    | None -> config
-    | Some prefix ->
-      let slo =
-        match slo_spec with
-        | None -> Slo.default_objectives
-        | Some spec ->
-          (match Slo.parse_objectives spec with
-           | Ok objectives -> objectives
-           | Error e -> die "apexctl serve: --slo: %s" e)
-      in
-      { config with
-        Driver.slo;
-        watchdog = Some watchdog;
-        incident_path = Some (prefix ^ ".incident.json")
-      }
-  in
-  let g = Repro_datagen.Dataset.build_graph spec in
-  let report = Driver.run ~config g in
-  let mismatches = Driver.verify_observations report in
-  let json = Driver.report_json ~dataset:spec.Repro_datagen.Dataset.name
-      ~checksum_mismatches:mismatches report
-  in
-  (match out with
-   | "-" -> print_string json
-   | file ->
-     Out_channel.with_open_text file (fun oc -> output_string oc json);
-     Printf.printf "%d queries on %d readers across %d publishes, %d mismatches -> %s\n"
-       (Driver.total_queries report) readers report.Driver.publishes mismatches file;
-     Array.iteri
-       (fun i h ->
-         let q p = Repro_telemetry.Metrics.Histogram.quantile h p *. 1e6 in
-         Printf.printf "  q%d: %d queries, p50 %.1f us, p99 %.1f us\n" (i + 1)
-           (Repro_telemetry.Metrics.Histogram.count h) (q 0.5) (q 0.99))
-       (Driver.merged_qtype_latencies report));
-  (match obs with
-   | None -> ()
-   | Some prefix ->
-     let server = report.Driver.server in
-     Server.incident_dump ~reason:"apexctl serve: forced dump" server
-       (prefix ^ ".incident.json");
-     Repro_telemetry.Export.save_exposition (prefix ^ ".prom") (Server.metrics server);
-     Out_channel.with_open_text (prefix ^ ".status.json") (fun oc ->
-         output_string oc (Json.to_string (Server.introspect server));
-         output_char oc '\n');
-     Printf.printf "wrote %s.incident.json, %s.prom, %s.status.json\n" prefix prefix
-       prefix);
-  if Driver.total_errors report > 0 || Driver.stalled_readers report > 0 || mismatches > 0
-  then exit 1
 
 (* --- top: terminal dashboard over the introspection document --- *)
 
@@ -404,6 +518,59 @@ let cmd_lint_report build_dir schema out _json roots =
 
 open Cmdliner
 
+let dataset_arg =
+  Arg.(value & opt (some string) None & info [ "d"; "dataset" ] ~docv:"NAME" ~doc:"Named dataset.")
+
+let file_arg =
+  Arg.(value & opt (some string) None & info [ "f"; "file" ] ~docv:"FILE" ~doc:"XML file to load.")
+
+let idref_arg =
+  Arg.(value & opt (list string) [] & info [ "idref" ] ~doc:"IDREF-typed attribute names.")
+
+let scale_arg = Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Dataset size factor.")
+let minsup_arg = Arg.(value & opt float 0.005 & info [ "minsup" ] ~doc:"Minimum support.")
+
+let generate_cmd =
+  let output = Arg.(value & opt (some string) None & info [ "o" ] ~docv:"FILE" ~doc:"Output path.") in
+  let dataset = Arg.(required & opt (some string) None & info [ "d"; "dataset" ] ~docv:"NAME" ~doc:"Dataset.") in
+  Cmd.v (Cmd.info "generate" ~doc:"Synthesize a dataset as XML")
+    Term.(const cmd_generate $ dataset $ output $ scale_arg)
+
+let graph_stats_cmd =
+  Cmd.v (Cmd.info "graph-stats" ~doc:"Data graph characteristics (Table 1)")
+    Term.(const cmd_graph_stats $ dataset_arg $ file_arg $ idref_arg $ scale_arg)
+
+let indexes_cmd =
+  let n_workload = Arg.(value & opt int 1000 & info [ "workload" ] ~doc:"Workload size.") in
+  Cmd.v (Cmd.info "indexes" ~doc:"Index sizes (Table 2)")
+    Term.(const cmd_indexes $ dataset_arg $ file_arg $ idref_arg $ scale_arg $ minsup_arg $ n_workload)
+
+let query_cmd =
+  let query_text = Arg.(required & opt (some string) None & info [ "q"; "query" ] ~docv:"QUERY" ~doc:"Path query.") in
+  let index = Arg.(value & opt string "apex" & info [ "index" ] ~doc:"apex, apex0, sdg, 1index or naive.") in
+  Cmd.v (Cmd.info "query" ~doc:"Evaluate a path query")
+    Term.(const cmd_query $ dataset_arg $ file_arg $ idref_arg $ scale_arg $ query_text $ index $ minsup_arg)
+
+let xpath_cmd =
+  let path_text = Arg.(required & opt (some string) None & info [ "q"; "query" ] ~docv:"XPATH" ~doc:"XPath expression.") in
+  let show_xml = Arg.(value & flag & info [ "xml" ] ~doc:"Materialize results as XML subtrees.") in
+  let explain = Arg.(value & flag & info [ "explain" ] ~doc:"Print the chosen plan.") in
+  Cmd.v (Cmd.info "xpath" ~doc:"Evaluate an XPath expression through the planner")
+    Term.(const cmd_xpath $ dataset_arg $ file_arg $ idref_arg $ scale_arg $ path_text $ minsup_arg
+          $ show_xml $ explain)
+
+let validate_xml_cmd =
+  let file = Arg.(required & opt (some string) None & info [ "f"; "file" ] ~docv:"FILE" ~doc:"XML file.") in
+  let dtd_file = Arg.(value & opt (some string) None & info [ "dtd" ] ~docv:"DTD" ~doc:"External DTD file (internal-subset syntax).") in
+  Cmd.v (Cmd.info "validate-xml" ~doc:"Validate a document against a DTD")
+    Term.(const cmd_validate_xml $ file $ dtd_file)
+
+let workload_cmd =
+  let n = Arg.(value & opt int 20 & info [ "n" ] ~doc:"Number of queries.") in
+  let qtype = Arg.(value & opt int 1 & info [ "qtype" ] ~doc:"Query class (1, 2 or 3).") in
+  Cmd.v (Cmd.info "workload" ~doc:"Sample generated queries")
+    Term.(const cmd_workload $ dataset_arg $ file_arg $ idref_arg $ scale_arg $ n $ qtype)
+
 let stats_cmd =
   let trace_file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE.jsonl")
@@ -471,71 +638,6 @@ let drift_check_cmd =
           a stable post-convergence tail, on every phase; exit 1 on any \
           regression.")
     Term.(const cmd_drift_check $ report $ max_rtc)
-
-let serve_cmd =
-  let dataset =
-    Arg.(
-      value & opt string "four_tragedy"
-      & info [ "dataset" ] ~docv:"NAME" ~doc:"Dataset to serve (see Table 1 names).")
-  in
-  let scale =
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"F" ~doc:"Dataset node-target factor.")
-  in
-  let readers =
-    Arg.(value & opt int 3 & info [ "readers" ] ~docv:"N" ~doc:"Reader domains to spawn.")
-  in
-  let queries =
-    Arg.(
-      value & opt int 60
-      & info [ "queries" ] ~docv:"N" ~doc:"Queries per reader stream (readers loop over it).")
-  in
-  let batches =
-    Arg.(value & opt int 8 & info [ "batches" ] ~docv:"N" ~doc:"Writer update batches.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.") in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_SERVE.json"
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the serve report to $(docv) ($(b,-) for standard output).")
-  in
-  let obs =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "obs" ] ~docv:"PREFIX"
-          ~doc:
-            "Run with the observability layer on (SLO monitor, latency watchdog, auto \
-             incident dumps) and write $(docv).incident.json, $(docv).prom, and \
-             $(docv).status.json.")
-  in
-  let slo =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "slo" ] ~docv:"SPEC"
-          ~doc:
-            "SLO objectives as name:pQQ:threshold_seconds specs joined by commas \
-             (with --obs; default q1/q2/q3 at p99 <= 50ms).")
-  in
-  let watchdog =
-    Arg.(
-      value & opt float 0.25
-      & info [ "watchdog" ] ~docv:"SECONDS"
-          ~doc:"Latency watchdog threshold for the flight recorder (with --obs).")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the concurrent query server under a mixed read/write workload — reader \
-          domains with epoch-snapshot isolation against a live writer — and write the \
-          latency/lifecycle report; every reader observation is verified against the \
-          single-threaded oracle at its pinned generation (exit 1 on any mismatch, \
-          error, or stall).")
-    Term.(
-      const cmd_serve $ dataset $ scale $ readers $ queries $ batches $ seed $ out $ obs
-      $ slo $ watchdog)
 
 let top_cmd =
   let file =
@@ -626,8 +728,9 @@ let lint_report_cmd =
 
 let cmd =
   Cmd.group
-    (Cmd.info "apexctl" ~doc:"Telemetry introspection for the APEX reproduction")
-    [ stats_cmd; validate_cmd; bench_diff_cmd; drift_check_cmd; serve_cmd; top_cmd;
+    (Cmd.info "apexctl" ~doc:"Command-line front end for the APEX reproduction")
+    [ generate_cmd; graph_stats_cmd; indexes_cmd; query_cmd; xpath_cmd; workload_cmd;
+      validate_xml_cmd; stats_cmd; validate_cmd; bench_diff_cmd; drift_check_cmd; top_cmd;
       incident_dump_cmd; lint_report_cmd ]
 
 let () = exit (Cmd.eval cmd)

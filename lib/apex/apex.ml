@@ -150,19 +150,6 @@ let refresh ?decide ?(ensure = []) t ~workload ~min_support =
   Tr.end_arg ttok (fst (Gapex.stats t.gapex));
   Tr.end_ rtok
 
-let extend_data t g' =
-  check_not_frozen t "extend_data";
-  let g = t.graph in
-  if G.n_nodes g' < G.n_nodes g || G.n_edges g' < G.n_edges g then
-    invalid_arg "Apex.extend_data: the new graph must extend the indexed one";
-  for v = 0 to G.n_nodes g - 1 do
-    if G.out_degree g' v < G.out_degree g v then
-      invalid_arg "Apex.extend_data: the new graph must extend the indexed one"
-  done;
-  t.graph <- g';
-  t.store <- None;
-  run_update t
-
 let build_adapted g ~workload ~min_support =
   let t = build g in
   refresh t ~workload ~min_support;

@@ -40,17 +40,6 @@ val refresh :
     pre-creates entries for paths the policy retains even when this window
     never counted them, so [decide] is consulted for them too. *)
 
-val extend_data : t -> Repro_graph.Data_graph.t -> unit
-(** Re-point the index at a grown version of its data graph (typically from
-    {!Repro_graph.Data_graph.append_subtree}) and update it incrementally:
-    existing extents are reused and only the consequences of the new edges
-    propagate — target edge sets only grow under document growth, which is
-    exactly the monotone case the update engine converges on. The result is
-    indistinguishable from an index built fresh over the grown graph.
-    Re-materialize before running costed queries again.
-    @raise Invalid_argument when the graph does not extend the indexed one
-    (fewer nodes/edges, or a shrunken adjacency list). *)
-
 val build_adapted :
   Repro_graph.Data_graph.t ->
   workload:Repro_pathexpr.Label_path.t list ->
@@ -166,7 +155,7 @@ val load_endpoints :
 (** [Edge_set.endpoints] of the node's extent, memoized per node on the
     index: an exact hash-tree hit answers a query by k-way-unioning these
     arrays without re-sorting anything. The memo is invalidated by
-    {!refresh}/{!extend_data} (extents change) and {!materialize} (store
+    {!refresh} (extents change) and {!materialize} (store
     replaced); a warm hit charges no cost — the first computation charges
     the underlying {!load_extent}. On a {!freeze}-d index a miss
     recomputes without storing, so concurrent readers never write. *)
@@ -181,7 +170,7 @@ val load_endpoints :
 
 val freeze : t -> unit
 (** Make the index read-only: pre-warm the endpoint memo over every
-    reachable summary node, then lock out {!refresh}, {!extend_data},
+    reachable summary node, then lock out {!refresh},
     {!materialize}, {!set_graph}, {!flush_dirty} and
     {!invalidate_endpoints} (they raise [Invalid_argument]). Idempotent.
     @raise Invalid_argument on a materialized index — store reads mutate

@@ -24,6 +24,7 @@ module Query = Repro_pathexpr.Query
 module Generate = Repro_workload.Generate
 module Update_workload = Repro_workload.Update_workload
 module Metrics = Repro_telemetry.Metrics
+module Trace = Repro_telemetry.Trace
 module Registry = Epoch_registry
 
 type config = {
@@ -31,16 +32,8 @@ type config = {
   queries_per_reader : int;
   batches : int;  (* writer update batches *)
   batch_size : int;  (* update ops per batch *)
-  refresh_every_batches : int;  (* force a refresh after every k batches *)
-  tuner_refresh_every : int;  (* periodic policy window (kept large: the
-                                 driver's cadence is explicit) *)
   seed : int;
-  log_observations : bool;
-  max_logged_passes : int;  (* observation bound per reader; the final
-                               post-publish pass is always logged *)
-  slo : Repro_telemetry.Slo.objective list;  (* [] = no monitor *)
-  watchdog : float option;  (* per-query latency watchdog, seconds *)
-  incident_path : string option;  (* auto-dump target for trips/breaches *)
+  incident_path : string option;  (* passed to Server.create: obs layer on *)
 }
 
 let default_config =
@@ -48,15 +41,20 @@ let default_config =
     queries_per_reader = 60;
     batches = 8;
     batch_size = 4;
-    refresh_every_batches = 2;
-    tuner_refresh_every = 1_000_000;
     seed = 1;
-    log_observations = true;
-    max_logged_passes = 4;
-    slo = [];
-    watchdog = None;
     incident_path = None
   }
+
+(* the writer forces a refresh after every [refresh_every_batches] batches *)
+let refresh_every_batches = 2
+
+(* the tuner's periodic window, kept out of reach so the writer's explicit
+   cadence is the only refresh source *)
+let tuner_refresh_every = 1_000_000
+
+(* observation bound per reader; the final post-publish pass is always
+   logged *)
+let max_logged_passes = 4
 
 type observation = {
   obs_pass : int;
@@ -104,7 +102,7 @@ let query_stream ~seed ~reader ~n g =
 
 let qtype_index = function Query.Qtype1 _ -> 0 | Query.Qtype2 _ -> 1 | Query.Qtype3 _ -> 2
 
-let reader_body cfg server go writer_done first_pass_done reader stream =
+let reader_body server go writer_done first_pass_done reader stream =
   let latencies = Array.init 3 (fun _ -> Metrics.Histogram.create ()) in
   let observations = ref [] in
   let errors = ref [] in
@@ -120,12 +118,13 @@ let reader_body cfg server go writer_done first_pass_done reader stream =
     let last_pass = Atomic.get writer_done in
     Array.iteri
       (fun qi q ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Trace.now_ns () in
         match Server.query_pinned server q with
         | generation, result ->
-          Metrics.Histogram.record latencies.(qtype_index q) (Unix.gettimeofday () -. t0);
+          Metrics.Histogram.record latencies.(qtype_index q)
+            (Float.of_int (Trace.now_ns () - t0) *. 1e-9);
           incr queries_run;
-          if cfg.log_observations && (!passes < cfg.max_logged_passes || last_pass) then
+          if !passes < max_logged_passes || last_pass then
             observations :=
               { obs_pass = !passes;
                 obs_query = qi;
@@ -161,9 +160,8 @@ let chunk n xs =
 let run ?(config = default_config) graph =
   if config.readers < 1 then invalid_arg "Driver.run: need at least one reader";
   let server =
-    Server.create ~refresh_every:config.tuner_refresh_every ~min_support:0.05
-      ~slo:config.slo ?watchdog:config.watchdog ?incident_path:config.incident_path
-      graph
+    Server.create ~refresh_every:tuner_refresh_every ~min_support:0.05
+      ?incident_path:config.incident_path graph
   in
   let history = ref [] in
   let record_generation () =
@@ -189,9 +187,9 @@ let run ?(config = default_config) graph =
     Array.init config.readers (fun reader ->
         let stream = streams.(reader) in
         Domain.spawn (fun () ->
-            reader_body config server go writer_done first_pass_done reader stream))
+            reader_body server go writer_done first_pass_done reader stream))
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Trace.now_ns () in
   Atomic.set go true;
   while Atomic.get first_pass_done < config.readers do
     Domain.cpu_relax ()
@@ -201,7 +199,7 @@ let run ?(config = default_config) graph =
       ignore (Server.drain_feedback server : int * int option);
       ignore (Server.apply server batch : int);
       record_generation ();
-      if (b + 1) mod config.refresh_every_batches = 0 then begin
+      if (b + 1) mod refresh_every_batches = 0 then begin
         ignore (Server.force_refresh server : int);
         record_generation ()
       end)
@@ -211,7 +209,7 @@ let run ?(config = default_config) graph =
   record_generation ();
   Atomic.set writer_done true;
   let outcomes = Array.map Domain.join domains in
-  let wall_seconds = Unix.gettimeofday () -. t0 in
+  let wall_seconds = Float.of_int (Trace.now_ns () - t0) *. 1e-9 in
   (* one last drain now that every reader has finished: the final pass's
      observations reach the attribution table, so per-generation query
      totals reconcile exactly with total_queries - feedback_dropped *)

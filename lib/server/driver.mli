@@ -12,27 +12,16 @@ type config = {
   queries_per_reader : int;  (** stream length; readers loop over it *)
   batches : int;  (** writer update batches *)
   batch_size : int;  (** update ops per batch *)
-  refresh_every_batches : int;  (** force a refresh after every k batches *)
-  tuner_refresh_every : int;
-      (** the tuner's periodic window — kept large by default so the
-          driver's explicit cadence is the only publish source *)
   seed : int;
-  log_observations : bool;
-  max_logged_passes : int;
-      (** per-reader observation bound; the final post-publish pass is
-          always logged regardless *)
-  slo : Repro_telemetry.Slo.objective list;
-      (** SLO objectives passed to {!Server.create}; [[]] = no monitor *)
-  watchdog : float option;  (** flight-recorder latency watchdog, seconds *)
   incident_path : string option;
-      (** where the server auto-dumps an incident file on a watchdog trip
-          or SLO breach *)
+      (** passed to {!Server.create}: turns the SLO monitor and latency
+          watchdog on and names the incident file they auto-dump to *)
 }
 
 val default_config : config
-(** 3 readers x 60 queries, 8 batches of 4 ops, refresh every 2 batches,
-    seed 1, observations logged for the first 4 passes; no SLO monitor,
-    watchdog, or incident path. *)
+(** 3 readers x 60 queries, 8 batches of 4 ops, seed 1, no incident path.
+    Every run forces a refresh after every 2 batches and logs each
+    reader's observations for its first 4 passes and its final one. *)
 
 type observation = {
   obs_pass : int;

@@ -26,7 +26,7 @@
 type 'a entry = {
   generation : int;
   payload : 'a;
-  born : float;  (* wall-clock publish time, for epoch ages in [info] *)
+  born : int;  (* monotonic publish time (ns), for epoch ages in [info] *)
   pins : int Atomic.t;
   freed : bool Atomic.t;
       (* observability for the test harness: set exactly once, by the
@@ -53,7 +53,7 @@ type 'a t = {
 let make_entry ~generation payload =
   { generation;
     payload;
-    born = Unix.gettimeofday ();
+    born = Repro_telemetry.Trace.now_ns ();
     pins = Atomic.make 0;
     freed = Atomic.make false }
 
@@ -158,12 +158,12 @@ type info = {
 
 let info t =
   Mutex.lock t.writer;
-  let now = Unix.gettimeofday () in
+  let now = Repro_telemetry.Trace.now_ns () in
   let of_entry state e =
     { info_generation = e.generation;
       info_state = state;
       info_pins = Atomic.get e.pins;
-      info_age = now -. e.born }
+      info_age = Float.of_int (now - e.born) *. 1e-9 }
   in
   let infos =
     (of_entry "current" (Atomic.get t.current)

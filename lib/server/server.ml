@@ -43,7 +43,6 @@ type observation = {
 type feedback = {
   fb_lock : Mutex.t;
   fb_queue : observation Queue.t;
-  fb_capacity : int;
   mutable fb_dropped : int; [@apex.guarded "feedback"]
       (* pushes refused because the buffer was full; under [fb_lock] *)
 }
@@ -51,27 +50,25 @@ type feedback = {
 (* Per-generation accounting, filled by the writer as it drains feedback:
    what each serving generation cost, so "generation 7 was 3x slower than
    6" is a queryable fact rather than archaeology. Bounded to the last
-   [max_attributed] generations (old cells are evicted lowest-generation
+   [max_attributed] generations (old records are evicted lowest-generation
    first). *)
-type attribution_cell = {
-  at_generation : int;
-  mutable at_queries : int; [@apex.guarded "writer"]
-  mutable at_extent_pages : int; [@apex.guarded "writer"]
-  mutable at_extent_edges : int; [@apex.guarded "writer"]
-  mutable at_join_edges : int; [@apex.guarded "writer"]
-  at_latency : Metrics.histogram;  (* seconds *)
-}
-
 type epoch_totals = {
   ep_generation : int;
-  ep_queries : int;
-  ep_extent_pages : int;
-  ep_extent_edges : int;
-  ep_join_edges : int;
-  ep_latency : Metrics.histogram;
+  mutable ep_queries : int; [@apex.guarded "writer"]
+  mutable ep_extent_pages : int; [@apex.guarded "writer"]
+  mutable ep_extent_edges : int; [@apex.guarded "writer"]
+  mutable ep_join_edges : int; [@apex.guarded "writer"]
+  ep_latency : Metrics.histogram;  (* seconds *)
 }
 
 let max_attributed = 64
+
+(* reader→writer feedback bound; overflow drops, counted *)
+let feedback_capacity = 4096
+
+(* per-query latency watchdog armed with an incident path, seconds: far
+   above any healthy query *)
+let watchdog_seconds = 0.25
 
 type t = {
   tuner : Self_tuning.t;  (* writer-domain only *)
@@ -81,10 +78,11 @@ type t = {
   feedback : feedback;
   metrics : Metrics.t;
   flight : Flight.t;  (* writer-domain only (watchdog/dump) *)
-  slo : Slo.t option;  (* writer-domain only *)
-  slo_idx : int array;  (* objective index per qtype (1/2/3), -1 = none *)
+  slo : Slo.t option;
+      (* writer-domain only; [Slo.default_objectives], whose objective
+         index is the query type's *)
   incident_path : string option;  (* auto-dump target for trips/breaches *)
-  attribution : (int, attribution_cell) Hashtbl.t; [@apex.guarded "writer"]
+  attribution : (int, epoch_totals) Hashtbl.t; [@apex.guarded "writer"]
       (* generation -> cost totals; writer-owned under [writer] *)
   c_publishes : Metrics.counter;
   c_epochs_freed : Metrics.counter;
@@ -122,12 +120,8 @@ let publish_locked t =
   Metrics.add t.c_epochs_freed freed;
   generation
 
-(* SLO objectives named "q1"/"q2"/"q3" receive the server's per-qtype
-   latencies automatically; other names are the caller's to feed. *)
-let qtype_names = [| "q1"; "q2"; "q3" |] [@@apex.guarded "readonly"]
-
-let create ?log_capacity ?min_support ?(refresh_every = 500) ?(feedback_capacity = 4096)
-    ?pool ?snapshot ?policy ?slo ?watchdog ?incident_path graph =
+let create ?log_capacity ?min_support ?(refresh_every = 500) ?pool ?snapshot ?policy
+    ?incident_path graph =
   let tuner =
     Self_tuning.create ?log_capacity ?min_support ~refresh_every ?pool ?snapshot ?policy
       graph
@@ -142,23 +136,14 @@ let create ?log_capacity ?min_support ?(refresh_every = 500) ?(feedback_capacity
          (Self_tuning.apex tuner))
   in
   let metrics = Self_tuning.metrics tuner in
-  let slo =
-    match slo with
-    | None | Some [] -> None
-    | Some objectives -> Some (Slo.create objectives)
-  in
-  let slo_idx =
-    Array.map
-      (fun name ->
-        match slo with
-        | None -> -1
-        | Some s -> (match Slo.index s name with Some i -> i | None -> -1))
-      qtype_names
-  in
   let flight = Flight.create ~metrics () in
-  (match watchdog with
-   | Some threshold -> Flight.set_watchdog flight ~threshold
-   | None -> ());
+  let slo =
+    match incident_path with
+    | None -> None
+    | Some _ ->
+      Flight.set_watchdog flight ~threshold:watchdog_seconds;
+      Some (Slo.create Slo.default_objectives)
+  in
   let t =
     { tuner;
       registry;
@@ -167,13 +152,11 @@ let create ?log_capacity ?min_support ?(refresh_every = 500) ?(feedback_capacity
       feedback =
         { fb_lock = Mutex.create ();
           fb_queue = Queue.create ();
-          fb_capacity = feedback_capacity;
           fb_dropped = 0
         };
       metrics;
       flight;
       slo;
-      slo_idx;
       incident_path;
       attribution = Hashtbl.create 32;
       c_publishes = Metrics.counter metrics "server.publishes";
@@ -207,7 +190,7 @@ let create ?log_capacity ?min_support ?(refresh_every = 500) ?(feedback_capacity
 let offer_feedback t ob =
   let fb = t.feedback in
   Mutex.lock fb.fb_lock;
-  if Queue.length fb.fb_queue < fb.fb_capacity then Queue.push ob fb.fb_queue
+  if Queue.length fb.fb_queue < feedback_capacity then Queue.push ob fb.fb_queue
   else fb.fb_dropped <- fb.fb_dropped + 1;
   Mutex.unlock fb.fb_lock
 
@@ -219,7 +202,7 @@ let query_pinned t q =
   (* private per-query measurement: epochs are unmaterialized, so the
      page counter stays 0 and the signal is edge/join work + wall clock *)
   let cost = Repro_storage.Cost.create () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Tr.now_ns () in
   let result =
     match
       Epoch.eval ~cost
@@ -242,7 +225,7 @@ let query_pinned t q =
       ob_extent_pages = cost.Repro_storage.Cost.extent_pages;
       ob_extent_edges = cost.Repro_storage.Cost.extent_edges;
       ob_join_edges = cost.Repro_storage.Cost.join_edges;
-      ob_latency = Unix.gettimeofday () -. t0 };
+      ob_latency = Float.of_int (Tr.now_ns () - t0) *. 1e-9 };
   (generation, result)
 
 let query t q = snd (query_pinned t q)
@@ -266,27 +249,27 @@ let force_refresh t =
 let slo_json t = match t.slo with None -> Json.Null | Some s -> Slo.to_json s
 
 (* Caller holds [t.writer]. Get-or-create the generation's accounting
-   cell; beyond [max_attributed] live generations the lowest-numbered
-   (oldest) cell is evicted first. *)
-let attribution_cell t generation =
+   record; beyond [max_attributed] live generations the lowest-numbered
+   (oldest) record is evicted first. *)
+let attribution_totals t generation =
   match Hashtbl.find_opt t.attribution generation with
-  | Some cell -> cell
+  | Some totals -> totals
   | None ->
     if Hashtbl.length t.attribution >= max_attributed then begin
       let oldest = Hashtbl.fold (fun g _ acc -> min g acc) t.attribution max_int in
       Hashtbl.remove t.attribution oldest
     end;
-    let cell =
-      { at_generation = generation;
-        at_queries = 0;
-        at_extent_pages = 0;
-        at_extent_edges = 0;
-        at_join_edges = 0;
-        at_latency = Metrics.Histogram.create ()
+    let totals =
+      { ep_generation = generation;
+        ep_queries = 0;
+        ep_extent_pages = 0;
+        ep_extent_edges = 0;
+        ep_join_edges = 0;
+        ep_latency = Metrics.Histogram.create ()
       }
     in
-    Hashtbl.add t.attribution generation cell;
-    cell
+    Hashtbl.add t.attribution generation totals;
+    totals
 
 let qtype_index = function
   | Repro_pathexpr.Query.Qtype1 _ -> 0
@@ -308,21 +291,19 @@ let drain_feedback t =
           Self_tuning.record_external t.tuner ~q2_paths:ob.ob_q2_paths
             ~extent_pages:ob.ob_extent_pages ~extent_edges:ob.ob_extent_edges
             ~join_edges:ob.ob_join_edges ~latency:ob.ob_latency ob.ob_query;
-          let cell = attribution_cell t ob.ob_generation in
-          cell.at_queries <- cell.at_queries + 1;
-          cell.at_extent_pages <- cell.at_extent_pages + ob.ob_extent_pages;
-          cell.at_extent_edges <- cell.at_extent_edges + ob.ob_extent_edges;
-          cell.at_join_edges <- cell.at_join_edges + ob.ob_join_edges;
-          Metrics.Histogram.record cell.at_latency ob.ob_latency;
+          let e = attribution_totals t ob.ob_generation in
+          e.ep_queries <- e.ep_queries + 1;
+          e.ep_extent_pages <- e.ep_extent_pages + ob.ob_extent_pages;
+          e.ep_extent_edges <- e.ep_extent_edges + ob.ob_extent_edges;
+          e.ep_join_edges <- e.ep_join_edges + ob.ob_join_edges;
+          Metrics.Histogram.record e.ep_latency ob.ob_latency;
           Metrics.Histogram.record t.h_latency ob.ob_latency;
           Metrics.incr t.c_observed;
           Metrics.add t.c_obs_extent_pages ob.ob_extent_pages;
           Metrics.add t.c_obs_extent_edges ob.ob_extent_edges;
           Metrics.add t.c_obs_join_edges ob.ob_join_edges;
           (match t.slo with
-           | Some s ->
-             let i = t.slo_idx.(qtype_index ob.ob_query) in
-             if i >= 0 then Slo.observe s i ob.ob_latency
+           | Some s -> Slo.observe s (qtype_index ob.ob_query) ob.ob_latency
            | None -> ());
           let latency_ns = int_of_float (ob.ob_latency *. 1e9) in
           if Flight.check_latency t.flight ~generation:ob.ob_generation ~latency_ns
@@ -396,21 +377,14 @@ let feedback_dropped t =
   n
 
 let observed t = Metrics.value t.c_observed
-let slo t = t.slo
 
-(* Caller holds [t.writer]. Snapshot the attribution table as immutable
-   totals, oldest generation first; the histograms are copies, so the
-   caller can keep them past the lock. *)
+(* Caller holds [t.writer]. Snapshot the attribution table, oldest
+   generation first; records and histograms are copies, so the caller can
+   keep them past the lock and never sees later drains. *)
 let attribution_locked t =
   Hashtbl.fold
-    (fun _ c acc ->
-      { ep_generation = c.at_generation;
-        ep_queries = c.at_queries;
-        ep_extent_pages = c.at_extent_pages;
-        ep_extent_edges = c.at_extent_edges;
-        ep_join_edges = c.at_join_edges;
-        ep_latency = Metrics.Histogram.merge c.at_latency (Metrics.Histogram.create ())
-      }
+    (fun _ e acc ->
+      { e with ep_latency = Metrics.Histogram.merge e.ep_latency (Metrics.Histogram.create ()) }
       :: acc)
     t.attribution []
   |> List.sort (fun a b -> Int.compare a.ep_generation b.ep_generation)

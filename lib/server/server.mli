@@ -21,30 +21,27 @@ val create :
   ?log_capacity:int ->
   ?min_support:float ->
   ?refresh_every:int ->
-  ?feedback_capacity:int ->
   ?pool:Repro_storage.Buffer_pool.t ->
   ?snapshot:Repro_apex.Apex_persist.Snapshot.t ->
   ?policy:Repro_adaptive.Policy.t ->
-  ?slo:Repro_telemetry.Slo.objective list ->
-  ?watchdog:float ->
   ?incident_path:string ->
   Repro_graph.Data_graph.t ->
   t
 (** Build APEX0 over the graph (through {!Repro_adaptive.Self_tuning.create},
     with the same durability semantics for [pool]/[snapshot]) and publish
-    it as generation 1. [feedback_capacity] bounds the reader→writer query
-    feedback buffer (default 4096; overflow drops, counted). With
+    it as generation 1. The reader→writer query feedback buffer holds
+    4096 queries (overflow drops, counted). With
     [policy], refreshes are decided by the cost-benefit policy: each
     reader query's measured extent/join work and latency travel through
     the feedback buffer and are attributed to the paths it used when the
     writer drains.
 
-    Observability knobs: [slo] installs a {!Repro_telemetry.Slo} monitor
-    (objectives named ["q1"]/["q2"]/["q3"] automatically receive the
-    corresponding query-type latencies; the window rotates once per
-    non-empty drain). [watchdog] arms the flight recorder's per-query
-    latency watchdog at that many seconds. [incident_path] makes the
-    writer auto-dump an incident file there whenever a drain saw a
+    [incident_path] turns the observability layer on: a
+    {!Repro_telemetry.Slo} monitor over
+    {!Repro_telemetry.Slo.default_objectives} (each query type's latencies
+    feed its objective; the window rotates once per non-empty drain), the
+    flight recorder's per-query latency watchdog at 0.25 s, and an
+    incident file auto-dumped to that path whenever a drain saw a
     watchdog trip or an SLO breach. The server's operational records
     (publish, retire, rollback, drains, update batches, refreshes, SLO
     breaches, watchdog trips) are always-on {!Repro_telemetry.Trace}
@@ -115,25 +112,25 @@ val observed : t -> int
 (** Observations the writer has attributed so far (equals
     [feedback_drained] — every drained observation is attributed). *)
 
-val slo : t -> Repro_telemetry.Slo.t option
-
 (** {2 Per-epoch attribution}
 
     The writer attributes every drained observation to the generation
     that served it: query count, extent/join work, and a latency
     histogram per generation, bounded to the last 64 generations. *)
 
-type epoch_totals = {
+type epoch_totals = private {
   ep_generation : int;
-  ep_queries : int;
-  ep_extent_pages : int;
-  ep_extent_edges : int;
-  ep_join_edges : int;
-  ep_latency : Repro_telemetry.Metrics.histogram;  (** seconds; a copy *)
+  mutable ep_queries : int;
+  mutable ep_extent_pages : int;
+  mutable ep_extent_edges : int;
+  mutable ep_join_edges : int;
+  ep_latency : Repro_telemetry.Metrics.histogram;  (** seconds *)
 }
 
 val attribution : t -> epoch_totals list
-(** Snapshot of the per-generation accounting, oldest generation first.
+(** Snapshot of the per-generation accounting, oldest generation first;
+    the records and their histograms are copies, so later drains do not
+    show through.
     The sum of [ep_queries] equals {!feedback_drained} (while fewer than
     64 generations have been attributed). *)
 

@@ -80,9 +80,6 @@ let create ?(subwindows = 6) objectives =
     cur = 0;
     advances = 0 }
 
-let objectives t =
-  Array.to_list (Array.map (fun c -> c.c_objective) t.cells)
-
 let index t name =
   let found = ref None in
   Array.iteri
@@ -175,8 +172,6 @@ let breach_total t =
 
 let breached t = Array.exists (fun c -> c.c_breached) t.cells
 
-let advances t = t.advances
-
 let status_json st =
   Json.Obj
     [ ("name", Json.Str st.st_name);
@@ -200,49 +195,3 @@ let default_objectives =
   [ { slo_name = "q1"; slo_quantile = 0.99; slo_threshold = 0.05 };
     { slo_name = "q2"; slo_quantile = 0.99; slo_threshold = 0.05 };
     { slo_name = "q3"; slo_quantile = 0.99; slo_threshold = 0.05 } ]
-
-(* Objective spec: "name:pQQ:threshold_seconds" joined by commas, e.g.
-   "q1:p99:0.005,q2:p99.9:0.02". *)
-let parse_objective spec =
-  match String.split_on_char ':' spec with
-  | [ name; q; thr ] ->
-    let name = String.trim name in
-    let q = String.trim q in
-    let qlen = String.length q in
-    if name = "" then Error (Printf.sprintf "%S: empty objective name" spec)
-    else if qlen < 2 || q.[0] <> 'p' then
-      Error (Printf.sprintf "%S: quantile must look like p99" spec)
-    else begin
-      match float_of_string_opt (String.sub q 1 (qlen - 1)) with
-      | None -> Error (Printf.sprintf "%S: bad quantile %S" spec q)
-      | Some pct when not (pct > 0. && pct < 100.) ->
-        Error (Printf.sprintf "%S: quantile must be in (p0, p100)" spec)
-      | Some pct ->
-        (match float_of_string_opt (String.trim thr) with
-         | None -> Error (Printf.sprintf "%S: bad threshold %S" spec thr)
-         | Some t when not (t > 0.) ->
-           Error (Printf.sprintf "%S: threshold must be positive" spec)
-         | Some t ->
-           Ok
-             { slo_name = name;
-               slo_quantile = pct /. 100.;
-               slo_threshold = t })
-    end
-  | _ -> Error (Printf.sprintf "%S: expected name:pQQ:threshold" spec)
-
-let parse_objectives s =
-  let specs =
-    List.filter
-      (fun x -> String.trim x <> "")
-      (String.split_on_char ',' s)
-  in
-  if specs = [] then Error "empty SLO spec"
-  else
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | spec :: rest ->
-        (match parse_objective (String.trim spec) with
-         | Ok o -> go (o :: acc) rest
-         | Error e -> Error e)
-    in
-    go [] specs

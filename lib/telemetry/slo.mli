@@ -25,8 +25,6 @@ val create : ?subwindows:int -> objective list -> t
 (** Default 6 sub-windows. @raise Invalid_argument on a quantile outside
     (0,1) or a non-positive threshold. *)
 
-val objectives : t -> objective list
-
 val index : t -> string -> int option
 (** Objective position by name, for the hot [observe] side. *)
 
@@ -59,12 +57,8 @@ val breach_total : t -> int
 val breached : t -> bool
 (** Did the most recent {!advance} breach any objective? *)
 
-val advances : t -> int
 val to_json : t -> Json.t
 
 val default_objectives : objective list
-(** q1/q2/q3 at p99 <= 50ms — lenient defaults for bench serve. *)
-
-val parse_objectives : string -> (objective list, string) result
-(** Parse "name:pQQ:threshold_seconds" specs joined by commas, e.g.
-    ["q1:p99:0.005,q2:p99.9:0.02"]. *)
+(** q1/q2/q3 at p99 <= 50ms, listed in query-type order — the objectives
+    a server created with an incident path monitors. *)

@@ -33,8 +33,7 @@ let config seed =
     readers = 3;
     queries_per_reader = 30;
     batches = 8;
-    batch_size = 3;
-    refresh_every_batches = 2
+    batch_size = 3
   }
 
 let check_run seed () =
@@ -159,6 +158,43 @@ let check_run seed () =
          acc + int_field row "count")
        0 [ "q1"; "q2"; "q3" ])
 
+(* The observability path `bench serve --obs` takes: a run with an
+   incident path monitors the default q1/q2/q3 objectives, and a forced
+   incident dump conforms to the checked-in schema. The schema is found
+   from the repository root or from test/, so the suite runs from both. *)
+let test_obs_path () =
+  let path = Filename.temp_file "apex_obs" ".incident.json" in
+  let report =
+    Driver.run
+      ~config:{ (config 1) with Driver.incident_path = Some path }
+      (Fixtures.movie_db ())
+  in
+  let server = report.Driver.server in
+  Server.incident_dump ~reason:"test: forced dump" server path;
+  let schema_path =
+    List.find Sys.file_exists
+      [ "schemas/incident_schema.json"; "../schemas/incident_schema.json" ]
+  in
+  (match Repro_telemetry.Flight.validate_file ~schema_path path with
+   | Ok () -> ()
+   | Error errors -> Alcotest.failf "incident dump: %s" (String.concat "; " errors));
+  Sys.remove path;
+  let module J = Repro_telemetry.Json in
+  let names =
+    match Option.bind (J.member "slo" (Server.introspect server)) (J.member "objectives") with
+    | Some (J.Arr objectives) ->
+      List.map (fun o -> Option.bind (J.member "name" o) J.to_str) objectives
+    | _ -> Alcotest.fail "introspect: no slo.objectives array"
+  in
+  Alcotest.(check (list (option string))) "SLO objectives"
+    [ Some "q1"; Some "q2"; Some "q3" ] names;
+  let prom = Repro_telemetry.Export.exposition (Server.metrics server) in
+  let family = "apex_server_query_latency_seconds" in
+  Alcotest.(check bool) "exposition has the latency family" true
+    (List.exists
+       (fun line -> String.starts_with ~prefix:family line)
+       (String.split_on_char '\n' prom))
+
 (* Snapshot isolation of a pinned epoch under a busy writer: its answers to
    200 Q1/Q3 queries and every row of its graph are the same after 20
    update batches and 2 forced refreshes as before them. The rows are
@@ -225,5 +261,6 @@ let () =
   in
   Alcotest.run "server-differential"
     [ ("readers-vs-oracle", cases);
+      ("observability", [ Alcotest.test_case "obs path" `Quick test_obs_path ]);
       ("epoch-isolation", [ Alcotest.test_case "pinned epoch" `Quick test_pinned_epoch_isolation ])
     ]

@@ -1,10 +1,12 @@
-(* Document growth: Data_graph.append_subtree + Apex.extend_data. *)
+(* Document growth: Data_graph.append_subtree, and an index maintained
+   through Update.apply's subtree inserts. *)
 
 module F = Test_support.Fixtures
 module G = Repro_graph.Data_graph
 module Edge_set = Repro_graph.Edge_set
 module Query = Repro_pathexpr.Query
 module Naive = Repro_pathexpr.Naive_eval
+module Update = Repro_update.Update
 open Repro_apex
 
 let movie_xml =
@@ -87,7 +89,7 @@ let test_append_unknown_parent () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
-(* --- Apex.extend_data --- *)
+(* --- Update.apply with subtree inserts --- *)
 
 let extents_equal a b =
   let ea = Apex_spec.apex_extents a and eb = Apex_spec.apex_extents b in
@@ -97,7 +99,30 @@ let extents_equal a b =
          Repro_pathexpr.Label_path.equal p1 p2 && Edge_set.equal s1 s2)
        ea eb
 
-let test_extend_data_matches_fresh () =
+let insert apex ~parent fragment =
+  ignore (Update.apply apex [ Update.Insert_subtree { parent; fragment } ] : Update.stats)
+
+(* [fragment] as update ops: Insert_subtree encodes attributes as values,
+   so the actor's reference to m1 is added as an IDREF edge of its own *)
+let insert_actor apex =
+  let g = Apex.graph apex in
+  let actor =
+    Repro_xml.Xml_tree.element ~attrs:[ ("id", "a2") ]
+      ~children:
+        [ Repro_xml.Xml_tree.Element
+            (Repro_xml.Xml_tree.element ~children:[ Repro_xml.Xml_tree.Text "Jeanne" ] "name")
+        ]
+      "actor"
+  in
+  ignore
+    (Update.apply apex
+       [ Update.Insert_subtree { parent = G.root g; fragment = actor };
+         Update.Insert_ref
+           { owner = G.n_nodes g; attr = "movie"; target = List.assoc "m1" (G.ids g) }
+       ]
+      : Update.stats)
+
+let test_insert_matches_fresh () =
   let g = base_graph () in
   let workload =
     match Repro_pathexpr.Label_path.of_string (G.labels g) "actor.name" with
@@ -105,16 +130,15 @@ let test_extend_data_matches_fresh () =
     | None -> []
   in
   let apex = Apex.build_adapted g ~workload ~min_support:0.5 in
-  let g' = G.append_subtree ~idref_attrs:[ "movie"; "actor" ] g ~parent:(G.root g) fragment in
-  Apex.extend_data apex g';
-  let fresh = Apex.build_adapted g' ~workload ~min_support:0.5 in
-  Alcotest.(check bool) "incremental extension = fresh rebuild" true (extents_equal apex fresh)
+  insert_actor apex;
+  let fresh = Apex.build_adapted (Apex.graph apex) ~workload ~min_support:0.5 in
+  Alcotest.(check bool) "maintained insert = fresh rebuild" true (extents_equal apex fresh)
 
-let test_extend_data_queries_correct () =
+let test_insert_queries_correct () =
   let g = base_graph () in
   let apex = Apex.build g in
-  let g' = G.append_subtree ~idref_attrs:[ "movie"; "actor" ] g ~parent:(G.root g) fragment in
-  Apex.extend_data apex g';
+  insert_actor apex;
+  let g' = Apex.graph apex in
   List.iter
     (fun text ->
       let q = Result.get_ok (Query.parse text) in
@@ -126,13 +150,13 @@ let test_extend_data_queries_correct () =
       {|//name[text()="Jeanne"]|}
     ]
 
-let test_extend_data_rejects_unrelated () =
+let test_insert_rejects_unknown_parent () =
   let g = base_graph () in
   let apex = Apex.build g in
-  let smaller = F.small_tree () in
-  match Apex.extend_data apex smaller with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected Invalid_argument for a non-extension"
+  (match insert apex ~parent:999 fragment with
+   | exception Invalid_argument _ -> ()
+   | () -> Alcotest.fail "expected Invalid_argument for an unknown parent");
+  Alcotest.(check bool) "index still on the original graph" true (Apex.graph apex == g)
 
 (* --- property: random growth keeps the index exact --- *)
 
@@ -153,8 +177,8 @@ let gen_fragment =
               children)
          tag))
 
-let prop_extend_equals_fresh =
-  QCheck.Test.make ~count:100 ~name:"extend_data = fresh rebuild on random growth"
+let prop_insert_equals_fresh =
+  QCheck.Test.make ~count:100 ~name:"insert_subtree = fresh rebuild"
     (QCheck.pair F.arb_dag (QCheck.make gen_fragment))
     (fun (spec, fragment) ->
       let g = F.dag_of_spec spec in
@@ -167,10 +191,9 @@ let prop_extend_equals_fresh =
       in
       QCheck.assume (workload <> []);
       let parent = Random.State.int rand (G.n_nodes g) in
-      let g' = G.append_subtree g ~parent fragment in
       let apex = Apex.build_adapted g ~workload ~min_support:0.4 in
-      Apex.extend_data apex g';
-      let fresh = Apex.build_adapted g' ~workload ~min_support:0.4 in
+      insert apex ~parent fragment;
+      let fresh = Apex.build_adapted (Apex.graph apex) ~workload ~min_support:0.4 in
       extents_equal apex fresh)
 
 let () =
@@ -182,10 +205,10 @@ let () =
           Alcotest.test_case "dangling dropped" `Quick test_append_dangling_dropped;
           Alcotest.test_case "unknown parent" `Quick test_append_unknown_parent
         ] );
-      ( "extend_data",
-        [ Alcotest.test_case "matches fresh rebuild" `Quick test_extend_data_matches_fresh;
-          Alcotest.test_case "queries correct" `Quick test_extend_data_queries_correct;
-          Alcotest.test_case "rejects non-extension" `Quick test_extend_data_rejects_unrelated
+      ( "insert_subtree",
+        [ Alcotest.test_case "matches fresh rebuild" `Quick test_insert_matches_fresh;
+          Alcotest.test_case "queries correct" `Quick test_insert_queries_correct;
+          Alcotest.test_case "rejects unknown parent" `Quick test_insert_rejects_unknown_parent
         ] );
-      ( "properties", [ QCheck_alcotest.to_alcotest prop_extend_equals_fresh ] )
+      ( "properties", [ QCheck_alcotest.to_alcotest prop_insert_equals_fresh ] )
     ]
