@@ -108,10 +108,10 @@ let obs =
     & info [ "obs" ] ~docv:"PREFIX"
         ~doc:
           "(serve only) Run with the observability layer on — SLO monitor (q1/q2/q3 at \
-           p99 <= 50ms), 0.25s latency watchdog, auto incident dumps — and write \
-           $(docv).incident.json (flight-recorder incident file), $(docv).prom \
-           (Prometheus-style exposition), and $(docv).status.json (live introspection \
-           document).")
+           p99 <= 50ms) with a 0.25s latency watchdog, auto incident dumps — and write \
+           $(docv).incident.json (the server-state document with the retained \
+           operational records, dumped at the end of the run) and $(docv).prom \
+           (Prometheus-style exposition).")
 
 let trace =
   Arg.(
@@ -124,10 +124,12 @@ let trace =
            format — load into chrome://tracing or ui.perfetto.dev) and print per-phase \
            latency percentiles.")
 
-(* large enough that a full nine-dataset sweep keeps every span; aggregate
-   histograms survive a wrap regardless *)
+(* large enough that a full nine-dataset sweep keeps every span *)
 let trace_capacity = 1 lsl 18
 
+(* The phase table is read back from the JSONL just written, the same path
+   as `apexctl stats`: it covers the retained records, and the header says
+   how many the rings lost. *)
 let finish_trace prefix =
   Trace.disable ();
   let jsonl = prefix ^ ".jsonl" and chrome = prefix ^ ".trace.json" in
@@ -136,7 +138,12 @@ let finish_trace prefix =
   let st = Trace.stats () in
   Printf.printf "\n== trace: %d spans/events recorded (%d retained, %d lost to ring wrap)\n"
     st.Trace.recorded st.Trace.retained st.Trace.overwritten;
-  Printf.printf "wrote %s and %s\n\n%s" jsonl chrome (Export.live_percentile_table ());
+  let phases =
+    match Export.read_jsonl jsonl with
+    | Ok records -> Export.percentile_table (Export.summarize records)
+    | Error e -> Printf.sprintf "cannot read %s back: %s\n" jsonl e
+  in
+  Printf.printf "wrote %s and %s\n\n%s" jsonl chrome phases;
   let events =
     List.filter_map
       (fun (k, n) -> if Trace.kind_is_event k then Some (Trace.kind_name k, n) else None)

@@ -12,14 +12,12 @@ module Server = Repro_server.Server
 module Dataset = Repro_datagen.Dataset
 module Experiments = Repro_harness.Experiments
 module Export = Repro_telemetry.Export
-module Json = Repro_telemetry.Json
 
 (* With --obs PREFIX the run turns the observability layer on — SLO
-   monitor on the default q1/q2/q3 objectives, latency watchdog, auto
-   incident dumps — and ends by writing the introspection document, a
-   forced incident dump, and a Prometheus-style exposition next to the
-   JSON report. The CI observability-smoke job validates these
-   artifacts. *)
+   monitor on the default q1/q2/q3 objectives with its latency watchdog,
+   auto incident dumps — and ends by writing a forced incident dump and a
+   Prometheus-style exposition next to the JSON report. The CI
+   observability-smoke job validates these artifacts. *)
 let run ?obs (config : Experiments.config) ~out =
   let spec =
     match config.Experiments.datasets with
@@ -45,11 +43,7 @@ let run ?obs (config : Experiments.config) ~out =
      Server.incident_dump ~reason:"bench serve: forced dump" server
        (prefix ^ ".incident.json");
      Export.save_exposition (prefix ^ ".prom") (Server.metrics server);
-     Out_channel.with_open_text (prefix ^ ".status.json") (fun oc ->
-         output_string oc (Json.to_string (Server.introspect server));
-         output_char oc '\n');
-     Printf.printf "serve: wrote %s.incident.json, %s.prom, %s.status.json\n%!" prefix
-       prefix prefix);
+     Printf.printf "serve: wrote %s.incident.json, %s.prom\n%!" prefix prefix);
   let h = Driver.merged_latencies report in
   let q p = Repro_telemetry.Metrics.Histogram.quantile h p *. 1e6 in
   Printf.printf

@@ -27,8 +27,8 @@
    saved JSONL event log into per-phase latency histograms and
    adaptation-event totals, and `validate` checks both export formats
    against the checked-in schema (field presence, JSON types, legal
-   record kinds). `bench serve --obs PREFIX` produces the inputs of `top`
-   and `incident-dump`. `lint-report` runs the whole-program domain-safety
+   record kinds). `bench serve --obs PREFIX` produces the input of
+   `incident-dump`. `lint-report` runs the whole-program domain-safety
    analysis (tools/lint) and emits the mutability map, findings, and
    guarded-mutation inventory as schema-validated JSON for CI to diff
    across PRs. *)
@@ -348,7 +348,7 @@ let cmd_drift_check report max_rtc =
     Printf.printf "drift report OK: %d phases, policy converges faster and smaller\n"
       (List.length policy)
 
-(* --- top: terminal dashboard over the introspection document --- *)
+(* --- incident-dump: the server-state frame and event mix of an incident file --- *)
 
 let jget path json =
   List.fold_left (fun acc key -> Option.bind acc (Json.member key)) (Some json) path
@@ -364,21 +364,21 @@ let pp_seconds = function
   | None -> "-"
   | Some s -> Export.pp_duration s
 
-(* One frame of the dashboard: server counters, every live epoch with its
-   pin count and age, per-generation attribution, SLO status, policy
-   hysteresis state, and the trace rings' flight-recorder counters. *)
-let render_top json =
+(* One frame of the server-state document: server counters, every live
+   epoch with its pin count and age, per-generation attribution, SLO and
+   watchdog status, policy hysteresis state, and the trace rings' counters. *)
+let render_frame json =
   let b = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "apex server  generation %s  publishes %s  rollbacks %s  incidents %s\n"
+  add "apex server  generation %s  publishes %s  rollbacks %s  incidents %s  up %s\n"
     (jint [ "server"; "generation" ] json)
     (jint [ "server"; "publishes" ] json)
     (jint [ "server"; "rollbacks" ] json)
-    (jint [ "server"; "incidents" ] json);
-  add "feedback     drained %s  dropped %s  attributed %s\n\n"
+    (jint [ "server"; "incidents" ] json)
+    (pp_seconds (jnum [ "server"; "uptime_seconds" ] json));
+  add "feedback     drained %s  dropped %s\n\n"
     (jint [ "server"; "feedback_drained" ] json)
-    (jint [ "server"; "feedback_dropped" ] json)
-    (jint [ "server"; "observed_queries" ] json);
+    (jint [ "server"; "feedback_dropped" ] json);
   add "EPOCHS     gen  state      pins      age\n";
   List.iter
     (fun e ->
@@ -422,7 +422,10 @@ let render_top json =
             | None -> "-")
            (jint [ "breaches" ] o)
            (if jget [ "breached" ] o = Some (Json.Bool true) then "  BREACHED" else ""))
-       objectives);
+       objectives;
+     add "WATCHDOG   ceiling %s  trips %s\n"
+       (pp_seconds (jnum [ "slo"; "watchdog_seconds" ] json))
+       (jint [ "slo"; "watchdog_trips" ] json));
   (match jget [ "policy" ] json with
    | Some (Json.Obj _ as p) ->
      add "\nPOLICY     queries %.1f  tracked %s  indexed %s  refreshes %s  +%s/-%s (last %s)\n"
@@ -431,79 +434,41 @@ let render_top json =
        (jint [ "refreshes" ] p) (jint [ "promotions" ] p) (jint [ "evictions" ] p)
        (jint [ "last_changes" ] p)
    | _ -> add "\nPOLICY     (support-only mining)\n");
-  add "\nFLIGHT     recorded %s  retained %s  trips %s  dumps %s\n"
-    (jint [ "flight"; "recorded" ] json)
-    (jint [ "flight"; "retained" ] json)
-    (jint [ "flight"; "trips" ] json)
-    (jint [ "flight"; "dumps" ] json);
+  add "\nTRACE      recorded %s  retained %s  overwritten %s\n"
+    (jint [ "trace"; "recorded" ] json)
+    (jint [ "trace"; "retained" ] json)
+    (jint [ "trace"; "overwritten" ] json);
   Buffer.contents b
-
-let cmd_top file interval once =
-  let frame () =
-    render_top (read_json ~ctx:"top" file)
-  in
-  if once then print_string (frame ())
-  else begin
-    (* poll the status file a live serve run keeps rewriting; ^C exits *)
-    let rec loop () =
-      let body = frame () in
-      Printf.printf "\027[2J\027[H%s\n(polling %s every %.1fs — ^C to quit)\n%!" body
-        file interval;
-      Unix.sleepf interval;
-      loop ()
-    in
-    loop ()
-  end
-
-(* --- incident-dump: validate + summarize a flight-recorder dump --- *)
 
 let cmd_incident_dump file schema =
   let json = read_json ~ctx:"incident-dump" file in
   (match schema with
    | None -> ()
    | Some schema_path ->
-     (match Repro_telemetry.Flight.validate_file ~schema_path file with
+     (match Repro_telemetry.Schema.validate_file ~schema_path file with
       | Ok () -> Printf.printf "%s: conforms to %s\n" file schema_path
       | Error errors ->
         Printf.printf "%s: %d schema violation(s)\n" file (List.length errors);
         List.iteri (fun i e -> if i < 20 then Printf.printf "  %s\n" e) errors;
         exit 1));
-  Printf.printf "incident: %s (after %ss up; %s events recorded, %s retained, %s trips)\n"
-    (Option.value (jstr [ "incident"; "reason" ] json) ~default:"?")
-    (jint [ "incident"; "uptime_seconds" ] json)
-    (jint [ "incident"; "recorded" ] json)
-    (jint [ "incident"; "retained" ] json)
-    (jint [ "incident"; "watchdog_trips" ] json);
-  (* events by kind, then the largest metric movements since baseline *)
+  Printf.printf "incident: %s\n\n%s"
+    (Option.value (jstr [ "reason" ] json) ~default:"?")
+    (render_frame json);
   let by_kind = Hashtbl.create 16 in
   List.iter
     (fun e ->
-      match jstr [ "kind" ] e with
+      match jstr [ "name" ] e with
       | Some k ->
         Hashtbl.replace by_kind k (1 + Option.value (Hashtbl.find_opt by_kind k) ~default:0)
       | None -> ())
     (jarr [ "events" ] json);
-  let kinds = Hashtbl.fold (fun k n acc -> (k, n) :: acc) by_kind [] in
+  Printf.printf "\nEVENTS     (retained operational records)\n";
   List.iter
-    (fun (k, n) -> Printf.printf "  %-14s %6d\n" k n)
-    (List.sort (fun (_, a) (_, b) -> Int.compare b a) kinds);
-  let deltas =
-    List.filter_map
-      (fun m ->
-        match (jstr [ "name" ] m, jnum [ "delta" ] m) with
-        | Some name, Some d when not (Float.equal d 0.) -> Some (name, d)
-        | _ -> None)
-      (jarr [ "metrics" ] json)
-  in
+    (fun (k, n) -> Printf.printf "  %-18s %6d\n" k n)
+    (List.sort (fun (_, a) (_, b) -> Int.compare b a)
+       (Hashtbl.fold (fun k n acc -> (k, n) :: acc) by_kind []));
   let spans = List.length (jarr [ "spans" ] json) in
-  if spans > 0 then Printf.printf "  %d trace spans attached\n" spans;
-  if deltas <> [] then begin
-    Printf.printf "top metric movements since baseline:\n";
-    List.iteri
-      (fun i (name, d) ->
-        if i < 12 then Printf.printf "  %-40s %+.0f\n" name d)
-      (List.sort (fun (_, a) (_, b) -> Float.compare (Float.abs b) (Float.abs a)) deltas)
-  end
+  if spans > 0 then Printf.printf "  %d trace spans attached\n" spans
 
 (* `lint-report` runs the same analysis as `dune build @lint` but emits
    the machine-readable report. Must run from the workspace root with a
@@ -639,28 +604,6 @@ let drift_check_cmd =
           regression.")
     Term.(const cmd_drift_check $ report $ max_rtc)
 
-let top_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"STATUS.json")
-  in
-  let interval =
-    Arg.(
-      value & opt float 1.0
-      & info [ "interval" ] ~docv:"SECONDS" ~doc:"Seconds between polls of the status file.")
-  in
-  let once =
-    Arg.(
-      value & flag
-      & info [ "once" ] ~doc:"Render a single frame and exit (no screen clearing).")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Terminal dashboard over a server introspection document (the .status.json a \
-          serve run with --obs writes): live epochs with pin counts, per-generation \
-          attribution, SLO status, policy hysteresis state, and the flight recorder.")
-    Term.(const cmd_top $ file $ interval $ once)
-
 let incident_dump_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"INCIDENT.json")
@@ -677,8 +620,10 @@ let incident_dump_cmd =
   Cmd.v
     (Cmd.info "incident-dump"
        ~doc:
-         "Validate and summarize a flight-recorder incident file: reason, uptime, \
-          events by kind, and the largest metric movements since the baseline.")
+         "Validate and summarize an incident file (what `bench serve --obs` writes): \
+          the reason, a frame of the server-state document — epochs with pin counts, \
+          per-generation attribution, SLO and watchdog status, policy hysteresis state, \
+          trace-ring counters — and the retained operational records by kind.")
     Term.(const cmd_incident_dump $ file $ schema)
 
 let lint_report_cmd =
@@ -730,7 +675,7 @@ let cmd =
   Cmd.group
     (Cmd.info "apexctl" ~doc:"Command-line front end for the APEX reproduction")
     [ generate_cmd; graph_stats_cmd; indexes_cmd; query_cmd; xpath_cmd; workload_cmd;
-      validate_xml_cmd; stats_cmd; validate_cmd; bench_diff_cmd; drift_check_cmd; top_cmd;
+      validate_xml_cmd; stats_cmd; validate_cmd; bench_diff_cmd; drift_check_cmd;
       incident_dump_cmd; lint_report_cmd ]
 
 let () = exit (Cmd.eval cmd)

@@ -20,7 +20,6 @@
 
 module Tr = Repro_telemetry.Trace
 module Metrics = Repro_telemetry.Metrics
-module Flight = Repro_telemetry.Flight
 module Slo = Repro_telemetry.Slo
 module Json = Repro_telemetry.Json
 module Self_tuning = Repro_adaptive.Self_tuning
@@ -77,10 +76,10 @@ type t = {
   writer : Mutex.t;  (* serializes every writer-side operation *)
   feedback : feedback;
   metrics : Metrics.t;
-  flight : Flight.t;  (* writer-domain only (watchdog/dump) *)
+  started_ns : int;  (* monotonic ns at [create], for uptime *)
   slo : Slo.t option;
       (* writer-domain only; [Slo.default_objectives], whose objective
-         index is the query type's *)
+         index is the query type's, and the latency watchdog *)
   incident_path : string option;  (* auto-dump target for trips/breaches *)
   attribution : (int, epoch_totals) Hashtbl.t; [@apex.guarded "writer"]
       (* generation -> cost totals; writer-owned under [writer] *)
@@ -88,7 +87,6 @@ type t = {
   c_epochs_freed : Metrics.counter;
   c_rollbacks : Metrics.counter;
   c_drained : Metrics.counter;
-  c_observed : Metrics.counter;
   c_obs_extent_pages : Metrics.counter;
   c_obs_extent_edges : Metrics.counter;
   c_obs_join_edges : Metrics.counter;
@@ -106,7 +104,7 @@ let snapshot_epoch t =
 
 (* Deep-copy the writer's index into a frozen epoch and make it current;
    then drain what the publish superseded. Caller holds [t.writer]. Both
-   spans are always-on Trace kinds, so the flight recorder keeps them. *)
+   spans are always-on Trace kinds, so an incident file keeps them. *)
 let publish_locked t =
   let tok = Tr.begin_ Tr.Epoch_publish in
   let epoch = Epoch.of_apex ~snapshot_epoch:(snapshot_epoch t) (Self_tuning.apex t.tuner) in
@@ -136,13 +134,10 @@ let create ?log_capacity ?min_support ?(refresh_every = 500) ?pool ?snapshot ?po
          (Self_tuning.apex tuner))
   in
   let metrics = Self_tuning.metrics tuner in
-  let flight = Flight.create ~metrics () in
   let slo =
-    match incident_path with
-    | None -> None
-    | Some _ ->
-      Flight.set_watchdog flight ~threshold:watchdog_seconds;
-      Some (Slo.create Slo.default_objectives)
+    Option.map
+      (fun _ -> Slo.create ~watchdog:watchdog_seconds Slo.default_objectives)
+      incident_path
   in
   let t =
     { tuner;
@@ -155,7 +150,7 @@ let create ?log_capacity ?min_support ?(refresh_every = 500) ?pool ?snapshot ?po
           fb_dropped = 0
         };
       metrics;
-      flight;
+      started_ns = Tr.now_ns ();
       slo;
       incident_path;
       attribution = Hashtbl.create 32;
@@ -163,7 +158,6 @@ let create ?log_capacity ?min_support ?(refresh_every = 500) ?pool ?snapshot ?po
       c_epochs_freed = Metrics.counter metrics "server.epochs_freed";
       c_rollbacks = Metrics.counter metrics "server.rollbacks";
       c_drained = Metrics.counter metrics "server.feedback_drained";
-      c_observed = Metrics.counter metrics "server.observed_queries";
       c_obs_extent_pages = Metrics.counter metrics "server.observed_extent_pages";
       c_obs_extent_edges = Metrics.counter metrics "server.observed_extent_edges";
       c_obs_join_edges = Metrics.counter metrics "server.observed_join_edges";
@@ -230,6 +224,129 @@ let query_pinned t q =
 
 let query t q = snd (query_pinned t q)
 
+(* --- the server-state document (writer side) --- *)
+
+(* Caller holds [t.writer]. Snapshot the attribution table, oldest
+   generation first; records and histograms are copies, so the caller can
+   keep them past the lock and never sees later drains. *)
+let attribution_locked t =
+  Hashtbl.fold
+    (fun _ e acc ->
+      { e with ep_latency = Metrics.Histogram.merge e.ep_latency (Metrics.Histogram.create ()) }
+      :: acc)
+    t.attribution []
+  |> List.sort (fun a b -> Int.compare a.ep_generation b.ep_generation)
+
+let num i = Json.Num (float_of_int i)
+
+let histogram_json h =
+  let q p =
+    match Metrics.Histogram.quantile_opt h p with
+    | None -> Json.Null
+    | Some v -> Json.Num v
+  in
+  Json.Obj
+    [ ("count", num (Metrics.Histogram.count h));
+      ("p50", q 0.5);
+      ("p90", q 0.9);
+      ("p99", q 0.99);
+      ("max",
+       if Metrics.Histogram.count h = 0 then Json.Null
+       else Json.Num (Metrics.Histogram.max_value h))
+    ]
+
+let feedback_dropped t =
+  let fb = t.feedback in
+  Mutex.lock fb.fb_lock;
+  let n = fb.fb_dropped in
+  Mutex.unlock fb.fb_lock;
+  n
+
+(* Caller holds [t.writer]. *)
+let introspect_fields t =
+  let server =
+    Json.Obj
+      [ ("generation", num (Registry.current_generation t.registry));
+        ("publishes", num (Metrics.value t.c_publishes));
+        ("epochs_freed", num (Metrics.value t.c_epochs_freed));
+        ("rollbacks", num (Metrics.value t.c_rollbacks));
+        ("feedback_drained", num (Metrics.value t.c_drained));
+        ("feedback_dropped", num (feedback_dropped t));
+        ("incidents", num (Metrics.value t.c_incidents));
+        ("uptime_seconds", Json.Num (Float.of_int (Tr.now_ns () - t.started_ns) *. 1e-9))
+      ]
+  in
+  let epochs =
+    List.map
+      (fun (i : Registry.info) ->
+        Json.Obj
+          [ ("generation", num i.Registry.info_generation);
+            ("state", Json.Str i.Registry.info_state);
+            ("pins", num i.Registry.info_pins);
+            ("age_seconds", Json.Num i.Registry.info_age)
+          ])
+      (Registry.info t.registry)
+  in
+  let attribution =
+    List.map
+      (fun ep ->
+        Json.Obj
+          [ ("generation", num ep.ep_generation);
+            ("queries", num ep.ep_queries);
+            ("extent_pages", num ep.ep_extent_pages);
+            ("extent_edges", num ep.ep_extent_edges);
+            ("join_edges", num ep.ep_join_edges);
+            ("latency", histogram_json ep.ep_latency)
+          ])
+      (attribution_locked t)
+  in
+  let policy =
+    match Self_tuning.policy t.tuner with
+    | Some p -> Policy.state_json p
+    | None -> Json.Null
+  in
+  let tstats = Tr.stats () in
+  let trace =
+    Json.Obj
+      [ ("recorded", num tstats.Tr.recorded);
+        ("retained", num tstats.Tr.retained);
+        ("overwritten", num tstats.Tr.overwritten)
+      ]
+  in
+  let metrics =
+    Json.Obj
+      (List.map
+         (fun (name, v) ->
+           ( name,
+             match v with
+             | Metrics.Count n -> num n
+             | Metrics.Level f -> Json.Num f
+             | Metrics.Dist h -> histogram_json h ))
+         (Metrics.snapshot t.metrics))
+  in
+  [ ("server", server);
+    ("epochs", Json.Arr epochs);
+    ("attribution", Json.Arr attribution);
+    ("slo", Option.fold ~none:Json.Null ~some:Slo.to_json t.slo);
+    ("policy", policy);
+    ("trace", trace);
+    ("metrics", metrics)
+  ]
+
+(* Caller holds [t.writer]. The introspection document, with the reason,
+   the retained always-on records and the trace tail, written to [path]. *)
+let dump_locked t ~reason path =
+  Metrics.incr t.c_incidents;
+  let events, spans = Repro_telemetry.Export.incident_records () in
+  let doc =
+    Json.Obj
+      ((("reason", Json.Str reason) :: introspect_fields t)
+      @ [ ("events", Json.Arr events); ("spans", Json.Arr spans) ])
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string doc);
+      output_char oc '\n')
+
 (* --- writer side (single domain) --- *)
 
 let with_writer t f =
@@ -242,11 +359,21 @@ let apply t ops =
       Self_tuning.update t.tuner ops;
       publish_locked t)
 
-let force_refresh t =
-  with_writer t (fun () ->
-      Self_tuning.refresh_and_publish t.tuner ~publish:(fun _apex -> publish_locked t))
+(* Caller holds [t.writer]. Forced or due, a published refresh leaves one
+   always-on record. *)
+let refresh_locked t =
+  let generation =
+    Self_tuning.refresh_and_publish t.tuner ~publish:(fun _apex -> publish_locked t)
+  in
+  let changes =
+    match Self_tuning.policy t.tuner with
+    | Some p -> Policy.last_changes p
+    | None -> 0
+  in
+  Tr.record Tr.Refresh_published ~a:generation ~b:changes;
+  generation
 
-let slo_json t = match t.slo with None -> Json.Null | Some s -> Slo.to_json s
+let force_refresh t = with_writer t (fun () -> refresh_locked t)
 
 (* Caller holds [t.writer]. Get-or-create the generation's accounting
    record; beyond [max_attributed] live generations the lowest-numbered
@@ -298,17 +425,15 @@ let drain_feedback t =
           e.ep_join_edges <- e.ep_join_edges + ob.ob_join_edges;
           Metrics.Histogram.record e.ep_latency ob.ob_latency;
           Metrics.Histogram.record t.h_latency ob.ob_latency;
-          Metrics.incr t.c_observed;
           Metrics.add t.c_obs_extent_pages ob.ob_extent_pages;
           Metrics.add t.c_obs_extent_edges ob.ob_extent_edges;
           Metrics.add t.c_obs_join_edges ob.ob_join_edges;
-          (match t.slo with
-           | Some s -> Slo.observe s (qtype_index ob.ob_query) ob.ob_latency
-           | None -> ());
-          let latency_ns = int_of_float (ob.ob_latency *. 1e9) in
-          if Flight.check_latency t.flight ~generation:ob.ob_generation ~latency_ns
-          then tripped := true;
-          Tr.record Tr.Served ~a:ob.ob_generation ~b:latency_ns)
+          match t.slo with
+          | Some s ->
+            if Slo.observe s (qtype_index ob.ob_query) ~generation:ob.ob_generation
+                 ob.ob_latency
+            then tripped := true
+          | None -> ())
         batch;
       let n = List.length batch in
       Metrics.add t.c_drained n;
@@ -324,25 +449,11 @@ let drain_feedback t =
       in
       (match t.incident_path with
        | Some path when !tripped || breached ->
-         Metrics.incr t.c_incidents;
-         Flight.dump
-           ~reason:(if !tripped then "watchdog trip" else "slo breach")
-           ~slo:(slo_json t) t.flight path
+         dump_locked t ~reason:(if !tripped then "watchdog trip" else "slo breach") path
        | _ -> ());
       let refreshed =
-        if Self_tuning.due_for_refresh t.tuner then
-          Some (Self_tuning.refresh_and_publish t.tuner ~publish:(fun _ -> publish_locked t))
-        else None
+        if Self_tuning.due_for_refresh t.tuner then Some (refresh_locked t) else None
       in
-      (match refreshed with
-       | Some generation ->
-         let changes =
-           match Self_tuning.policy t.tuner with
-           | Some p -> Policy.last_changes p
-           | None -> 0
-         in
-         Tr.record Tr.Refresh_published ~a:generation ~b:changes
-       | None -> ());
       (n, refreshed))
 
 let rollback t =
@@ -369,125 +480,9 @@ let epochs_freed t = Metrics.value t.c_epochs_freed
 let rollbacks t = Metrics.value t.c_rollbacks
 let feedback_drained t = Metrics.value t.c_drained
 
-let feedback_dropped t =
-  let fb = t.feedback in
-  Mutex.lock fb.fb_lock;
-  let n = fb.fb_dropped in
-  Mutex.unlock fb.fb_lock;
-  n
-
-let observed t = Metrics.value t.c_observed
-
-(* Caller holds [t.writer]. Snapshot the attribution table, oldest
-   generation first; records and histograms are copies, so the caller can
-   keep them past the lock and never sees later drains. *)
-let attribution_locked t =
-  Hashtbl.fold
-    (fun _ e acc ->
-      { e with ep_latency = Metrics.Histogram.merge e.ep_latency (Metrics.Histogram.create ()) }
-      :: acc)
-    t.attribution []
-  |> List.sort (fun a b -> Int.compare a.ep_generation b.ep_generation)
-
 let attribution t = with_writer t (fun () -> attribution_locked t)
 
-let num i = Json.Num (float_of_int i)
-
-let histogram_json h =
-  let q p =
-    match Metrics.Histogram.quantile_opt h p with
-    | None -> Json.Null
-    | Some v -> Json.Num v
-  in
-  Json.Obj
-    [ ("count", num (Metrics.Histogram.count h));
-      ("p50", q 0.5);
-      ("p90", q 0.9);
-      ("p99", q 0.99);
-      ("max",
-       if Metrics.Histogram.count h = 0 then Json.Null
-       else Json.Num (Metrics.Histogram.max_value h))
-    ]
-
-let introspect t =
-  with_writer t (fun () ->
-      let fb = t.feedback in
-      Mutex.lock fb.fb_lock;
-      let dropped = fb.fb_dropped in
-      Mutex.unlock fb.fb_lock;
-      let server =
-        Json.Obj
-          [ ("generation", num (Registry.current_generation t.registry));
-            ("publishes", num (Metrics.value t.c_publishes));
-            ("epochs_freed", num (Metrics.value t.c_epochs_freed));
-            ("rollbacks", num (Metrics.value t.c_rollbacks));
-            ("feedback_drained", num (Metrics.value t.c_drained));
-            ("feedback_dropped", num dropped);
-            ("observed_queries", num (Metrics.value t.c_observed));
-            ("incidents", num (Metrics.value t.c_incidents))
-          ]
-      in
-      let epochs =
-        List.map
-          (fun (i : Registry.info) ->
-            Json.Obj
-              [ ("generation", num i.Registry.info_generation);
-                ("state", Json.Str i.Registry.info_state);
-                ("pins", num i.Registry.info_pins);
-                ("age_seconds", Json.Num i.Registry.info_age)
-              ])
-          (Registry.info t.registry)
-      in
-      let attribution =
-        List.map
-          (fun ep ->
-            Json.Obj
-              [ ("generation", num ep.ep_generation);
-                ("queries", num ep.ep_queries);
-                ("extent_pages", num ep.ep_extent_pages);
-                ("extent_edges", num ep.ep_extent_edges);
-                ("join_edges", num ep.ep_join_edges);
-                ("latency", histogram_json ep.ep_latency)
-              ])
-          (attribution_locked t)
-      in
-      let policy =
-        match Self_tuning.policy t.tuner with
-        | Some p -> Policy.state_json p
-        | None -> Json.Null
-      in
-      let tstats = Tr.stats () in
-      let flight =
-        Json.Obj
-          [ ("recorded", num tstats.Tr.recorded);
-            ("retained", num tstats.Tr.retained);
-            ("overwritten", num tstats.Tr.overwritten);
-            ("trips", num (Flight.trips t.flight));
-            ("dumps", num (Flight.dumps t.flight))
-          ]
-      in
-      let metrics =
-        Json.Obj
-          (List.map
-             (fun (name, v) ->
-               ( name,
-                 match v with
-                 | Metrics.Count n -> num n
-                 | Metrics.Level f -> Json.Num f
-                 | Metrics.Dist h -> histogram_json h ))
-             (Metrics.snapshot t.metrics))
-      in
-      Json.Obj
-        [ ("server", server);
-          ("epochs", Json.Arr epochs);
-          ("attribution", Json.Arr attribution);
-          ("slo", slo_json t);
-          ("policy", policy);
-          ("flight", flight);
-          ("metrics", metrics)
-        ])
+let introspect t = with_writer t (fun () -> Json.Obj (introspect_fields t))
 
 let incident_dump ?(reason = "on-demand") t path =
-  with_writer t (fun () ->
-      Metrics.incr t.c_incidents;
-      Flight.dump ~reason ~slo:(slo_json t) t.flight path)
+  with_writer t (fun () -> dump_locked t ~reason path)

@@ -39,13 +39,13 @@ val create :
     [incident_path] turns the observability layer on: a
     {!Repro_telemetry.Slo} monitor over
     {!Repro_telemetry.Slo.default_objectives} (each query type's latencies
-    feed its objective; the window rotates once per non-empty drain), the
-    flight recorder's per-query latency watchdog at 0.25 s, and an
-    incident file auto-dumped to that path whenever a drain saw a
-    watchdog trip or an SLO breach. The server's operational records
-    (publish, retire, rollback, drains, update batches, refreshes, SLO
-    breaches, watchdog trips) are always-on {!Repro_telemetry.Trace}
-    kinds, recorded whether or not tracing is enabled. *)
+    feed its objective; the window rotates once per non-empty drain) with
+    its per-query latency watchdog at 0.25 s, and an incident file
+    auto-dumped to that path whenever a drain saw a watchdog trip or an
+    SLO breach. The server's operational records (publish, retire,
+    rollback, drains, update batches, refreshes, SLO breaches, watchdog
+    trips) are always-on {!Repro_telemetry.Trace} kinds, recorded whether
+    or not tracing is enabled. *)
 
 (** {1 Reader side — any domain} *)
 
@@ -108,10 +108,6 @@ val rollbacks : t -> int
 val feedback_drained : t -> int
 val feedback_dropped : t -> int
 
-val observed : t -> int
-(** Observations the writer has attributed so far (equals
-    [feedback_drained] — every drained observation is attributed). *)
-
 (** {2 Per-epoch attribution}
 
     The writer attributes every drained observation to the generation
@@ -135,12 +131,15 @@ val attribution : t -> epoch_totals list
     64 generations have been attributed). *)
 
 val introspect : t -> Repro_telemetry.Json.t
-(** One JSON document of live server state: [server] counters, [epochs]
+(** The server-state document: [server] counters and uptime, [epochs]
     (every registry entry with state/pins/age), [attribution], [slo]
-    status, [policy] hysteresis state, [flight] trace-ring stats and
-    watchdog/dump counts, and the
-    full [metrics] snapshot. What [apexctl top] renders. *)
+    status with the watchdog's ceiling and trips, [policy] hysteresis
+    state, [trace]-ring stats (recorded, retained, overwritten), and the
+    full [metrics] snapshot. *)
 
 val incident_dump : ?reason:string -> t -> string -> unit
-(** Force a flight-recorder incident dump (with current SLO state
-    attached) to the given path, counting it in [server.incidents]. *)
+(** Write an incident file to the given path, counting it in
+    [server.incidents]: the {!introspect} document plus [reason], the
+    retained always-on records as [events] and the last 256 other trace
+    records as [spans] (see {!Repro_telemetry.Export.incident_records}).
+    [schemas/incident_schema.json] describes it. *)

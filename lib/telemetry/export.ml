@@ -10,7 +10,7 @@
 type format = Jsonl | Chrome
 
 (* The one span encoder: JSONL lines, Chrome trace events and the
-   incident file's span tail all come from here. *)
+   incident file's events and span tail all come from here. *)
 let span_json format (s : Trace.span) =
   let name = Json.Str (Trace.kind_name s.kind) in
   let num i = Json.Num (Float.of_int i) in
@@ -43,6 +43,21 @@ let span_json format (s : Trace.span) =
       @ [ ("pid", num 1);
           ("tid", num s.domain);
           ("args", Json.Obj ([ ("seq", num s.seq); ("arg", num s.arg) ] @ note)) ])
+
+(* Retained always-on records, and the last [max_incident_spans] other
+   records, both oldest first. *)
+let max_incident_spans = 256
+
+let incident_records () =
+  let events = ref [] and spans = Queue.create () in
+  Trace.iter_spans (fun s ->
+      if Trace.always_on s.kind then events := span_json Jsonl s :: !events
+      else begin
+        Queue.add s spans;
+        if Queue.length spans > max_incident_spans then ignore (Queue.pop spans)
+      end);
+  ( List.rev !events,
+    List.of_seq (Seq.map (span_json Jsonl) (Queue.to_seq spans)) )
 
 let with_file path f =
   let oc = open_out path in
@@ -176,12 +191,6 @@ let percentile_table entries =
            (whole Metrics.Histogram.sum)))
     entries;
   Buffer.contents buf
-
-let live_percentile_table () =
-  percentile_table
-    (List.map
-       (fun (k, h) -> (Trace.kind_name k, h))
-       (Trace.kind_histograms ()))
 
 let event_table entries =
   let buf = Buffer.create 128 in

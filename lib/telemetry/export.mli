@@ -6,11 +6,10 @@
     aggregators, and schema validator operate on saved files so a
     separate process (apexctl) can audit and summarize a trace. *)
 
-type format = Jsonl | Chrome
-
-val span_json : format -> Trace.span -> Json.t
-(** The one span encoder, shared by both exporters and the incident
-    file's span tail. *)
+val incident_records : unit -> Json.t list * Json.t list
+(** [(events, spans)] for an incident file, both oldest first, both in
+    the JSONL encoding: every retained {!Trace.always_on} record, and the
+    last 256 other retained records (present while tracing is on). *)
 
 val save_jsonl : string -> unit
 val save_chrome : string -> unit
@@ -37,9 +36,6 @@ val pp_duration : float -> string
 
 val percentile_table : (string * Metrics.histogram) list -> string
 (** Aligned table: count, p50/p90/p99, max, total per phase. *)
-
-val live_percentile_table : unit -> string
-(** {!percentile_table} over the live tracer's per-kind histograms. *)
 
 val event_table : (string * int) list -> string
 

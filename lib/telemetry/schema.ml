@@ -6,9 +6,9 @@
      nullable     fields that may also be null (absent value)
      kinds_field  a string field whose value must be one of [kinds]
 
-   The trace, incident and lint-report validators differ only in which
-   section applies to which part of their document; that mapping stays
-   with each of them. *)
+   The trace and lint-report validators keep their own mapping from
+   sections to parts of their document; [validate_file] reads the mapping
+   from the contract itself (its [document] and [sections] keys). *)
 
 type shape = {
   required : (string * string) list;
@@ -61,3 +61,27 @@ let check shape ~ctx j =
 let check_items shape ~ctx items =
   List.concat
     (List.mapi (fun i item -> check shape ~ctx:(Printf.sprintf "%s[%d]" ctx i) item) items)
+
+(* The schema's [document] shape over the top level, then each field its
+   [sections] map names against that section's shape: an object as one
+   record, an array item by item. *)
+let check_document schema json =
+  let section name = Option.map shape_of_json (Json.member name schema) in
+  match (section "document", Json.member "sections" schema) with
+  | Some top, Some (Json.Obj sections) ->
+    check top ~ctx:"document" json
+    @ List.concat_map
+        (fun (field, name) ->
+          match (Option.bind (Json.to_str name) section, Json.member field json) with
+          | None, _ -> [ Printf.sprintf "schema: no section for %S" field ]
+          | Some shape, Some (Json.Arr items) -> check_items shape ~ctx:field items
+          | Some shape, Some (Json.Obj _ as j) -> check shape ~ctx:field j
+          | Some _, _ -> [] (* absent, null or mistyped: [document] reports it *))
+        sections
+  | _ -> [ "schema: missing \"document\" or \"sections\"" ]
+
+let validate_file ~schema_path path =
+  let load p = Result.map_error (fun e -> [ e ]) (Json.parse_file p) in
+  Result.bind (load schema_path) (fun schema ->
+      Result.bind (load path) (fun json ->
+          match check_document schema json with [] -> Ok () | errors -> Error errors))

@@ -8,11 +8,15 @@
    a timer) merges the ring into one window, estimates the target
    quantile, compares against the threshold, updates burn-rate counters,
    records a [Trace.Slo_breach] instant per breached objective (an
-   always-on kind, so the flight recorder keeps it), and rotates
+   always-on kind, so an incident file keeps it), and rotates
    the ring (the oldest sub-window is replaced by a fresh histogram). The
    effective window therefore covers the last [subwindows] advances, and
    one advance retires exactly 1/subwindows of the evidence — the standard
    sliding-window approximation.
+
+   The same drained samples feed a per-query latency watchdog: [observe]
+   compares each one against the ceiling given at [create], and a sample
+   over it counts a trip and records an always-on [Trace.Watchdog_trip].
 
    Low-count windows are handled explicitly: an empty window yields
    [st_estimate = None] and never breaches ("no data" is not "zero
@@ -42,19 +46,21 @@ type cell = {
   c_objective : objective;
   c_windows : Metrics.histogram array;  (* sub-window ring *)
   mutable c_breaches : int;  (* windows evaluated as breached *)
-  mutable c_breached : bool;  (* latest evaluation *)
 }
 
 type t = {
   subwindows : int;
+  watchdog : float;  (* per-query ceiling, seconds; infinity = disarmed *)
   cells : cell array; [@apex.guarded "slo"]
   mutable cur : int; [@apex.guarded "slo"]
   mutable advances : int; [@apex.guarded "slo"]
+  mutable trips : int; [@apex.guarded "slo"]
 }
 [@@apex.shared]
 
-let create ?(subwindows = 6) objectives =
+let create ?(subwindows = 6) ?(watchdog = Float.infinity) objectives =
   if subwindows < 1 then invalid_arg "Slo.create: subwindows must be positive";
+  if not (watchdog > 0.) then invalid_arg "Slo.create: watchdog must be positive";
   List.iter
     (fun o ->
       if not (o.slo_quantile > 0. && o.slo_quantile < 1.) then
@@ -67,6 +73,7 @@ let create ?(subwindows = 6) objectives =
              o.slo_name))
     objectives;
   { subwindows;
+    watchdog;
     cells =
       Array.of_list
         (List.map
@@ -74,22 +81,20 @@ let create ?(subwindows = 6) objectives =
              { c_objective = o;
                c_windows =
                  Array.init subwindows (fun _ -> Metrics.Histogram.create ());
-               c_breaches = 0;
-               c_breached = false })
+               c_breaches = 0 })
            objectives);
     cur = 0;
-    advances = 0 }
+    advances = 0;
+    trips = 0 }
 
-let index t name =
-  let found = ref None in
-  Array.iteri
-    (fun i c -> if !found = None && c.c_objective.slo_name = name then found := Some i)
-    t.cells;
-  !found
-
-let observe t i latency =
-  let c = t.cells.(i) in
-  Metrics.Histogram.record c.c_windows.(t.cur) latency
+let observe t i ~generation latency =
+  Metrics.Histogram.record t.cells.(i).c_windows.(t.cur) latency;
+  if latency > t.watchdog then begin
+    t.trips <- t.trips + 1;
+    Trace.record Trace.Watchdog_trip ~a:generation ~b:(int_of_float (latency *. 1e9));
+    true
+  end
+  else false
 
 type status = {
   st_name : string;
@@ -143,16 +148,12 @@ let evaluate_cell t c =
     st_breaches = c.c_breaches;
     st_windows = t.advances }
 
-(* Evaluate without rotating or counting: the introspection view. *)
-let current t = Array.to_list (Array.map (evaluate_cell t) t.cells)
-
 let advance t =
   t.advances <- t.advances + 1;
   let statuses =
     Array.mapi
       (fun i c ->
         let st = evaluate_cell t c in
-        c.c_breached <- st.st_breached;
         if st.st_breached then begin
           c.c_breaches <- c.c_breaches + 1;
           Trace.record ~note:c.c_objective.slo_name Trace.Slo_breach ~a:i
@@ -167,11 +168,6 @@ let advance t =
     t.cells;
   Array.to_list statuses
 
-let breach_total t =
-  Array.fold_left (fun acc c -> acc + c.c_breaches) 0 t.cells
-
-let breached t = Array.exists (fun c -> c.c_breached) t.cells
-
 let status_json st =
   Json.Obj
     [ ("name", Json.Str st.st_name);
@@ -185,11 +181,17 @@ let status_json st =
       ("breaches", Json.Num (Float.of_int st.st_breaches));
       ("windows", Json.Num (Float.of_int st.st_windows)) ]
 
+(* Evaluated without rotating or counting: the introspection view. *)
 let to_json t =
   Json.Obj
     [ ("subwindows", Json.Num (Float.of_int t.subwindows));
       ("advances", Json.Num (Float.of_int t.advances));
-      ("objectives", Json.Arr (List.map status_json (current t))) ]
+      ( "watchdog_seconds",
+        if Float.is_finite t.watchdog then Json.Num t.watchdog else Json.Null );
+      ("watchdog_trips", Json.Num (Float.of_int t.trips));
+      ( "objectives",
+        Json.Arr (Array.to_list (Array.map (fun c -> status_json (evaluate_cell t c)) t.cells))
+      ) ]
 
 let default_objectives =
   [ { slo_name = "q1"; slo_quantile = 0.99; slo_threshold = 0.05 };

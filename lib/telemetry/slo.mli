@@ -9,6 +9,9 @@
     breached objective, and rotates the ring. The effective window covers
     the last [subwindows] advances.
 
+    The monitor is also the per-query latency watchdog: {!observe} trips
+    on a sample over the ceiling given to {!create}.
+
     Empty windows report [st_estimate = None] and never breach; 1-sample
     windows report that sample exactly. Burn rate is the error-budget
     convention: (fraction of window samples over threshold) / (1 - q). *)
@@ -21,16 +24,16 @@ type objective = {
 
 type t
 
-val create : ?subwindows:int -> objective list -> t
-(** Default 6 sub-windows. @raise Invalid_argument on a quantile outside
-    (0,1) or a non-positive threshold. *)
+val create : ?subwindows:int -> ?watchdog:float -> objective list -> t
+(** Default 6 sub-windows. [watchdog] is the per-query latency ceiling in
+    seconds; without it the watchdog is disarmed. @raise Invalid_argument
+    on a quantile outside (0,1) or a non-positive threshold or ceiling. *)
 
-val index : t -> string -> int option
-(** Objective position by name, for the hot [observe] side. *)
-
-val observe : t -> int -> float -> unit
-(** [observe t i latency] records one sample (seconds) against objective
-    [i]. One histogram store; no allocation. *)
+val observe : t -> int -> generation:int -> float -> bool
+(** [observe t i ~generation latency] records one sample (seconds) served
+    by [generation] against objective [i]. Over the watchdog ceiling it
+    counts a trip, records a [Trace.Watchdog_trip] (generation, latency
+    ns) and returns [true]. No allocation. *)
 
 type status = {
   st_name : string;
@@ -48,16 +51,10 @@ val advance : t -> status list
 (** Evaluate every objective over its merged window, count and record
     breaches, then rotate the ring (retiring the oldest sub-window). *)
 
-val current : t -> status list
-(** Evaluate without rotating or counting — the introspection view. *)
-
-val breach_total : t -> int
-(** Total breached windows across all objectives. *)
-
-val breached : t -> bool
-(** Did the most recent {!advance} breach any objective? *)
-
 val to_json : t -> Json.t
+(** The introspection view: every objective evaluated without rotating or
+    counting, plus the watchdog ceiling ([null] when disarmed) and its
+    trip count. *)
 
 val default_objectives : objective list
 (** q1/q2/q3 at p99 <= 50ms, listed in query-type order — the objectives

@@ -7,8 +7,7 @@
 
    One [Atomic] bit mask gates recording per kind. Disabled (the
    default), only the always-on operational kinds record, into rings of
-   [default_capacity] slots; any other kind costs one flag test. Duration
-   histograms are fed only while enabled (a float sample allocates).
+   [default_capacity] slots; any other kind costs one flag test.
 
    A token packs the record's sequence number and slot ([-1]: not
    recorded). Rings overwrite their oldest records on wrap; [end_] checks
@@ -50,7 +49,6 @@ type kind =
   | Block_skip  (* arg = compressed blocks skipped by a header range test *)
   (* operational instants, always on *)
   | Slo_breach  (* arg = objective index; arg2 = burn rate x1000 *)
-  | Served  (* drained query; arg = generation, arg2 = latency ns *)
   | Update_batch  (* arg = ops applied *)
   | Drain  (* arg = observations drained, arg2 = feedback dropped total *)
   | Refresh_published  (* arg = generation, arg2 = plan changes *)
@@ -84,11 +82,10 @@ let[@inline] kind_index = function
   | Update_aborted -> 23
   | Block_skip -> 24
   | Slo_breach -> 25
-  | Served -> 26
-  | Update_batch -> 27
-  | Drain -> 28
-  | Refresh_published -> 29
-  | Watchdog_trip -> 30
+  | Update_batch -> 26
+  | Drain -> 27
+  | Refresh_published -> 28
+  | Watchdog_trip -> 29
 
 (* indexed by [kind_index] *)
 let kinds_and_names =
@@ -103,8 +100,7 @@ let kinds_and_names =
      (Delta_flushed, "delta_flushed"); (Epoch_committed, "epoch_committed");
      (Epoch_rolled_back, "epoch_rolled_back");
      (Update_aborted, "update_aborted"); (Block_skip, "block_skip");
-     (Slo_breach, "slo_breach"); (Served, "served");
-     (Update_batch, "update_batch"); (Drain, "drain");
+     (Slo_breach, "slo_breach"); (Update_batch, "update_batch"); (Drain, "drain");
      (Refresh_published, "refresh_published");
      (Watchdog_trip, "watchdog_trip") |]
 [@@apex.guarded "readonly"]
@@ -117,8 +113,8 @@ let all_kinds = List.init n_kinds kind_of_index
 let kind_is_event k = kind_index k >= kind_index Path_promoted
 
 let always_on = function
-  | Epoch_publish | Epoch_retire | Epoch_rolled_back | Slo_breach | Served
-  | Update_batch | Drain | Refresh_published | Watchdog_trip -> true
+  | Epoch_publish | Epoch_retire | Epoch_rolled_back | Slo_breach | Update_batch | Drain
+  | Refresh_published | Watchdog_trip -> true
   | _ -> false
 
 let always_on_kinds = List.filter always_on all_kinds
@@ -142,7 +138,6 @@ type ring = {
   notes : string array;
   mutable next : int;  (* records this domain wrote into the ring *)
   counts : int array;  (* per kind; survives ring wrap *)
-  histos : Metrics.Histogram.t array;  (* per-kind span durations *)
   mutable dropped_ends : int;  (* end_ whose slot was overwritten *)
 }
 
@@ -159,7 +154,6 @@ let make_ring ~gen ~cap =
     notes = Array.make cap "";
     next = 0;
     counts = Array.make n_kinds 0;
-    histos = Array.init n_kinds (fun _ -> Metrics.Histogram.create ());
     dropped_ends = 0 }
 
 let default_capacity = 1024
@@ -186,8 +180,8 @@ let next_seq = Atomic.make 0
 let mask = Atomic.make always_on_mask
 
 (* every domain's ring until its first record; never written, so it holds
-   no counters or histograms (untraced processes keep them off the heap) *)
-let unregistered = { (make_ring ~gen:(-1) ~cap:0) with counts = [||]; histos = [||] }
+   no counters *)
+let unregistered = { (make_ring ~gen:(-1) ~cap:0) with counts = [||] }
 [@@apex.guarded "readonly"]
 (* each domain's own ring: written by that domain only *)
 let own_key = Domain.DLS.new_key (fun () -> ref unregistered)
@@ -258,12 +252,8 @@ let end_arg tok arg =
     let r = own_ring () in
     let i = tok land slot_mask in
     if i < r.cap && r.seqs.(i) = tok lsr slot_bits && r.stops.(i) < 0 then begin
-      let stop = now_ns () in
-      r.stops.(i) <- stop;
-      r.args.(i) <- arg;
-      if is_enabled () then
-        Metrics.Histogram.record r.histos.(r.kinds.(i))
-          (Float.of_int (stop - r.starts.(i)) *. 1e-9)
+      r.stops.(i) <- now_ns ();
+      r.args.(i) <- arg
     end
     else r.dropped_ends <- r.dropped_ends + 1
   end
@@ -277,7 +267,6 @@ let instant k a b note =
   end
 
 let event k arg = instant k arg 0 ""
-let event_note k arg note = instant k arg 0 note
 let record ?(note = "") k ~a ~b = instant k a b note
 
 (* Cold-path convenience: exception-safe span around [f]. The closure
@@ -347,20 +336,6 @@ let kind_counts () =
       | 0 -> None
       | n -> Some (k, n))
     all_kinds
-
-let kind_histograms () =
-  let rings, _ = snapshot () in
-  List.filter_map
-    (fun k ->
-      let h =
-        List.fold_left
-          (fun h r -> Metrics.Histogram.merge h r.histos.(kind_index k))
-          (Metrics.Histogram.create ()) rings
-      in
-      if Metrics.Histogram.count h = 0 then None else Some (k, h))
-    all_kinds
-
-let kind_histogram k = List.assoc_opt k (kind_histograms ())
 
 type stats = {
   recorded : int;  (* spans + events ever recorded *)

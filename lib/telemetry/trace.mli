@@ -51,9 +51,6 @@ type kind =
       (** instant: an SLO objective's sliding-window estimate crossed its
           threshold; arg = objective index, arg2 = burn rate x1000,
           note = objective name *)
-  | Served
-      (** instant: the writer drained one served query; arg = generation
-          that served it, arg2 = latency ns *)
   | Update_batch  (** instant: an update batch reached the server; arg = ops *)
   | Drain
       (** instant: one feedback drain; arg = observations drained,
@@ -71,7 +68,7 @@ val kind_is_event : kind -> bool
 val always_on : kind -> bool
 (** Recorded even while tracing is disabled: [Epoch_publish],
     [Epoch_retire], [Epoch_rolled_back], [Slo_breach] and the server's
-    drain-side records [Served .. Watchdog_trip]. *)
+    drain-side records [Update_batch .. Watchdog_trip]. *)
 
 val always_on_kinds : kind list
 
@@ -108,13 +105,9 @@ val end_arg : int -> int -> unit
 val event : kind -> int -> unit
 (** Record an instant event with an integer attribute. *)
 
-val event_note : kind -> int -> string -> unit
-(** Instant event with a string note; allocates the note — cold paths
-    only. *)
-
 val record : ?note:string -> kind -> a:int -> b:int -> unit
 (** Instant event with two integer attributes ([arg], [arg2]); zero
-    allocation without [note]. *)
+    allocation without [note], which allocates — cold paths only. *)
 
 val with_span : kind -> (unit -> 'a) -> 'a
 (** Exception-safe span around [f]; allocates a closure, so for
@@ -137,12 +130,6 @@ val iter_spans : (span -> unit) -> unit
 
 val kind_counts : unit -> (kind * int) list
 (** Per-kind totals since [enable]/[reset]; survives ring wrap. *)
-
-val kind_histogram : kind -> Metrics.histogram option
-(** Duration histogram of spans of [kind] closed while tracing was
-    enabled, merged over domains; [None] if empty. *)
-
-val kind_histograms : unit -> (kind * Metrics.histogram) list
 
 type stats = {
   recorded : int;

@@ -206,7 +206,7 @@ let real_tree () =
   List.iter
     (fun key -> Alcotest.(check string) key "mutable" (verdict key))
     [ "Apex.t"; "Gapex.t"; "Hash_tree.t"; "Extent_store.t"; "Snapshot.t";
-      "Epoch_registry.t"; "Flight.t"; "Slo.t" ];
+      "Epoch_registry.t"; "Slo.t" ];
   Alcotest.(check string) "Xpath_ast.t" "immutable" (verdict "Xpath_ast.t");
   Alcotest.(check string) "Xpath_ast.step" "immutable" (verdict "Xpath_ast.step");
   let roots =
@@ -215,8 +215,8 @@ let real_tree () =
   in
   Alcotest.(check (list string))
     "shared roots"
-    [ "Apex.t"; "Epoch_registry.t"; "Extent_store.t"; "Flight.t"; "Gapex.t";
-      "Hash_tree.t"; "Slo.t"; "Snapshot.t" ]
+    [ "Apex.t"; "Epoch_registry.t"; "Extent_store.t"; "Gapex.t"; "Hash_tree.t";
+      "Slo.t"; "Snapshot.t" ]
     roots;
   (* guard disciplines flow down the reachability closure *)
   let guard_of key =

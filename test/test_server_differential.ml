@@ -88,9 +88,6 @@ let check_run seed () =
   in
   Alcotest.(check int) "attributed queries = feedback drained"
     (Server.feedback_drained server) attributed;
-  Alcotest.(check int) "drained + dropped = queries observed"
-    (Server.observed server)
-    (Server.feedback_drained server);
   List.iter
     (fun e ->
       Alcotest.(check bool)
@@ -160,8 +157,12 @@ let check_run seed () =
 
 (* The observability path `bench serve --obs` takes: a run with an
    incident path monitors the default q1/q2/q3 objectives, and a forced
-   incident dump conforms to the checked-in schema. The schema is found
-   from the repository root or from test/, so the suite runs from both. *)
+   incident dump conforms to the checked-in schema, is the introspection
+   document (same server counters and attribution), and still holds the
+   writer's history (update batches, publishes, drains, refreshes) after
+   a burst of queries. The schema is
+   found from the repository root or from test/, so the suite runs from
+   both. *)
 let test_obs_path () =
   let path = Filename.temp_file "apex_obs" ".incident.json" in
   let report =
@@ -170,18 +171,52 @@ let test_obs_path () =
       (Fixtures.movie_db ())
   in
   let server = report.Driver.server in
+  (* a burst of traffic after the last update, twice the writer ring's
+     1024 slots: the dump must still hold the writer's records *)
+  let stream = report.Driver.query_streams.(0) in
+  for i = 0 to 2047 do
+    ignore (Server.query server stream.(i mod Array.length stream) : int array)
+  done;
+  ignore (Server.drain_feedback server : int * int option);
   Server.incident_dump ~reason:"test: forced dump" server path;
   let schema_path =
     List.find Sys.file_exists
       [ "schemas/incident_schema.json"; "../schemas/incident_schema.json" ]
   in
-  (match Repro_telemetry.Flight.validate_file ~schema_path path with
+  (match Repro_telemetry.Schema.validate_file ~schema_path path with
    | Ok () -> ()
    | Error errors -> Alcotest.failf "incident dump: %s" (String.concat "; " errors));
-  Sys.remove path;
   let module J = Repro_telemetry.Json in
+  let dump =
+    match J.parse_file path with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "incident dump: %s" e
+  in
+  Sys.remove path;
+  let live = Server.introspect server in
+  let section doc key =
+    match J.member key doc with
+    | Some (J.Obj fields) when key = "server" ->
+      J.to_string (J.Obj (List.remove_assoc "uptime_seconds" fields))
+    | Some v -> J.to_string v
+    | None -> Alcotest.failf "missing %S" key
+  in
+  List.iter
+    (fun key ->
+      Alcotest.(check string) ("dump " ^ key ^ " = introspect " ^ key) (section live key)
+        (section dump key))
+    [ "server"; "attribution" ];
+  let retained =
+    match J.member "events" dump with
+    | Some (J.Arr events) -> List.filter_map (fun e -> Option.bind (J.member "name" e) J.to_str) events
+    | _ -> Alcotest.fail "incident dump: no events array"
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) ("retains " ^ kind) true (List.mem kind retained))
+    [ "update_batch"; "epoch_publish"; "drain"; "refresh_published" ];
   let names =
-    match Option.bind (J.member "slo" (Server.introspect server)) (J.member "objectives") with
+    match Option.bind (J.member "slo" live) (J.member "objectives") with
     | Some (J.Arr objectives) ->
       List.map (fun o -> Option.bind (J.member "name" o) J.to_str) objectives
     | _ -> Alcotest.fail "introspect: no slo.objectives array"

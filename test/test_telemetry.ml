@@ -16,7 +16,6 @@
 module Metrics = Repro_telemetry.Metrics
 module Trace = Repro_telemetry.Trace
 module Export = Repro_telemetry.Export
-module Flight = Repro_telemetry.Flight
 module Slo = Repro_telemetry.Slo
 module Json = Repro_telemetry.Json
 
@@ -85,9 +84,6 @@ let ring_wrap_accounting () =
   Alcotest.(check int)
     "kind_counts survives wrap" 20
     (List.assoc Trace.Query (Trace.kind_counts ()));
-  (match Trace.kind_histogram Trace.Query with
-   | None -> Alcotest.fail "no duration histogram"
-   | Some h -> Alcotest.(check int) "histogram saw every close" 20 (Metrics.Histogram.count h));
   (* retained window is oldest-first and contiguous *)
   let seqs = ref [] in
   Trace.iter_spans (fun s -> seqs := s.Trace.seq :: !seqs);
@@ -133,13 +129,6 @@ let multi_domain_rings () =
       Alcotest.(check int) (Trace.kind_name kind ^ " count") k
         (Option.value (List.assoc_opt kind counts) ~default:0))
     [ Trace.Probe; Trace.Path_promoted; Trace.Fetch; Trace.Block_skip ];
-  List.iter
-    (fun (kind, h) ->
-      Alcotest.(check bool) (Trace.kind_name kind ^ " is a span") false
-        (Trace.kind_is_event kind);
-      Alcotest.(check int) (Trace.kind_name kind ^ " durations") k
-        (Metrics.Histogram.count h))
-    (Trace.kind_histograms ());
   let last = ref (-1) and n = ref 0 in
   Trace.iter_spans (fun s ->
       if s.Trace.seq <= !last then
@@ -169,7 +158,7 @@ let populate_ring () =
     [ Trace.Parse; Trace.Plan; Trace.Probe; Trace.Fetch; Trace.Join;
       Trace.Materialize; Trace.Query ];
   Trace.event Trace.Path_promoted 3;
-  Trace.event_note Trace.Path_evicted 5 "b.c";
+  Trace.record ~note:"b.c" Trace.Path_evicted ~a:5 ~b:0;
   ignore (Trace.begin_ Trace.Refresh) (* left open: aborted lifecycle *)
 
 let export_roundtrip () =
@@ -281,7 +270,7 @@ let unreadable_inputs_are_errors () =
       Alcotest.(check bool) ("validate_chrome " ^ path) true
         (is_error (Export.Schema.validate_chrome schema path));
       Alcotest.(check bool) ("incident validate " ^ path) true
-        (is_error (Flight.validate_file ~schema_path:path path)))
+        (is_error (Repro_telemetry.Schema.validate_file ~schema_path:path path)))
     [ Filename.dirname schema_path; missing ]
 
 (* The shared validator accepts null only where a section lists the field
@@ -490,23 +479,25 @@ let histogram_record_zero_alloc () =
 
 (* ---------- flight recorder ---------- *)
 
+let objective name q threshold =
+  { Slo.slo_name = name; slo_quantile = q; slo_threshold = threshold }
+
 (* The whole point of the always-on kinds is staying on in production:
-   their record path must not allocate. Same Gc.minor_words technique as
-   the disabled-tracer test. *)
+   their record path, and the watchdog check beside it, must not
+   allocate. Same Gc.minor_words technique as the disabled-tracer test. *)
 let flight_zero_alloc () =
   Trace.reset ();
-  let f = Flight.create () in
-  Flight.set_watchdog f ~threshold:1.0;
+  let s = Slo.create ~watchdog:1.0 [ objective "q1" 0.99 0.05 ] in
   for i = 1 to 100 do
-    Trace.record Trace.Served ~a:1 ~b:i;
-    ignore (Flight.check_latency f ~generation:1 ~latency_ns:i : bool)
+    Trace.record Trace.Drain ~a:1 ~b:i;
+    ignore (Slo.observe s 0 ~generation:1 1e-6 : bool)
   done;
   let n = 100_000 in
   let before = Gc.minor_words () in
   for i = 1 to n do
-    Trace.record Trace.Served ~a:1 ~b:i;
+    Trace.record Trace.Drain ~a:1 ~b:i;
     Trace.end_arg (Trace.begin_ Trace.Epoch_publish) i;
-    ignore (Flight.check_latency f ~generation:i ~latency_ns:1000 : bool)
+    ignore (Slo.observe s 0 ~generation:i 1e-6 : bool)
   done;
   let per_op = (Gc.minor_words () -. before) /. float_of_int (3 * n) in
   Alcotest.(check bool)
@@ -514,7 +505,7 @@ let flight_zero_alloc () =
     true (per_op < 0.01);
   Alcotest.(check bool) "recorded with tracing off" false (Trace.is_enabled ());
   Alcotest.(check int) "every record counted" (n + 100)
-    (List.assoc Trace.Served (Trace.kind_counts ()));
+    (List.assoc Trace.Drain (Trace.kind_counts ()));
   Trace.reset ()
 
 let flight_ring_wrap () =
@@ -548,69 +539,51 @@ let flight_ring_wrap () =
   Alcotest.(check int) "default capacity" 1024 (Trace.stats ()).Trace.retained;
   Trace.reset ()
 
-let flight_watchdog () =
-  Trace.reset ();
-  let f = Flight.create () in
-  Alcotest.(check bool) "no threshold, no trip" false
-    (Flight.check_latency f ~generation:1 ~latency_ns:1_000_000_000);
-  Flight.set_watchdog f ~threshold:0.001;
-  Alcotest.(check bool) "under threshold" false
-    (Flight.check_latency f ~generation:1 ~latency_ns:500_000);
-  Alcotest.(check bool) "over threshold trips" true
-    (Flight.check_latency f ~generation:2 ~latency_ns:2_000_000);
-  Alcotest.(check int) "trip counted" 1 (Flight.trips f);
-  Alcotest.(check int) "trip recorded as event" 1
-    (List.assoc Trace.Watchdog_trip (Trace.kind_counts ()));
-  Trace.reset ()
-
 let load_json path =
   match Json.parse (In_channel.with_open_text path In_channel.input_all) with
   | Ok v -> v
   | Error e -> Alcotest.failf "parse %s: %s" path e
 
-(* dump -> validate against the committed contract -> parse back *)
+let schema_section path name =
+  match Json.member name (load_json path) with
+  | Some j -> Repro_telemetry.Schema.shape_of_json j
+  | None -> Alcotest.failf "%s: no %S section" path name
+
+(* An incident file's records: each fact once (always-on records are
+   events, the rest spans), both conforming to the committed contract's
+   sections, and the span tail capped at the newest 256. *)
 let flight_incident_roundtrip () =
-  Trace.enable ~capacity:64 ();
-  let metrics = Metrics.create () in
-  let c = Metrics.counter metrics "test.queries" in
-  let f = Flight.create ~metrics () in
+  Trace.enable ~capacity:1024 ();
   Trace.end_arg (Trace.begin_ Trace.Epoch_publish) 2;
-  Trace.end_arg (Trace.begin_ Trace.Probe) 5;
-  Trace.record Trace.Served ~a:2 ~b:1500;
-  Metrics.add c 7;
-  let path = Filename.temp_file "apex_incident" ".json" in
-  Flight.dump ~reason:"unit test" f path;
-  Alcotest.(check int) "dump counted" 1 (Flight.dumps f);
-  (match Flight.validate_file ~schema_path:incident_schema_path path with
-   | Ok () -> ()
-   | Error errors ->
-     Alcotest.failf "incident file invalid: %s" (String.concat "; " errors));
-  let json = load_json path in
-  Sys.remove path;
-  (match Option.bind (Json.member "incident" json) (Json.member "reason") with
-   | Some (Json.Str "unit test") -> ()
-   | _ -> Alcotest.fail "reason not preserved");
-  (* each fact once: always-on records are events, the rest spans *)
-  let names section key =
-    match Json.member section json with
-    | Some (Json.Arr l) -> List.filter_map (fun e -> Option.bind (Json.member key e) Json.to_str) l
-    | _ -> Alcotest.failf "missing %s" section
+  for i = 1 to 300 do
+    Trace.end_arg (Trace.begin_ Trace.Probe) i
+  done;
+  Trace.record Trace.Update_batch ~a:4 ~b:0;
+  let events, spans = Export.incident_records () in
+  let check section items =
+    match
+      Repro_telemetry.Schema.check_items
+        (schema_section incident_schema_path section)
+        ~ctx:section items
+    with
+    | [] -> ()
+    | errors -> Alcotest.failf "incident %s: %s" section (String.concat "; " errors)
   in
-  Alcotest.(check (list string)) "events" [ "epoch_publish"; "served" ] (names "events" "kind");
-  Alcotest.(check (list string)) "spans" [ "probe" ] (names "spans" "name");
-  (* the counter bumped after the baseline snapshot must show delta 7 *)
-  let deltas = match Json.member "metrics" json with Some (Json.Arr l) -> l | _ -> [] in
-  let test_delta =
-    List.find_opt
-      (fun m -> Json.member "name" m = Some (Json.Str "test.queries"))
-      deltas
-  in
-  (match Option.bind test_delta (Json.member "delta") with
-   | Some (Json.Num d) -> Alcotest.(check (float 1e-9)) "metric delta" 7. d
-   | _ -> Alcotest.fail "test.queries delta missing");
+  check "event" events;
+  check "span" spans;
+  let field key items = List.filter_map (fun e -> Json.member key e) items in
+  Alcotest.(check (list string)) "events" [ "epoch_publish"; "update_batch" ]
+    (List.filter_map Json.to_str (field "name" events));
+  Alcotest.(check int) "span tail" 256 (List.length spans);
+  Alcotest.(check (list (option (float 0.)))) "newest spans, oldest first"
+    [ Some 45.; Some 300. ]
+    (List.map Json.to_float
+       [ List.hd (field "arg" spans); List.nth (field "arg" spans) 255 ]);
   Trace.reset ()
 
-(* The incident contract lists exactly the always-on kinds' names. *)
+(* The incident contract lists exactly the always-on kinds' names: the
+   writer's operational records, and no per-query kind that would flood
+   the 1024-slot ring. *)
 let incident_kinds_pinned () =
   let schema = load_json incident_schema_path in
   let kinds =
@@ -620,12 +593,19 @@ let incident_kinds_pinned () =
   in
   Alcotest.(check (list string)) "event.kinds = always-on kind names"
     (List.map Trace.kind_name Trace.always_on_kinds)
+    kinds;
+  Alcotest.(check (list string)) "always-on kinds"
+    [ "epoch_publish"; "epoch_retire"; "epoch_rolled_back"; "slo_breach"; "update_batch";
+      "drain"; "refresh_published"; "watchdog_trip" ]
     kinds
 
 (* ---------- SLO monitor ---------- *)
 
-let objective name q threshold =
-  { Slo.slo_name = name; slo_quantile = q; slo_threshold = threshold }
+(* The introspection view of objective 0 *)
+let slo_view s key =
+  match Option.bind (Json.member "objectives" (Slo.to_json s)) Json.to_list with
+  | Some (o :: _) -> Json.member key o
+  | _ -> Alcotest.fail "to_json: no objectives"
 
 let slo_empty_no_breach () =
   let s = Slo.create [ objective "q1" 0.99 0.01 ] in
@@ -633,12 +613,14 @@ let slo_empty_no_breach () =
   Alcotest.(check bool) "no estimate on empty window" true (st.Slo.st_estimate = None);
   Alcotest.(check bool) "empty window never breaches" false st.Slo.st_breached;
   Alcotest.(check (float 1e-9)) "no burn" 0. st.Slo.st_burn;
-  Alcotest.(check int) "nothing counted" 0 (Slo.breach_total s)
+  Alcotest.(check int) "nothing counted" 0 st.Slo.st_breaches
 
 let slo_single_sample_exact () =
   let s = Slo.create [ objective "q" 0.99 0.005 ] in
-  Slo.observe s 0 0.004;
-  let st = List.hd (Slo.current s) in
+  ignore (Slo.observe s 0 ~generation:1 0.004 : bool);
+  Alcotest.(check bool) "to_json reports the sample" true
+    (slo_view s "estimate" = Some (Json.Num 0.004));
+  let st = List.hd (Slo.advance s) in
   (match st.Slo.st_estimate with
    | Some e -> Alcotest.(check (float 1e-9)) "1-sample window reports the sample" 0.004 e
    | None -> Alcotest.fail "no estimate");
@@ -646,26 +628,52 @@ let slo_single_sample_exact () =
 
 let slo_breach_burn_and_rotation () =
   let s = Slo.create ~subwindows:2 [ objective "q1" 0.5 0.001 ] in
-  (match Slo.index s "q1" with
-   | Some 0 -> ()
-   | _ -> Alcotest.fail "index by name");
-  Alcotest.(check bool) "unknown name" true (Slo.index s "nope" = None);
   for _ = 1 to 100 do
-    Slo.observe s 0 0.1 (* two decades over the 1ms threshold *)
+    ignore (Slo.observe s 0 ~generation:1 0.1 : bool) (* two decades over the 1ms threshold *)
   done;
   let st = List.hd (Slo.advance s) in
   Alcotest.(check bool) "breached" true st.Slo.st_breached;
   Alcotest.(check int) "samples" 100 st.Slo.st_samples;
   Alcotest.(check bool) "burn rate positive" true (st.Slo.st_burn > 1.);
-  Alcotest.(check int) "breach counted" 1 (Slo.breach_total s);
-  Alcotest.(check bool) "breached flag latched" true (Slo.breached s);
+  Alcotest.(check int) "breach counted" 1 st.Slo.st_breaches;
+  Alcotest.(check bool) "to_json: still breached" true
+    (slo_view s "breached" = Some (Json.Bool true));
+  Alcotest.(check bool) "to_json: breach counted" true
+    (slo_view s "breaches" = Some (Json.Num 1.));
   (* rotation: after [subwindows] further advances the samples age out and
      the objective recovers *)
   ignore (Slo.advance s : Slo.status list);
   let st = List.hd (Slo.advance s) in
   Alcotest.(check bool) "window drained after rotation" true
     (st.Slo.st_estimate = None);
-  Alcotest.(check bool) "breach clears" false (Slo.breached s)
+  Alcotest.(check bool) "breach clears" false st.Slo.st_breached;
+  Alcotest.(check bool) "to_json: breach clears" true
+    (slo_view s "breached" = Some (Json.Bool false))
+
+(* The per-query latency watchdog rides on [observe]: disarmed without a
+   ceiling, silent under it, and over it a counted trip recorded as an
+   always-on Watchdog_trip. *)
+let slo_watchdog () =
+  Trace.reset ();
+  let disarmed = Slo.create [ objective "q1" 0.99 0.05 ] in
+  Alcotest.(check bool) "no ceiling, no trip" false
+    (Slo.observe disarmed 0 ~generation:1 1.0);
+  Alcotest.(check bool) "disarmed: ceiling null" true
+    (Json.member "watchdog_seconds" (Slo.to_json disarmed) = Some Json.Null);
+  let s = Slo.create ~watchdog:0.001 [ objective "q1" 0.99 0.05 ] in
+  Alcotest.(check bool) "under the ceiling" false (Slo.observe s 0 ~generation:1 0.0005);
+  Alcotest.(check bool) "over the ceiling trips" true (Slo.observe s 0 ~generation:2 0.002);
+  Alcotest.(check bool) "trip counted" true
+    (Json.member "watchdog_trips" (Slo.to_json s) = Some (Json.Num 1.));
+  Alcotest.(check int) "trip recorded as event" 1
+    (List.assoc Trace.Watchdog_trip (Trace.kind_counts ()));
+  Trace.iter_spans (fun sp ->
+      Alcotest.(check (pair int int)) "generation, latency ns" (2, 2_000_000)
+        (sp.Trace.arg, sp.Trace.arg2));
+  (match Slo.create ~watchdog:0. [] with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "accepted a zero ceiling");
+  Trace.reset ()
 
 let slo_validate () =
   (match Slo.create [ objective "x" 1.5 0.1 ] with
@@ -803,7 +811,6 @@ let () =
         [
           Alcotest.test_case "armed record is zero-alloc" `Quick flight_zero_alloc;
           Alcotest.test_case "ring wrap accounting" `Quick flight_ring_wrap;
-          Alcotest.test_case "latency watchdog" `Quick flight_watchdog;
           Alcotest.test_case "incident dump validates" `Quick flight_incident_roundtrip;
           Alcotest.test_case "incident kinds pinned" `Quick incident_kinds_pinned;
         ] );
@@ -813,6 +820,7 @@ let () =
           Alcotest.test_case "1-sample window exact" `Quick slo_single_sample_exact;
           Alcotest.test_case "breach, burn, rotation" `Quick slo_breach_burn_and_rotation;
           Alcotest.test_case "objective validation" `Quick slo_validate;
+          Alcotest.test_case "latency watchdog" `Quick slo_watchdog;
         ] );
       ( "observability_export",
         [
