@@ -241,8 +241,7 @@ let run (config : Experiments.config) ~out =
   let phases = Drift.phases ~seed ~n_per_phase ~measure ~minsup g in
   let support = run_engine ~g ~phases ~policy:None in
   let policy_cfg =
-    { Policy.default_config with
-      Policy.min_support = minsup;
+    { Policy.min_support = minsup;
       decay = 0.6;
       hysteresis = 0.4;
       cost_weight = 1.0;

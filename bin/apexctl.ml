@@ -20,7 +20,7 @@
      apexctl stats trace.jsonl                    # per-phase latency percentiles
      apexctl validate --schema schemas/trace_schema.json \
          trace.jsonl trace.trace.json             # audit exported traces
-     apexctl lint-report --json \
+     apexctl lint-report \
          --schema schemas/lint_report_schema.json # domain-safety report
 
    `bench --trace PREFIX` produces the trace inputs; `stats` aggregates a
@@ -51,29 +51,28 @@ let cmd_stats path =
     if events <> [] then
       Printf.printf "\ninstant events:\n%s" (Export.event_table events)
 
+(* a JSONL event log line by line, any other file as a whole document *)
 let cmd_validate schema_path paths =
-  match Export.Schema.load schema_path with
-  | Error e -> die "apexctl validate: %s" e
-  | Ok schema ->
-    let failed = ref false in
-    List.iter
-      (fun path ->
-        let validate =
-          if Filename.check_suffix path ".jsonl" then Export.Schema.validate_jsonl
-          else Export.Schema.validate_chrome
-        in
-        match validate schema path with
-        | Ok n -> Printf.printf "%s: OK (%d records)\n" path n
-        | Error errors ->
-          failed := true;
-          Printf.printf "%s: %d violation(s)\n" path (List.length errors);
-          List.iteri
-            (fun i e -> if i < 20 then Printf.printf "  %s\n" e)
-            errors;
-          if List.length errors > 20 then
-            Printf.printf "  ... and %d more\n" (List.length errors - 20))
-      paths;
-    if !failed then exit 1
+  let failed = ref false in
+  List.iter
+    (fun path ->
+      let result =
+        if Filename.check_suffix path ".jsonl" then
+          Result.map (Printf.sprintf "OK (%d records)") (Export.validate_jsonl ~schema_path path)
+        else Result.map (fun () -> "OK") (Repro_telemetry.Schema.validate_file ~schema_path path)
+      in
+      match result with
+      | Ok verdict -> Printf.printf "%s: %s\n" path verdict
+      | Error errors ->
+        failed := true;
+        Printf.printf "%s: %d violation(s)\n" path (List.length errors);
+        List.iteri
+          (fun i e -> if i < 20 then Printf.printf "  %s\n" e)
+          errors;
+        if List.length errors > 20 then
+          Printf.printf "  ... and %d more\n" (List.length errors - 20))
+    paths;
+  if !failed then exit 1
 
 module Json = Repro_telemetry.Json
 
@@ -476,7 +475,7 @@ let cmd_incident_dump file schema =
    `dune build @check` first. Exit codes follow Lint_engine.run_report:
    0 clean, 1 on any non-suppressed L8/L9 finding, 2 on schema or
    analysis errors. *)
-let cmd_lint_report build_dir schema out _json roots =
+let cmd_lint_report build_dir schema out roots =
   let roots = if roots = [] then [ "lib"; "bin"; "bench" ] else roots in
   exit
     (Apex_lint_core.Lint_engine.run_report ~build_dir ?schema_path:schema ~out roots)
@@ -650,14 +649,6 @@ let lint_report_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Write the JSON report to $(docv) instead of standard output.")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Accepted for symmetry with other subcommands; the report is \
-             always JSON.")
-  in
   let roots =
     Arg.(
       value & pos_all string []
@@ -669,7 +660,7 @@ let lint_report_cmd =
          "Run the whole-program domain-safety analysis and emit the mutability \
           map, L1-L9 findings, classified mutation sites, and global-state \
           inventory as schema-validated JSON.")
-    Term.(const cmd_lint_report $ build_dir $ schema $ out $ json $ roots)
+    Term.(const cmd_lint_report $ build_dir $ schema $ out $ roots)
 
 let cmd =
   Cmd.group

@@ -11,7 +11,6 @@ module Path_key = struct
     List.fold_left (fun h l -> (h lxor l) * 0x01000193 land max_int) 0x811c9dc5 p
 end
 
-module Attr = Repro_telemetry.Attribution.Make (Path_key)
 module PH = Hashtbl.Make (Path_key)
 
 type config = {
@@ -20,7 +19,6 @@ type config = {
   hysteresis : float;
   cost_weight : float;
   cost_scale : float;
-  max_paths : int;
 }
 
 let default_config =
@@ -28,12 +26,36 @@ let default_config =
     decay = 0.6;
     hysteresis = 0.3;
     cost_weight = 1.0;
-    cost_scale = 1.0;
-    max_paths = 16384 }
+    cost_scale = 1.0 }
+
+(* --- the decayed attribution table ---
+
+   Per path, two signals accumulate into window fields as queries run;
+   [roll] folds each window into a decayed accumulator (acc <- decay * acc
+   + window) and zeroes it — one roll per refresh gives every signal an
+   exponentially-decayed view of the recent windows, so cooling paths fade
+   geometrically instead of falling off a cliff when the log ring
+   overwrites them. The query total decays through the same fold, so
+   support / queries compares two quantities over one decay horizon. *)
+
+type cell = {
+  mutable a_support : float;  (* decayed count of queries touching the path *)
+  mutable a_cost : float;  (* decayed summed unit cost *)
+  mutable w_support : float;  (* current-window accumulators *)
+  mutable w_cost : float;
+}
+
+(* paths whose decayed support has faded below any plausible relevance
+   are dropped once the table outgrows [max_tracked] *)
+let negligible = 1e-6
+let max_tracked = 16_384
 
 type t = {
   config : config;
-  attr : Attr.t;
+  paths : cell PH.t;
+  mutable a_queries : float;  (* decayed query total: the support denominator *)
+  mutable w_queries : float;
+  mutable n_rolls : int;
   (* the policy's own view of which candidate paths (length >= 2) are in
      the index — committed after each planned refresh lands, so hysteresis
      compares against the state the index actually reached, not against a
@@ -46,50 +68,82 @@ type t = {
 }
 
 let create ?(config = default_config) () =
+  if not (config.decay >= 0. && config.decay < 1.) then
+    invalid_arg "Policy.create: decay must be in [0, 1)";
   if not (config.hysteresis >= 0. && config.hysteresis < 1.) then
     invalid_arg "Policy.create: hysteresis must be in [0, 1)";
   if config.min_support <= 0. then
     invalid_arg "Policy.create: min_support must be positive";
   { config;
-    attr = Attr.create ~max_keys:config.max_paths ~decay:config.decay ();
+    paths = PH.create 256;
+    a_queries = 0.;
+    w_queries = 0.;
+    n_rolls = 0;
     indexed = PH.create 64;
     n_refreshes = 0;
     n_promotions = 0;
     n_evictions = 0;
     n_last_changes = 0 }
 
+let roll t =
+  let d = t.config.decay in
+  t.a_queries <- (d *. t.a_queries) +. t.w_queries;
+  t.w_queries <- 0.;
+  let dead = ref [] in
+  PH.iter
+    (fun p c ->
+      c.a_support <- (d *. c.a_support) +. c.w_support;
+      c.a_cost <- (d *. c.a_cost) +. c.w_cost;
+      c.w_support <- 0.;
+      c.w_cost <- 0.;
+      if c.a_support < negligible then dead := p :: !dead)
+    t.paths;
+  if PH.length t.paths > max_tracked then List.iter (PH.remove t.paths) !dead;
+  t.n_rolls <- t.n_rolls + 1
+
 let config t = t.config
 
 (* One scalar per query in page-equivalents, mirroring the weights of
    Cost.weighted_total: a page read dominates, streamed edge/join work
-   amortizes 500 per page. Latency is *not* folded in — it restates what
-   the logical counters already measure, and adaptation decisions must be
-   deterministic for a given query stream (wall clock is not); it is
-   tracked separately for reporting. *)
+   amortizes 500 per page. Wall-clock latency is deliberately absent: it
+   restates what the logical counters already measure, and adaptation
+   decisions must be deterministic for a given query stream. *)
 let unit_cost ~extent_pages ~extent_edges ~join_edges =
   float_of_int extent_pages
   +. (float_of_int (extent_edges + join_edges) /. 500.)
 
-let observe t ~paths ~extent_pages ~extent_edges ~join_edges ~latency =
+let observe t ~paths ~extent_pages ~extent_edges ~join_edges =
   let cost = unit_cost ~extent_pages ~extent_edges ~join_edges in
-  Attr.observe_query t.attr ~cost ~latency;
+  t.w_queries <- t.w_queries +. 1.;
   (* attribute to every contiguous subpath, exactly as mining counts
      support: the policy's support numbers stay comparable to the
      hash-tree counts they replace *)
   let subs =
     List.sort_uniq Label_path.compare (List.concat_map Label_path.subpaths paths)
   in
-  List.iter (fun p -> Attr.observe t.attr p ~cost ~latency) subs
+  List.iter
+    (fun p ->
+      let c =
+        match PH.find_opt t.paths p with
+        | Some c -> c
+        | None ->
+          let c = { a_support = 0.; a_cost = 0.; w_support = 0.; w_cost = 0. } in
+          PH.add t.paths p c;
+          c
+      in
+      c.w_support <- c.w_support +. 1.;
+      c.w_cost <- c.w_cost +. cost)
+    subs
 
 (* --- planning ---
 
    Score: decayed support, scaled by how expensive the path's queries are
-   relative to the workload mean, raised to [cost_weight] —
+   relative to the fixed [cost_scale], raised to [cost_weight] —
 
-     score(p) = support(p) * (cost_per_query(p) / mean_query_cost) ^ w
+     score(p) = support(p) * (cost_per_query(p) / cost_scale) ^ w
 
    With w = 0 this degenerates to support-only mining. With w > 0 a path
-   whose queries burn more pages/joins than average clears the bar at
+   whose queries burn more pages/joins than the scale clears the bar at
    lower support ("index what pays"), and a frequent-but-cheap path must
    be *very* frequent to justify its index pages.
 
@@ -129,9 +183,8 @@ type plan = {
   p_evictions : Label_path.t list;
 }
 
-let score t p =
-  let s = Attr.stats t.attr p in
-  if s.Attr.support <= 0. then 0.
+let cell_score config c =
+  if c.a_support <= 0. then 0.
   else begin
     (* relative cost against the *fixed* [cost_scale], not against the
        live workload mean: the mean collapses as expensive paths get
@@ -140,26 +193,29 @@ let score t p =
        same self-referential feedback the support-based eviction rule
        avoids. An absolute scale keeps the decision function stationary
        whenever the traffic is. *)
-    let rel =
-      Float.max 0.01 (s.Attr.cost /. s.Attr.support /. t.config.cost_scale)
-    in
-    s.Attr.support *. (rel ** t.config.cost_weight)
+    let rel = Float.max 0.01 (c.a_cost /. c.a_support /. config.cost_scale) in
+    c.a_support *. (rel ** config.cost_weight)
   end
 
+let score t p =
+  match PH.find_opt t.paths p with None -> 0. | Some c -> cell_score t.config c
+
 let plan t =
-  Attr.roll t.attr;
-  let base = t.config.min_support *. Float.max 1. (Attr.queries t.attr) in
+  roll t;
+  let base = t.config.min_support *. Float.max 1. t.a_queries in
   let promote_edge = base *. (1. +. t.config.hysteresis) in
   let retain_edge = base *. (1. -. t.config.hysteresis) in
   let keep = PH.create 64 in
-  Attr.iter t.attr (fun p s ->
+  PH.iter
+    (fun p c ->
       if List.length p >= 2 then begin
         let kept =
-          if PH.mem t.indexed p then s.Attr.support >= retain_edge
-          else s.Attr.support >= promote_edge && score t p >= promote_edge
+          if PH.mem t.indexed p then c.a_support >= retain_edge
+          else c.a_support >= promote_edge && cell_score t.config c >= promote_edge
         in
         if kept then PH.replace keep p ()
-      end);
+      end)
+    t.paths;
   (* an indexed path the decayed table no longer tracks (fully cooled and
      dropped from the attribution table) has zero support: not kept *)
   (* close the kept set under contiguous subpaths: find_slots and the
@@ -204,8 +260,8 @@ let commit t plan =
   t.n_last_changes <- List.length plan.p_promotions + List.length plan.p_evictions
 
 let indexed_paths t = List.sort Label_path.compare (PH.fold (fun p () acc -> p :: acc) t.indexed [])
-let observed_queries t = Attr.queries t.attr
-let tracked_paths t = Attr.tracked t.attr
+let observed_queries t = t.a_queries
+let tracked_paths t = PH.length t.paths
 let refreshes t = t.n_refreshes
 let total_promotions t = t.n_promotions
 let total_evictions t = t.n_evictions
@@ -218,20 +274,20 @@ let state_json t =
   let module Json = Repro_telemetry.Json in
   let num f = Json.Num f in
   let int i = Json.Num (float_of_int i) in
-  let base = t.config.min_support *. Float.max 1. (Attr.queries t.attr) in
+  let base = t.config.min_support *. Float.max 1. t.a_queries in
   Json.Obj
     [ ("min_support", num t.config.min_support);
       ("decay", num t.config.decay);
       ("hysteresis", num t.config.hysteresis);
       ("cost_weight", num t.config.cost_weight);
       ("cost_scale", num t.config.cost_scale);
-      ("observed_queries", num (Attr.queries t.attr));
+      ("observed_queries", num t.a_queries);
       ("support_base", num base);
       ("promote_edge", num (base *. (1. +. t.config.hysteresis)));
       ("retain_edge", num (base *. (1. -. t.config.hysteresis)));
-      ("tracked_paths", int (Attr.tracked t.attr));
+      ("tracked_paths", int (PH.length t.paths));
       ("indexed_paths", int (PH.length t.indexed));
-      ("rolls", int (Attr.rolls t.attr));
+      ("rolls", int t.n_rolls);
       ("refreshes", int t.n_refreshes);
       ("promotions", int t.n_promotions);
       ("evictions", int t.n_evictions);

@@ -8,13 +8,14 @@
     used but expensive path would repay better. This policy closes the
     loop from the measured signals instead:
 
-    - {b support} — decayed count of queries touching the path (through
-      {!Repro_telemetry.Attribution}, rolled once per refresh, so cooling
-      paths fade geometrically);
+    - {b support} — decayed count of queries touching the path;
     - {b cost} — per-path extent pages / extent edges / join edges from
-      {!Repro_storage.Cost}, reduced to one page-equivalent scalar;
-    - {b latency} — wall-clock seconds, tracked for reporting only
-      (deterministic decisions need deterministic inputs).
+      {!Repro_storage.Cost}, reduced to one page-equivalent scalar.
+
+    Both accumulate per path in a window that each refresh folds into a
+    decayed accumulator, so cooling paths fade geometrically. Wall-clock
+    latency is not an input: deterministic decisions need deterministic
+    inputs.
 
     Scoring: [score p = support p * (rel_cost p ** cost_weight)], where
     [rel_cost] is the path's mean per-query cost over the fixed
@@ -56,18 +57,17 @@ type config = {
       (** page-equivalents of per-query work at which a path's cost factor
           is neutral (rel_cost = 1) — "how much work must a query burn
           before indexing its path starts paying" *)
-  max_paths : int;  (** attribution table bound; cooled paths drop first *)
 }
 
 val default_config : config
 (** minSup 0.005 (matching {!Self_tuning.create}), decay 0.6, hysteresis
-    0.3, cost_weight 1.0, cost_scale 1.0, max_paths 16384. *)
+    0.3, cost_weight 1.0, cost_scale 1.0. *)
 
 type t
 
 val create : ?config:config -> unit -> t
-(** @raise Invalid_argument when [hysteresis] is outside [[0, 1)] or
-    [min_support] is not positive. *)
+(** @raise Invalid_argument when [decay] or [hysteresis] is outside
+    [[0, 1)] or [min_support] is not positive. *)
 
 val config : t -> config
 
@@ -82,7 +82,6 @@ val observe :
   extent_pages:int ->
   extent_edges:int ->
   join_edges:int ->
-  latency:float ->
   unit
 (** Attribute one executed query to the paths it used ({!Repro_workload.
     Query_log.paths_of_query}) — the query's cost signals accrue to every
@@ -100,9 +99,11 @@ val observe :
 type plan
 
 val plan : t -> plan
-(** Roll the attribution windows and decide every candidate path. The
-    kept set is closed under contiguous subpaths (the invariant
-    {!Repro_apex.Hash_tree.find_slots} depends on). *)
+(** Roll the decayed windows and decide every candidate path. Once more
+    than 16,384 paths are tracked, the roll drops those whose decayed
+    support fell below 1e-6. The kept set is closed under contiguous
+    subpaths (the invariant {!Repro_apex.Hash_tree.find_slots} depends
+    on). *)
 
 val keep_paths : plan -> Repro_pathexpr.Label_path.t list
 (** The kept candidate paths — pass as [ensure] so paths retained across

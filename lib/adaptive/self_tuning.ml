@@ -141,18 +141,14 @@ let maybe_refresh t = if due_for_refresh t then force_refresh t
    registry path, where the post-refresh index is handed to the epoch
    publication continuation instead of being served in place. *)
 
-let observe_policy t ~paths ~extent_pages ~extent_edges ~join_edges ~latency =
-  match t.policy with
-  | None -> ()
-  | Some policy ->
-    Policy.observe policy ~paths ~extent_pages ~extent_edges ~join_edges ~latency
-
 let record_external t ?q2_paths ?(extent_pages = 0) ?(extent_edges = 0)
-    ?(join_edges = 0) ?(latency = 0.) q =
+    ?(join_edges = 0) q =
   let labels = Repro_graph.Data_graph.labels (Repro_apex.Apex.graph t.apex) in
   let paths = Repro_workload.Query_log.paths_of_query ?q2_paths labels q in
   List.iter (Repro_workload.Query_log.record t.log) paths;
-  observe_policy t ~paths ~extent_pages ~extent_edges ~join_edges ~latency
+  match t.policy with
+  | None -> ()
+  | Some policy -> Policy.observe policy ~paths ~extent_pages ~extent_edges ~join_edges
 
 let refresh_and_publish t ~publish =
   force_refresh t;
@@ -164,28 +160,23 @@ let query ?cost ?table t q =
      accumulate support for the paths they actually touch. *)
   let q2_paths = ref [] in
   let on_sequence seq = q2_paths := seq :: !q2_paths in
-  let labels = Repro_graph.Data_graph.labels (Repro_apex.Apex.graph t.apex) in
   let result =
     match t.policy with
     | None ->
       let r = Repro_apex.Apex_query.eval_query ?cost ?table ~on_sequence t.apex q in
-      Repro_workload.Query_log.record_query ~q2_paths:!q2_paths t.log labels q;
+      record_external t ~q2_paths:!q2_paths q;
       r
     | Some _ ->
       (* the policy needs this query's cost even when the caller doesn't:
-         evaluate against a private Cost and latency clock, then fold the
-         charges into the caller's accumulator *)
+         evaluate against a private Cost, then fold the charges into the
+         caller's accumulator *)
       let mcost = Repro_storage.Cost.create () in
-      let t0 = Unix.gettimeofday () in
       let r = Repro_apex.Apex_query.eval_query ~cost:mcost ?table ~on_sequence t.apex q in
-      let dt = Unix.gettimeofday () -. t0 in
       (match cost with Some c -> Repro_storage.Cost.add c mcost | None -> ());
-      let paths = Repro_workload.Query_log.paths_of_query ~q2_paths:!q2_paths labels q in
-      List.iter (Repro_workload.Query_log.record t.log) paths;
-      observe_policy t ~paths
+      record_external t ~q2_paths:!q2_paths
         ~extent_pages:mcost.Repro_storage.Cost.extent_pages
         ~extent_edges:mcost.Repro_storage.Cost.extent_edges
-        ~join_edges:mcost.Repro_storage.Cost.join_edges ~latency:dt;
+        ~join_edges:mcost.Repro_storage.Cost.join_edges q;
       r
   in
   maybe_refresh t;

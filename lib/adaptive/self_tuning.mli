@@ -35,7 +35,7 @@ val create :
     When [policy] is given, refreshes are decided by the cost-benefit
     {!Policy} instead of raw window support: every evaluated query is
     measured (extent pages / extent edges / join edges against a private
-    {!Repro_storage.Cost}, plus wall-clock latency) and attributed to the
+    {!Repro_storage.Cost}) and attributed to the
     paths it used; each refresh rolls the policy's decayed accumulators,
     prunes/keeps paths through {!Policy.decide}, and commits the plan only
     after the refresh (and its epoch commit) landed — a rolled-back
@@ -67,13 +67,14 @@ val force_refresh : t -> unit
 
 val record_external : t -> ?q2_paths:Repro_pathexpr.Label_path.t list ->
   ?extent_pages:int -> ?extent_edges:int -> ?join_edges:int ->
-  ?latency:float -> Repro_pathexpr.Query.t -> unit
-(** Log a query that was evaluated elsewhere (a reader domain, against a
-    published epoch) without evaluating or triggering a refresh here.
-    [q2_paths] are the label paths Q2 rewriting matched, as reported by
-    the evaluator's [on_sequence]; the cost counters and [latency] (all
-    defaulting to 0) are the reader's measurements, fed to the adaptation
-    policy when one was supplied. Call only from the writer domain. *)
+  Repro_pathexpr.Query.t -> unit
+(** Log a query without evaluating it or triggering a refresh: {!query}
+    logs through here, and so does the server for queries its reader
+    domains evaluated against a published epoch. [q2_paths] are the
+    label paths Q2 rewriting matched, as reported by the evaluator's
+    [on_sequence]; the cost counters (all defaulting to 0) are the
+    query's measured extent and join work, fed to the adaptation policy
+    when one was supplied. Call only from the writer domain. *)
 
 val due_for_refresh : t -> bool
 (** Whether a full [refresh_every] window has been recorded since the last

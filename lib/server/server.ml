@@ -417,7 +417,7 @@ let drain_feedback t =
         (fun ob ->
           Self_tuning.record_external t.tuner ~q2_paths:ob.ob_q2_paths
             ~extent_pages:ob.ob_extent_pages ~extent_edges:ob.ob_extent_edges
-            ~join_edges:ob.ob_join_edges ~latency:ob.ob_latency ob.ob_query;
+            ~join_edges:ob.ob_join_edges ob.ob_query;
           let e = attribution_totals t ob.ob_generation in
           e.ep_queries <- e.ep_queries + 1;
           e.ep_extent_pages <- e.ep_extent_pages + ob.ob_extent_pages;

@@ -32,9 +32,10 @@ val create :
     it as generation 1. The reader→writer query feedback buffer holds
     4096 queries (overflow drops, counted). With
     [policy], refreshes are decided by the cost-benefit policy: each
-    reader query's measured extent/join work and latency travel through
-    the feedback buffer and are attributed to the paths it used when the
-    writer drains.
+    reader query's measured extent/join work travels through the feedback
+    buffer and is attributed to the paths it used when the writer drains
+    (its latency, carried beside it, feeds only the per-generation cells,
+    the latency histogram and the SLO monitor).
 
     [incident_path] turns the observability layer on: a
     {!Repro_telemetry.Slo} monitor over

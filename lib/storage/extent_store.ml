@@ -46,7 +46,6 @@ type cache = {
   mutable head : cache_node option;  (* most recent; the list is circular *)
   mutable cached_ints : int;
   max_entries : int;
-  max_ints : int;
 }
 
 (* Guard disciplines on the shared store (see DESIGN.md "Domain-safety
@@ -79,7 +78,10 @@ type t = {
 }
 [@@apex.shared]
 
-let create ?(codec = `Raw) ?(cache_entries = 1024) ?(cache_ints = 4_000_000) pool =
+(* the decoded-extent LRU's bound on retained integers (~32 MB) *)
+let max_cached_ints = 4_000_000
+
+let create ?(codec = `Raw) ?(cache_entries = 1024) pool =
   let pager = Buffer_pool.pager pool in
   let pid = Pager.alloc pager in
   let cache =
@@ -89,8 +91,7 @@ let create ?(codec = `Raw) ?(cache_entries = 1024) ?(cache_ints = 4_000_000) poo
         { tbl = Hashtbl.create (2 * cache_entries);
           head = None;
           cached_ints = 0;
-          max_entries = cache_entries;
-          max_ints = cache_ints
+          max_entries = cache_entries
         }
   in
   { pool;
@@ -169,7 +170,7 @@ let lru_insert c key repr =
   Hashtbl.replace c.tbl key node;
   c.cached_ints <- c.cached_ints + size;
   lru_push_front c node;
-  while Hashtbl.length c.tbl > c.max_entries || c.cached_ints > c.max_ints do
+  while Hashtbl.length c.tbl > c.max_entries || c.cached_ints > max_cached_ints do
     lru_evict_tail c
   done;
   node

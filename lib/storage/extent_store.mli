@@ -35,11 +35,11 @@ type codec =
 type handle
 (** Location of one stored extent. *)
 
-val create : ?codec:codec -> ?cache_entries:int -> ?cache_ints:int -> Buffer_pool.t -> t
+val create : ?codec:codec -> ?cache_entries:int -> Buffer_pool.t -> t
 (** Default codec [`Raw]. [cache_entries] (default 1024) bounds the
-    decoded-extent LRU's entry count; [cache_ints] (default 4M, ~32 MB)
-    bounds its total retained integers. [cache_entries <= 0] disables the
-    cache entirely. *)
+    decoded-extent LRU's entry count; its total retained integers are
+    bounded at 4M (~32 MB). [cache_entries <= 0] disables the cache
+    entirely. *)
 
 val codec : t -> codec
 

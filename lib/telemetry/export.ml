@@ -90,10 +90,12 @@ type record = {
   note : string;
 }
 
+(* non-blank lines with their physical (1-based) line numbers *)
 let read_lines path =
   Result.map
     (fun text ->
-      List.filter (fun line -> String.trim line <> "") (String.split_on_char '\n' text))
+      List.filter (fun (_, line) -> String.trim line <> "")
+        (List.mapi (fun i line -> (i + 1, line)) (String.split_on_char '\n' text)))
     (Json.read_file path)
 
 let record_of_json j =
@@ -112,17 +114,32 @@ let record_of_json j =
   | _ -> Error "missing or mistyped field (type/name/seq/ts/dur/arg)"
 
 let read_jsonl path =
-  let rec go n acc = function
+  let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      (match Json.parse line with
+    | (n, line) :: rest ->
+      (match Result.bind (Json.parse line) record_of_json with
        | Error e -> Error (Printf.sprintf "line %d: %s" n e)
-       | Ok j ->
-         (match record_of_json j with
-          | Error e -> Error (Printf.sprintf "line %d: %s" n e)
-          | Ok r -> go (n + 1) (r :: acc) rest))
+       | Ok r -> go (r :: acc) rest)
   in
-  Result.bind (read_lines path) (go 1 [])
+  Result.bind (read_lines path) (go [])
+
+let validate_jsonl ~schema_path path =
+  match (Json.parse_file schema_path, read_lines path) with
+  | Error e, _ | _, Error e -> Error [ e ]
+  | Ok schema, Ok lines -> (
+    match Json.member "jsonl" schema with
+    | None -> Error [ Printf.sprintf "%s: no \"jsonl\" section" schema_path ]
+    | Some section ->
+      let shape = Schema.shape_of_json section in
+      let check (n, line) =
+        let ctx = Printf.sprintf "%s:%d" path n in
+        match Json.parse line with
+        | Error e -> [ Printf.sprintf "%s: %s" ctx e ]
+        | Ok j -> Schema.check shape ~ctx j
+      in
+      (match List.concat_map check lines with
+       | [] -> Ok (List.length lines)
+       | errors -> Error errors))
 
 (* --- aggregation over records (for apexctl stats) --- *)
 
@@ -256,50 +273,3 @@ let exposition m =
   Buffer.contents buf
 
 let save_exposition path m = with_file path (fun oc -> output_string oc (exposition m))
-
-(* --- schema validation --- *)
-
-module Schema = struct
-  (* schemas/trace_schema.json: one section per export format, plus the
-     chrome format's top-level array key *)
-  type t = {
-    jsonl : Schema.shape;
-    chrome : Schema.shape;
-    chrome_top : string;
-  }
-
-  let load path =
-    Result.bind (Json.parse_file path) (fun j ->
-        match (Json.member "jsonl" j, Json.member "chrome" j) with
-        | Some jl, Some ch ->
-          let chrome_top =
-            Option.value (Option.bind (Json.member "top" ch) Json.to_str) ~default:"traceEvents"
-          in
-          Ok { jsonl = Schema.shape_of_json jl; chrome = Schema.shape_of_json ch; chrome_top }
-        | _ -> Error (Printf.sprintf "%s: missing jsonl/chrome sections" path))
-
-  let result n = function [] -> Ok n | errors -> Error errors
-
-  let validate_jsonl t path =
-    match read_lines path with
-    | Error e -> Error [ e ]
-    | Ok lines ->
-      List.concat
-        (List.mapi
-           (fun i line ->
-             let ctx = Printf.sprintf "%s:%d" path (i + 1) in
-             match Json.parse line with
-             | Error e -> [ Printf.sprintf "%s: %s" ctx e ]
-             | Ok j -> Schema.check t.jsonl ~ctx j)
-           lines)
-      |> result (List.length lines)
-
-  let validate_chrome t path =
-    match Json.parse_file path with
-    | Error e -> Error [ e ]
-    | Ok j ->
-      (match Option.bind (Json.member t.chrome_top j) Json.to_list with
-       | None -> Error [ Printf.sprintf "%s: missing top-level %S array" path t.chrome_top ]
-       | Some events ->
-         result (List.length events) (Schema.check_items t.chrome ~ctx:t.chrome_top events))
-end

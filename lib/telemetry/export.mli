@@ -3,7 +3,7 @@
     Writers read the live {!Trace} rings, merged in sequence order: JSONL
     (one object per line) and Chrome [trace_event] JSON for
     [chrome://tracing] / Perfetto, one thread per domain. The reader,
-    aggregators, and schema validator operate on saved files so a
+    aggregators, and JSONL validator operate on saved files so a
     separate process (apexctl) can audit and summarize a trace. *)
 
 val incident_records : unit -> Json.t list * Json.t list
@@ -25,6 +25,13 @@ type record = {
 }
 
 val read_jsonl : string -> (record list, string) result
+(** Blank lines are skipped; an error names its physical line number. *)
+
+val validate_jsonl : schema_path:string -> string -> (int, string list) result
+(** Check every line against the contract's [jsonl] section; [Ok n]: all
+    [n] records conform. Errors carry [path:line] with physical line
+    numbers. A Chrome trace file is a whole document:
+    {!Schema.validate_file} checks it. *)
 
 val summarize : record list -> (string * Metrics.histogram) list
 (** Per-span-name duration histograms, sorted by name. *)
@@ -46,19 +53,3 @@ val exposition : Metrics.t -> string
     sanitized to [[a-zA-Z0-9_]] and prefixed ["apex_"]. *)
 
 val save_exposition : string -> Metrics.t -> unit
-
-module Schema : sig
-  (** Validator for the checked-in trace schema
-      ([schemas/trace_schema.json]): its [jsonl] and [chrome] sections are
-      {!Repro_telemetry.Schema} shapes for the two export formats. *)
-
-  type t
-
-  val load : string -> (t, string) result
-
-  val validate_jsonl : t -> string -> (int, string list) result
-  (** [Ok n]: all [n] lines conform. *)
-
-  val validate_chrome : t -> string -> (int, string list) result
-  (** [Ok n]: well-formed with [n] conforming trace events. *)
-end

@@ -6,9 +6,9 @@
      nullable     fields that may also be null (absent value)
      kinds_field  a string field whose value must be one of [kinds]
 
-   The trace and lint-report validators keep their own mapping from
-   sections to parts of their document; [validate_file] reads the mapping
-   from the contract itself (its [document] and [sections] keys). *)
+   Every contract carries its own mapping from sections to parts of the
+   document it describes (its [document] and [sections] keys), read by
+   [check_document]. *)
 
 type shape = {
   required : (string * string) list;

@@ -1,7 +1,8 @@
 (** The mini-contract vocabulary of the checked-in schemas
     ([schemas/*.json]): each section of a schema describes one record
-    shape. The trace ({!Export.Schema}), incident ({!validate_file}) and
-    lint-report validators share it. *)
+    shape, and the contract's [document] and [sections] keys say which
+    parts of a document each section checks. The trace, incident and
+    lint-report contracts all use it. *)
 
 type shape
 (** One record contract: [required] fields with expected JSON type names,
@@ -19,9 +20,11 @@ val check : shape -> ctx:string -> Json.t -> string list
 val check_items : shape -> ctx:string -> Json.t list -> string list
 (** {!check} over array items, with contexts [ctx[0]], [ctx[1]], .... *)
 
+val check_document : Json.t -> Json.t -> string list
+(** [check_document contract json]: the contract's [document] section
+    checked over the top level of [json], and each field its [sections]
+    map names checked against that section — an object as one record, an
+    array item by item. [[]] = conforms. *)
+
 val validate_file : schema_path:string -> string -> (unit, string list) result
-(** Check a whole JSON document against a contract that describes it: the
-    contract's [document] section is checked over the top level, and its
-    [sections] map sends each document field to the section its object,
-    or each item of its array, must match. How
-    [schemas/incident_schema.json] checks an incident file. *)
+(** Parse the contract and the document file, then {!check_document}. *)

@@ -48,8 +48,10 @@ type cell = {
   mutable c_breaches : int;  (* windows evaluated as breached *)
 }
 
+(* sub-windows per objective: the window covers the last six advances *)
+let subwindows = 6
+
 type t = {
-  subwindows : int;
   watchdog : float;  (* per-query ceiling, seconds; infinity = disarmed *)
   cells : cell array; [@apex.guarded "slo"]
   mutable cur : int; [@apex.guarded "slo"]
@@ -58,8 +60,7 @@ type t = {
 }
 [@@apex.shared]
 
-let create ?(subwindows = 6) ?(watchdog = Float.infinity) objectives =
-  if subwindows < 1 then invalid_arg "Slo.create: subwindows must be positive";
+let create ?(watchdog = Float.infinity) objectives =
   if not (watchdog > 0.) then invalid_arg "Slo.create: watchdog must be positive";
   List.iter
     (fun o ->
@@ -72,8 +73,7 @@ let create ?(subwindows = 6) ?(watchdog = Float.infinity) objectives =
           (Printf.sprintf "Slo.create: %s: threshold must be positive"
              o.slo_name))
     objectives;
-  { subwindows;
-    watchdog;
+  { watchdog;
     cells =
       Array.of_list
         (List.map
@@ -162,7 +162,7 @@ let advance t =
         { st with st_breaches = c.c_breaches; st_windows = t.advances })
       t.cells
   in
-  t.cur <- (t.cur + 1) mod t.subwindows;
+  t.cur <- (t.cur + 1) mod subwindows;
   Array.iter
     (fun c -> c.c_windows.(t.cur) <- Metrics.Histogram.create ())
     t.cells;
@@ -184,7 +184,7 @@ let status_json st =
 (* Evaluated without rotating or counting: the introspection view. *)
 let to_json t =
   Json.Obj
-    [ ("subwindows", Json.Num (Float.of_int t.subwindows));
+    [ ("subwindows", Json.Num (Float.of_int subwindows));
       ("advances", Json.Num (Float.of_int t.advances));
       ( "watchdog_seconds",
         if Float.is_finite t.watchdog then Json.Num t.watchdog else Json.Null );

@@ -7,7 +7,7 @@
     or on a timer — evaluates every objective over the merged window,
     updates burn-rate counters, records a [Trace.Slo_breach] instant per
     breached objective, and rotates the ring. The effective window covers
-    the last [subwindows] advances.
+    the last 6 advances.
 
     The monitor is also the per-query latency watchdog: {!observe} trips
     on a sample over the ceiling given to {!create}.
@@ -24,8 +24,8 @@ type objective = {
 
 type t
 
-val create : ?subwindows:int -> ?watchdog:float -> objective list -> t
-(** Default 6 sub-windows. [watchdog] is the per-query latency ceiling in
+val create : ?watchdog:float -> objective list -> t
+(** Six sub-windows per objective. [watchdog] is the per-query latency ceiling in
     seconds; without it the watchdog is disarmed. @raise Invalid_argument
     on a quantile outside (0,1) or a non-positive threshold or ceiling. *)
 

@@ -19,8 +19,7 @@ module Policy = Repro_adaptive.Policy
 module Self_tuning = Repro_adaptive.Self_tuning
 
 let config =
-  { Policy.default_config with
-    Policy.min_support = 0.1;
+  { Policy.min_support = 0.1;
     decay = 0.6;
     hysteresis = 0.3;
     cost_weight = 1.0;
@@ -42,12 +41,12 @@ let window ?(total = 100) t specs =
       used := !used + n;
       for _ = 1 to n do
         Policy.observe t ~paths:[ p ] ~extent_pages:pages ~extent_edges:edges
-          ~join_edges:0 ~latency:0.
+          ~join_edges:0
       done)
     specs;
   for _ = 1 to total - !used do
     Policy.observe t ~paths:[ filler ] ~extent_pages:0 ~extent_edges:0
-      ~join_edges:0 ~latency:0.
+      ~join_edges:0
   done
 
 let refresh t =
@@ -203,7 +202,7 @@ let test_server_feedback_reaches_policy () =
   in
   let hot = Query.Qtype1 [ "actor"; "name" ] in
   for _ = 1 to 20 do
-    Self_tuning.record_external tuner ~extent_pages:10 ~latency:1e-4 hot
+    Self_tuning.record_external tuner ~extent_pages:10 hot
   done;
   for _ = 1 to 20 do
     Self_tuning.record_external tuner ~extent_pages:0
@@ -225,40 +224,40 @@ let test_config_validation () =
       ignore
         (Policy.create ~config:{ config with Policy.min_support = 0. } ()))
 
-(* --- the attribution substrate the policy scores from --- *)
+(* --- the decayed table the policy scores from ---
+
+   Observed through the public API: under [cost_weight = 0] a path's
+   score is its decayed support, under [cost_weight = 1] (scale 1) it is
+   the larger of its decayed cost and 0.01 x its decayed support, and
+   [observed_queries] is the decayed query total. Keys are length-1
+   paths, their own only subpath. *)
 
 module Cost = Repro_storage.Cost
 
-module Attr = Repro_telemetry.Attribution.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
-(* costs are small integers and latencies small dyadics (n/64), so window
-   sums are exact and the properties below only tolerate the decay
-   multiplications *)
+(* costs are small integers, so window sums are exact and the properties
+   below only tolerate the decay multiplications *)
 let arb_observations =
   QCheck.(
     make
-      ~print:Print.(list (triple int float float))
-      Gen.(
-        list_size (int_range 1 40)
-          (triple (int_bound 7)
-             (map float_of_int (int_bound 100))
-             (map (fun n -> float_of_int n /. 64.) (int_bound 64)))))
+      ~print:Print.(list (pair int int))
+      Gen.(list_size (int_range 1 40) (pair (int_bound 7) (int_bound 100))))
 
 let approx a b = Float.abs (a -. b) <= 1e-6 *. (1. +. Float.abs b)
 
-let feed t obs =
-  List.iter
-    (fun (k, c, l) ->
-      Attr.observe_query t ~cost:c ~latency:l;
-      Attr.observe t k ~cost:c ~latency:l)
-    obs
+(* one policy per cost weight, fed the same stream and rolled together *)
+let policies ~decay obs =
+  List.map
+    (fun cost_weight ->
+      let t = Policy.create ~config:{ config with Policy.decay; cost_weight } () in
+      List.iter
+        (fun (k, pages) ->
+          Policy.observe t ~paths:[ [ k ] ] ~extent_pages:pages ~extent_edges:0 ~join_edges:0)
+        obs;
+      t)
+    [ 0.; 1. ]
 
-let keys_of obs = List.sort_uniq compare (List.map (fun (k, _, _) -> k) obs)
+let roll ts = List.iter (fun t -> ignore (Policy.plan t : Policy.plan)) ts
+let keys_of obs = List.sort_uniq compare (List.map (fun (k, _) -> [ k ]) obs)
 
 let prop_decay_monotone =
   let arb =
@@ -269,41 +268,37 @@ let prop_decay_monotone =
   in
   QCheck.Test.make ~count:100 ~name:"empty rolls decay stats geometrically" arb
     (fun (decay, obs) ->
-      let t = Attr.create ~decay () in
-      feed t obs;
-      Attr.roll t;
-      let base = List.map (fun k -> (k, Attr.stats t k)) (keys_of obs) in
-      let q0 = Attr.queries t in
-      Attr.roll t;
-      Attr.roll t;
+      let ts = policies ~decay obs in
+      roll ts;
+      let before = List.map (fun t -> (t, List.map (Policy.score t) (keys_of obs))) ts in
+      let q0 = List.map Policy.observed_queries ts in
+      roll ts;
+      roll ts;
       let expect = decay *. decay in
-      let ok (k, (s : Attr.stats)) =
-        let s' = Attr.stats t k in
-        approx s'.Attr.support (expect *. s.Attr.support)
-        && approx s'.Attr.cost (expect *. s.Attr.cost)
-        && approx s'.Attr.latency (expect *. s.Attr.latency)
-        (* monotone: support never grows across an empty window *)
-        && s'.Attr.support <= s.Attr.support +. 1e-9
+      let ok (t, scores) =
+        List.for_all2
+          (fun k s ->
+            let s' = Policy.score t k in
+            (* monotone: neither signal grows across an empty window *)
+            approx s' (expect *. s) && s' <= s +. 1e-9)
+          (keys_of obs) scores
       in
-      approx (Attr.queries t) (expect *. q0) && List.for_all ok base)
+      List.for_all2 (fun t q -> approx (Policy.observed_queries t) (expect *. q)) ts q0
+      && List.for_all ok before)
 
 let prop_window_order_invariant =
   QCheck.Test.make ~count:100 ~name:"window stats are order-invariant"
     arb_observations (fun obs ->
-      let run l =
-        let t = Attr.create ~decay:0.5 () in
-        feed t l;
-        Attr.roll t;
-        t
-      in
-      let a = run obs and b = run (List.rev obs) in
-      let same k =
-        let sa = Attr.stats a k and sb = Attr.stats b k in
-        approx sa.Attr.support sb.Attr.support
-        && approx sa.Attr.cost sb.Attr.cost
-        && approx sa.Attr.latency sb.Attr.latency
-      in
-      approx (Attr.queries a) (Attr.queries b) && List.for_all same (keys_of obs))
+      let a = policies ~decay:0.5 obs and b = policies ~decay:0.5 (List.rev obs) in
+      roll a;
+      roll b;
+      List.for_all2
+        (fun ta tb ->
+          approx (Policy.observed_queries ta) (Policy.observed_queries tb)
+          && List.for_all
+               (fun k -> approx (Policy.score ta k) (Policy.score tb k))
+               (keys_of obs))
+        a b)
 
 (* [Policy.unit_cost] must stay the restriction of [Cost.weighted_total]
    to the three counters the feedback channel carries — the policy's

@@ -31,6 +31,11 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
+let load_json path =
+  match Json.parse (In_channel.with_open_text path In_channel.input_all) with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "parse %s: %s" path e
+
 (* ---------- disabled path: zero allocation ---------- *)
 
 let disabled_zero_alloc () =
@@ -228,48 +233,65 @@ let schema_validation () =
   let chrome = Filename.temp_file "apex_trace" ".trace.json" in
   Export.save_jsonl jsonl;
   Export.save_chrome chrome;
-  (match Export.Schema.load schema_path with
-   | Error m -> Alcotest.failf "schema load: %s" m
-   | Ok schema ->
-     (match Export.Schema.validate_jsonl schema jsonl with
-      | Error errs -> Alcotest.failf "jsonl invalid: %s" (String.concat "; " errs)
-      | Ok n -> Alcotest.(check int) "jsonl lines conform" 10 n);
-     (match Export.Schema.validate_chrome schema chrome with
-      | Error errs -> Alcotest.failf "chrome invalid: %s" (String.concat "; " errs)
-      | Ok n -> Alcotest.(check int) "chrome events conform" 10 n);
-     (* the validator must actually reject garbage *)
-     let bad = Filename.temp_file "apex_trace_bad" ".jsonl" in
-     let oc = open_out bad in
-     output_string oc "{\"type\":\"span\",\"name\":\"x\"}\n";
-     close_out oc;
-     (match Export.Schema.validate_jsonl schema bad with
-      | Ok _ -> Alcotest.fail "validator accepted a record missing fields"
-      | Error _ -> ());
-     Sys.remove bad);
+  (match Export.validate_jsonl ~schema_path jsonl with
+   | Error errs -> Alcotest.failf "jsonl invalid: %s" (String.concat "; " errs)
+   | Ok n -> Alcotest.(check int) "jsonl lines conform" 10 n);
+  (match Repro_telemetry.Schema.validate_file ~schema_path chrome with
+   | Error errs -> Alcotest.failf "chrome invalid: %s" (String.concat "; " errs)
+   | Ok () -> ());
+  Alcotest.(check (option int)) "chrome events" (Some 10)
+    (Option.map List.length
+       (Option.bind (Json.member "traceEvents" (load_json chrome)) Json.to_list));
+  (* the validators must actually reject garbage *)
+  let bad = Filename.temp_file "apex_trace_bad" ".jsonl" in
+  Out_channel.with_open_text bad (fun oc ->
+      output_string oc "{\"type\":\"span\",\"name\":\"x\"}\n");
+  (match Export.validate_jsonl ~schema_path bad with
+   | Ok _ -> Alcotest.fail "validator accepted a record missing fields"
+   | Error _ -> ());
+  Out_channel.with_open_text bad (fun oc ->
+      output_string oc {|{"traceEvents":[{"name":"x","ph":"X"}]}|});
+  (match Repro_telemetry.Schema.validate_file ~schema_path bad with
+   | Ok () -> Alcotest.fail "validator accepted a chrome event missing fields"
+   | Error _ -> ());
+  Sys.remove bad;
   Sys.remove jsonl;
   Sys.remove chrome;
   Trace.reset ()
+
+(* Errors name the physical line: blank lines are skipped, not renumbered
+   away. *)
+let jsonl_physical_lines () =
+  let path = Filename.temp_file "apex_trace_blank" ".jsonl" in
+  let good = {|{"type":"span","name":"probe","seq":1,"ts":0,"dur":0,"arg":0}|} in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (String.concat "\n" [ good; ""; "  "; {|{"type":"span"}|}; "" ]));
+  (match Export.validate_jsonl ~schema_path path with
+   | Ok _ -> Alcotest.fail "validator accepted a record missing fields"
+   | Error errors ->
+     Alcotest.(check bool) "validate_jsonl names line 4" true
+       (List.for_all (fun e -> contains e (path ^ ":4: ")) errors));
+  (match Export.read_jsonl path with
+   | Ok _ -> Alcotest.fail "reader accepted a record missing fields"
+   | Error e -> Alcotest.(check bool) ("read_jsonl names line 4: " ^ e) true (contains e "line 4:"));
+  Sys.remove path
 
 (* A directory or missing file is an [Error], never an escaping
    [Sys_error] ("apexctl validate --schema schemas x.jsonl" used to die
    with an uncaught exception). *)
 let unreadable_inputs_are_errors () =
   let missing = Filename.concat (Filename.get_temp_dir_name ()) "apex_no_such_file.json" in
-  let schema =
-    match Export.Schema.load schema_path with
-    | Ok s -> s
-    | Error m -> Alcotest.failf "schema load: %s" m
-  in
   List.iter
     (fun path ->
       let is_error = function Ok _ -> false | Error _ -> true in
-      Alcotest.(check bool) ("Schema.load " ^ path) true (is_error (Export.Schema.load path));
       Alcotest.(check bool) ("read_jsonl " ^ path) true (is_error (Export.read_jsonl path));
       Alcotest.(check bool) ("validate_jsonl " ^ path) true
-        (is_error (Export.Schema.validate_jsonl schema path));
-      Alcotest.(check bool) ("validate_chrome " ^ path) true
-        (is_error (Export.Schema.validate_chrome schema path));
-      Alcotest.(check bool) ("incident validate " ^ path) true
+        (is_error (Export.validate_jsonl ~schema_path path));
+      Alcotest.(check bool) ("validate_jsonl schema " ^ path) true
+        (is_error (Export.validate_jsonl ~schema_path:path schema_path));
+      Alcotest.(check bool) ("validate_file " ^ path) true
+        (is_error (Repro_telemetry.Schema.validate_file ~schema_path path));
+      Alcotest.(check bool) ("validate_file schema " ^ path) true
         (is_error (Repro_telemetry.Schema.validate_file ~schema_path:path path)))
     [ Filename.dirname schema_path; missing ]
 
@@ -539,11 +561,6 @@ let flight_ring_wrap () =
   Alcotest.(check int) "default capacity" 1024 (Trace.stats ()).Trace.retained;
   Trace.reset ()
 
-let load_json path =
-  match Json.parse (In_channel.with_open_text path In_channel.input_all) with
-  | Ok v -> v
-  | Error e -> Alcotest.failf "parse %s: %s" path e
-
 let schema_section path name =
   match Json.member name (load_json path) with
   | Some j -> Repro_telemetry.Schema.shape_of_json j
@@ -627,7 +644,7 @@ let slo_single_sample_exact () =
   Alcotest.(check bool) "under threshold" false st.Slo.st_breached
 
 let slo_breach_burn_and_rotation () =
-  let s = Slo.create ~subwindows:2 [ objective "q1" 0.5 0.001 ] in
+  let s = Slo.create [ objective "q1" 0.5 0.001 ] in
   for _ = 1 to 100 do
     ignore (Slo.observe s 0 ~generation:1 0.1 : bool) (* two decades over the 1ms threshold *)
   done;
@@ -640,9 +657,14 @@ let slo_breach_burn_and_rotation () =
     (slo_view s "breached" = Some (Json.Bool true));
   Alcotest.(check bool) "to_json: breach counted" true
     (slo_view s "breaches" = Some (Json.Num 1.));
-  (* rotation: after [subwindows] further advances the samples age out and
-     the objective recovers *)
-  ignore (Slo.advance s : Slo.status list);
+  (* rotation: the window covers the last six advances, so the samples
+     stay through five further advances, age out on the sixth, and the
+     objective recovers *)
+  for _ = 1 to 4 do
+    ignore (Slo.advance s : Slo.status list)
+  done;
+  Alcotest.(check bool) "still breached inside the window" true
+    (List.hd (Slo.advance s)).Slo.st_breached;
   let st = List.hd (Slo.advance s) in
   Alcotest.(check bool) "window drained after rotation" true
     (st.Slo.st_estimate = None);
@@ -788,6 +810,7 @@ let () =
           Alcotest.test_case "jsonl round-trip" `Quick export_roundtrip;
           Alcotest.test_case "serving kinds" `Quick serving_kinds_export;
           Alcotest.test_case "schema validation" `Quick schema_validation;
+          Alcotest.test_case "jsonl physical line numbers" `Quick jsonl_physical_lines;
           Alcotest.test_case "unreadable inputs are errors" `Quick unreadable_inputs_are_errors;
           Alcotest.test_case "schema nulls" `Quick schema_nulls;
         ] );

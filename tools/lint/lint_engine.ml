@@ -248,14 +248,14 @@ let run_report ~build_dir ?schema_path ~out roots =
     match schema_path with
     | None -> true
     | Some sp ->
-      (match Lint_report.Schema.load sp with
+      (match Repro_telemetry.Json.parse_file sp with
        | Error e ->
          Format.eprintf "lint-report: cannot load schema: %s@." e;
          false
        | Ok schema ->
-         (match Lint_report.Schema.validate schema report with
-          | Ok () -> true
-          | Error errs ->
+         (match Repro_telemetry.Schema.check_document schema report with
+          | [] -> true
+          | errs ->
             List.iter (fun e -> Format.eprintf "lint-report: schema: %s@." e) errs;
             false))
   in

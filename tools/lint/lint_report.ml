@@ -19,10 +19,11 @@
      globals          the top-level mutable-state inventory (mutable /
                       atomic / guarded)
 
-   The document is validated against schemas/lint_report_schema.json, a
-   mini-contract in the same style as the trace exporter's schema:
-   required field -> JSON type name per section, plus the legal kind
-   sets for verdicts and site classes. *)
+   The document is validated against schemas/lint_report_schema.json
+   through the shared contract checker (Repro_telemetry.Schema): required
+   field -> JSON type name per section, the legal kind sets for verdicts
+   and site classes, and the contract's own map from root arrays to item
+   sections. *)
 
 module Json = Repro_telemetry.Json
 
@@ -182,45 +183,3 @@ let build (i : input) : Json.t =
     ]
 
 let to_string json = Json.to_string json
-
-(* --- schema validation (the shared mini-contract vocabulary) --- *)
-
-module Schema = struct
-  module Shape = Repro_telemetry.Schema
-
-  type t = (string * Shape.shape) list  (* section name -> shape *)
-
-  let load path =
-    match Json.parse_file path with
-    | Error e -> Error e
-    | Ok (Json.Obj sections) ->
-      Ok (List.map (fun (name, j) -> (name, Shape.shape_of_json j)) sections)
-    | Ok _ -> Error (Printf.sprintf "%s: schema must be a JSON object" path)
-
-  (* root array field -> the schema section describing its items *)
-  let item_sections =
-    [
-      ("mutability", "mutability_item");
-      ("shared_reach", "shared_reach_item");
-      ("findings", "finding_item");
-      ("mutation_sites", "site_item");
-      ("globals", "global_item");
-    ]
-
-  let validate (schema : t) (json : Json.t) =
-    let top =
-      match List.assoc_opt "top" schema with
-      | Some shape -> Shape.check shape ~ctx:"report" json
-      | None -> [ "schema: missing \"top\" section" ]
-    in
-    let items =
-      List.concat_map
-        (fun (field, section) ->
-          match (List.assoc_opt section schema, Json.member field json) with
-          | Some shape, Some (Json.Arr items) -> Shape.check_items shape ~ctx:field items
-          | None, _ -> [ Printf.sprintf "schema: missing %S section" section ]
-          | Some _, _ -> []  (* missing/ill-typed root field already reported by top *))
-        item_sections
-    in
-    match top @ items with [] -> Ok () | errs -> Error errs
-end
