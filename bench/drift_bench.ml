@@ -2,7 +2,7 @@
    the same phased drifting workloads (Repro_workload.Drift), reporting
    per phase how many refreshes each miner needed to stop changing the
    index, how many pages the converged index occupies, and reader latency
-   percentiles — as BENCH_DRIFT.json.
+   percentiles (written as JSON with --json).
 
    The run doubles as a correctness check: every phase's result stream is
    checksummed against the naive single-threaded oracle for both engines,
@@ -290,9 +290,7 @@ let run (config : Experiments.config) ~out =
               ("policy_smaller_index", Json.Bool smaller);
               ("policy_stable_tail", Json.Bool stable) ] ) ]
   in
-  Out_channel.with_open_text out (fun oc ->
-      output_string oc (Json.to_string doc);
-      output_char oc '\n');
+  Option.iter (fun out -> Experiments.write_json out doc) out;
   List.iter2
     (fun s p ->
       Printf.printf
@@ -302,7 +300,6 @@ let run (config : Experiments.config) ~out =
         s.r_name s.r_rtc s.r_refreshes s.r_pages p.r_rtc p.r_refreshes
         p.r_pages p.r_stable_tail p.r_p50_us p.r_p99_us)
     support policy;
-  Printf.printf "drift: -> %s\n%!" out;
   if not checks_ok then failwith "drift: result checksums diverge from the naive oracle";
   if not faster then failwith "drift: policy did not converge in fewer refreshes";
   if not smaller then failwith "drift: policy index is not smaller";

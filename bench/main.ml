@@ -46,11 +46,10 @@ let resolve_config ~quick ~full ~scale ~datasets ~no_verify =
 
 let run_experiment ?json ?obs name config =
   match (name, json) with
-  | "updates", _ ->
-    (* --json overrides the default snapshot path *)
-    Experiments.updates config ~out:(Option.value json ~default:"BENCH_PR4.json")
-  | "serve", _ -> Serve.run ?obs config ~out:(Option.value json ~default:"BENCH_SERVE.json")
-  | "drift", _ -> Drift_bench.run config ~out:(Option.value json ~default:"BENCH_DRIFT.json")
+  (* these three print their tables and write a report only with --json *)
+  | "updates", _ -> Experiments.updates config ~out:json
+  | "serve", _ -> Serve.run ?obs config ~out:json
+  | "drift", _ -> Drift_bench.run config ~out:json
   | _, Some out -> Experiments.json_bench config ~out
   | _, None ->
   match name with
@@ -70,7 +69,7 @@ open Cmdliner
 let experiment =
   let doc =
     "Experiment to run: all, table1, table2, fig13, fig14, fig15, ablation, updates, serve, \
-     faults, or micro."
+     drift, faults, or micro."
   in
   Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
 
@@ -98,8 +97,10 @@ let json =
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:
-          "Instead of the table experiments, write a machine-readable benchmark snapshot \
-           (build time, Q1/Q2/Q3 latency, result checksums, cache hit rates) to $(docv).")
+          "Instead of the table experiments, write a machine-readable benchmark report \
+           (build time, Q1/Q2/Q3 latency, result checksums, cache hit rates) to $(docv). \
+           The updates, serve and drift experiments write their own report to $(docv), and \
+           without this option only print.")
 
 let obs =
   Arg.(

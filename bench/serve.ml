@@ -1,6 +1,6 @@
 (* The serve benchmark: multi-client mixed read/write workload against the
    concurrent query server, reporting reader latency percentiles and epoch
-   lifecycle counts as BENCH_SERVE.json.
+   lifecycle counts (written as JSON with --json).
 
    The run is also a correctness check: every logged reader observation is
    replayed against the naive single-threaded oracle pinned at the same
@@ -34,8 +34,14 @@ let run ?obs (config : Experiments.config) ~out =
   in
   let report = Driver.run ~config:driver_config g in
   let mismatches = Driver.verify_observations report in
-  let json = Driver.report_json ~dataset:spec.Dataset.name ~checksum_mismatches:mismatches report in
-  Out_channel.with_open_text out (fun oc -> output_string oc json);
+  Option.iter
+    (fun out ->
+      let json =
+        Driver.report_json ~dataset:spec.Dataset.name ~checksum_mismatches:mismatches report
+      in
+      Out_channel.with_open_text out (fun oc -> output_string oc json);
+      Printf.printf "serve: wrote %s\n%!" out)
+    out;
   (match obs with
    | None -> ()
    | Some prefix ->
@@ -48,13 +54,13 @@ let run ?obs (config : Experiments.config) ~out =
   let q p = Repro_telemetry.Metrics.Histogram.quantile h p *. 1e6 in
   Printf.printf
     "serve: %d queries on %d readers across %d publishes — p50 %.1fus p99 %.1fus, %d errors, \
-     %d stalls, %d oracle mismatches -> %s\n\
+     %d stalls, %d oracle mismatches\n\
      %!"
     (Driver.total_queries report)
     report.Driver.config.Driver.readers report.Driver.publishes (q 0.5) (q 0.99)
     (Driver.total_errors report)
     (Driver.stalled_readers report)
-    mismatches out;
+    mismatches;
   Array.iteri
     (fun i h ->
       let q p = Repro_telemetry.Metrics.Histogram.quantile h p *. 1e6 in

@@ -249,29 +249,24 @@ let read_json ~ctx path =
   | Ok json -> json
   | Error e -> die "apexctl %s: %s" ctx e
 
-(* `bench-diff A.json B.json` compares per-dataset q1/q2/q3 result
-   checksums between two `bench --json` outputs and exits 1 on any drift —
-   the CI guard that representation changes (codecs, join kernels) never
-   change answers. *)
-let cmd_bench_diff base other =
-  let module E = Repro_harness.Experiments in
+(* `bench-diff BENCH_TRAJECTORY.json REPORT.json` checks a fresh `bench`,
+   `updates` or `drift` report against the newest committed entry of its
+   experiment: every checksum and deterministic counter must be equal, so
+   a representation change (codecs, join kernels, policy arithmetic) never
+   moves an answer or a logical cost unnoticed. Exit 1 on any difference. *)
+let cmd_bench_diff trajectory report =
   match
-    E.diff_checksums ~base:(read_json ~ctx:"bench-diff" base)
-      ~other:(read_json ~ctx:"bench-diff" other)
+    Repro_harness.Experiments.bench_diff
+      ~trajectory:(read_json ~ctx:"bench-diff" trajectory)
+      (read_json ~ctx:"bench-diff" report)
   with
-  | Error e -> die "apexctl bench-diff: %s vs %s: %s" base other e
-  | Ok (common, []) -> Printf.printf "bench checksums match: %s\n" (String.concat ", " common)
-  | Ok (_, mismatches) ->
-    let show = Option.value ~default:"(absent)" in
-    List.iter
-      (fun (m : E.checksum_mismatch) ->
-        Printf.printf "%s %s: checksum %s <> %s\n" m.dataset m.qtype (show m.base_checksum)
-          (show m.other_checksum))
-      mismatches;
-    Printf.printf "%d checksum mismatch(es)\n" (List.length mismatches);
+  | Ok summary -> print_endline summary
+  | Error diffs ->
+    List.iter print_endline diffs;
+    Printf.printf "%s: %d difference(s) from %s\n" report (List.length diffs) trajectory;
     exit 1
 
-(* `drift-check BENCH_DRIFT.json` validates a drift-bench report: on every
+(* `drift-check REPORT.json` validates a fresh drift-bench report: on every
    phase the cost-benefit policy must converge in fewer refreshes than
    support-only mining AND to a smaller index, hold a stable tail of at
    least two refreshes with zero promotion/eviction state changes, and
@@ -569,22 +564,21 @@ let validate_cmd =
     Term.(const cmd_validate $ schema $ traces)
 
 let bench_diff_cmd =
-  let base =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"BASELINE.json")
+  let trajectory =
+    Arg.(required & pos 0 (some file) None & info [] ~docv:"BENCH_TRAJECTORY.json")
   in
-  let other =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"CANDIDATE.json")
-  in
+  let report = Arg.(required & pos 1 (some file) None & info [] ~docv:"REPORT.json") in
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:
-         "Compare per-dataset query checksums between two `bench --json` outputs; \
-          exit 1 if any differ.")
-    Term.(const cmd_bench_diff $ base $ other)
+         "Check a fresh `bench`, `bench updates` or `bench drift` report against the \
+          newest trajectory entry of its experiment: every checksum and deterministic \
+          counter recorded there must be equal; print each differing path and exit 1.")
+    Term.(const cmd_bench_diff $ trajectory $ report)
 
 let drift_check_cmd =
   let report =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"BENCH_DRIFT.json")
+    Arg.(required & pos 0 (some file) None & info [] ~docv:"REPORT.json")
   in
   let max_rtc =
     Arg.(
@@ -592,7 +586,7 @@ let drift_check_cmd =
       & info [ "max-rtc" ] ~docv:"N"
           ~doc:
             "Upper bound on the policy's refreshes-to-convergence in any \
-             phase (the committed baseline converges in at most 7).")
+             phase (the drift entry of BENCH_TRAJECTORY.json converges in at most 7).")
   in
   Cmd.v
     (Cmd.info "drift-check"

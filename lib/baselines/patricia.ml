@@ -105,7 +105,3 @@ let scan t ~visit =
     Buffer.truncate buf len_before
   in
   go t.root
-
-let iter_keys t f =
-  iter_nodes t ~enter:(fun ~id:_ ~depth:_ ~edge:_ ~key_prefix payloads ->
-      if payloads <> [] then f key_prefix payloads)

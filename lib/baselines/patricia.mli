@@ -36,9 +36,6 @@ val iter_nodes :
     payloads ending at the node — the whole-structure scan partial-matching
     queries force on the Fabric. *)
 
-val iter_keys : t -> (string -> int list -> unit) -> unit
-(** Every (key, payloads) pair, depth-first. *)
-
 val scan :
   t ->
   visit:(id:int -> key_prefix:string -> payloads:int list -> [ `Descend | `Prune ]) ->

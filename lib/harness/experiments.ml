@@ -587,12 +587,13 @@ let json_bench config ~out =
             ("io", Json.Obj (List.map (fun (k, v) -> (k, int v)) io)) ])
       config.datasets
   in
-  (* process-wide GC state at snapshot time: allocation regressions show
-     up in the same artifact CI already diffs *)
+  (* process-wide GC state at report time, beside the counters; it
+     depends on the runtime, so no trajectory entry records it *)
   let gc = List.map (fun (k, v) -> (k, Json.Num v)) (Repro_telemetry.Metrics.gc_source ()) in
   write_json out
     (Json.Obj
-       [ ( "config",
+       [ ("experiment", Json.Str "bench");
+         ( "config",
            Json.Obj
              [ ("scale", Json.Num config.scale);
                ("n_q1", int config.n_q1);
@@ -603,50 +604,47 @@ let json_bench config ~out =
          ("gc", Json.Obj gc);
          ("datasets", Json.Arr dataset_rows) ])
 
-(* --- reading snapshots back: the answer-drift check behind bench-diff --- *)
+(* --- bench-diff: a fresh report against the committed trajectory --- *)
 
-type checksum_mismatch = {
-  dataset : string;
-  qtype : string;
-  base_checksum : string option;
-  other_checksum : string option;
-}
-
-(* dataset name -> its q1/q2/q3 checksums, [None] where a batch is absent *)
-let snapshot_checksums json =
-  let str key j = Option.bind (Json.member key j) Json.to_str in
-  Option.map
-    (List.filter_map (fun row ->
-         Option.map
-           (fun name ->
-             ( name,
-               List.map
-                 (fun q -> (q, Option.bind (Json.member q row) (str "checksum")))
-                 [ "q1"; "q2"; "q3" ] ))
-           (str "name" row)))
-    (Option.bind (Json.member "datasets" json) Json.to_list)
-
-let diff_checksums ~base ~other =
-  match (snapshot_checksums base, snapshot_checksums other) with
-  | None, _ | _, None -> Error "no datasets array"
-  | Some a, Some b ->
-    let recorded (_, sums) = List.exists (fun (_, c) -> Option.is_some c) sums in
-    (match List.filter (fun (name, _) -> List.mem_assoc name b) a with
-     | [] -> Error "no dataset in common"
-     | common when not (List.exists recorded common) -> Error "no q1/q2/q3 checksums"
-     | common ->
-       let mismatches =
-         List.concat_map
-           (fun (dataset, sums) ->
-             List.filter_map
-               (fun (qtype, base_checksum) ->
-                 let other_checksum = List.assoc qtype (List.assoc dataset b) in
-                 if Option.equal String.equal base_checksum other_checksum then None
-                 else Some { dataset; qtype; base_checksum; other_checksum })
-               sums)
-           common
-       in
-       Ok (List.map fst common, mismatches))
+let bench_diff ~trajectory report =
+  let checked = ref 0 and diffs = ref [] in
+  (* every leaf of [expected] must sit at the same path in [actual] with an
+     equal value; what [actual] adds (timings, gc) is not looked at *)
+  let rec walk path expected actual =
+    let differ fmt = Printf.ksprintf (fun m -> diffs := (path ^ ": " ^ m) :: !diffs) fmt in
+    let at key = if path = "" then key else path ^ "." ^ key in
+    match (expected, actual) with
+    | _, None -> differ "missing from the report"
+    | Json.Obj fields, Some (Json.Obj _ as a) ->
+      List.iter (fun (k, v) -> walk (at k) v (Json.member k a)) fields
+    | Json.Arr xs, Some (Json.Arr ys) when List.compare_lengths xs ys = 0 ->
+      List.iteri
+        (fun i (x, y) -> walk (Printf.sprintf "%s[%d]" path i) x (Some y))
+        (List.combine xs ys)
+    | Json.Arr xs, Some (Json.Arr ys) ->
+      differ "%d elements in the trajectory, %d in the report" (List.length xs)
+        (List.length ys)
+    | (Json.Obj _ | Json.Arr _), Some a ->
+      differ "%s in the trajectory, %s in the report" (Json.type_name expected)
+        (Json.type_name a)
+    | leaf, Some a when leaf = a -> incr checked
+    | leaf, Some a -> differ "trajectory %s, report %s" (Json.to_string leaf) (Json.to_string a)
+  in
+  match Option.bind (Json.member "experiment" report) Json.to_str with
+  | None -> Error [ "the report has no experiment field" ]
+  | Some experiment ->
+    let entries = Option.bind (Json.member experiment trajectory) Json.to_list in
+    (match List.rev (Option.value ~default:[] entries) with
+     | [] -> Error [ Printf.sprintf "no trajectory entry for experiment %S" experiment ]
+     | Json.Obj fields :: _ ->
+       let pr = Option.fold ~none:"?" ~some:Json.to_string (List.assoc_opt "pr" fields) in
+       walk "" (Json.Obj (List.remove_assoc "pr" fields)) (Some report);
+       if !diffs = [] then
+         Ok
+           (Printf.sprintf "%s report matches trajectory entry PR %s (%d fields)" experiment pr
+              !checked)
+       else Error (List.rev !diffs)
+     | _ :: _ -> Error [ Printf.sprintf "the newest %s entry is not an object" experiment ])
 
 let run_all config =
   Report.section (Printf.sprintf "APEX reproduction experiments (scale %gx)" config.scale);
@@ -775,14 +773,18 @@ let updates config ~out =
         "maint (s)"; "rebuild (s)"; "checksum"
       ]
     (List.rev !table_rows);
-  write_json out
-    (Json.Obj
-       [ ( "config",
-           Json.Obj
-             [ ("scale", Json.Num config.scale);
-               ("min_support", Json.Num ms);
-               ("verified", Json.Bool config.verify) ] );
-         ("datasets", Json.Arr dataset_rows) ])
+  Option.iter
+    (fun out ->
+      write_json out
+        (Json.Obj
+           [ ("experiment", Json.Str "updates");
+             ( "config",
+               Json.Obj
+                 [ ("scale", Json.Num config.scale);
+                   ("min_support", Json.Num ms);
+                   ("verified", Json.Bool config.verify) ] );
+             ("datasets", Json.Arr dataset_rows) ]))
+    out
 
 (* --- fault-injection smoke --- *)
 

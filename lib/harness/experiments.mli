@@ -76,6 +76,9 @@ val ablation : context -> unit
 val run_all : config -> unit
 (** All of the above, printing every table. *)
 
+val write_json : string -> Repro_telemetry.Json.t -> unit
+(** Write a report to a file as one line of JSON and say so on stdout. *)
+
 val json_bench : config -> out:string -> unit
 (** End-to-end benchmark snapshot written as JSON: per dataset, APEX build
     time and size, then Q1/Q2/Q3 batch latency, weighted cost, result-set
@@ -83,27 +86,22 @@ val json_bench : config -> out:string -> unit
     Result sets are verified against the naive evaluator first (unless
     [verify] is off), so the timings always describe a correct engine.
     Successive snapshots with identical config must report identical
-    checksums — the perf-trajectory guard. *)
+    checksums and counters: {!bench_diff} checks them against the
+    committed trajectory. *)
 
-type checksum_mismatch = {
-  dataset : string;
-  qtype : string;  (** ["q1"], ["q2"] or ["q3"] *)
-  base_checksum : string option;  (** [None]: the batch is absent *)
-  other_checksum : string option;
-}
+val bench_diff :
+  trajectory:Repro_telemetry.Json.t -> Repro_telemetry.Json.t -> (string, string list) result
+(** Check a fresh report against the committed trajectory
+    ([BENCH_TRAJECTORY.json]: each experiment name maps to a list of
+    entries, oldest first, each a report's config and deterministic fields
+    plus ["pr"]). The report's ["experiment"] field picks the list; every
+    leaf of its newest entry except ["pr"] must be present in the report
+    at the same path with an equal value, arrays compared by index and
+    length. Fields the report adds (timings, gc) are ignored. [Ok] is a
+    one-line summary; [Error] names each differing path, or the missing
+    experiment. *)
 
-val diff_checksums :
-  base:Repro_telemetry.Json.t ->
-  other:Repro_telemetry.Json.t ->
-  (string list * checksum_mismatch list, string) result
-(** Compare the q1/q2/q3 result checksums of two {!json_bench} snapshots
-    (read back with {!Repro_telemetry.Json.parse}) on every dataset they
-    share: [Ok (common datasets, mismatches)], or [Error] when either has
-    no [datasets] array, they share no dataset, or the shared datasets
-    record no q1/q2/q3 checksum at all (so a snapshot of another shape
-    never passes as a match). *)
-
-val updates : config -> out:string -> unit
+val updates : config -> out:string option -> unit
 (** The update-maintenance experiment ([bench updates]): per dataset and
     per op-batch size (1, 4, 16, 64), build APEX([chosen_min_sup]) in a
     fresh store, apply one generated batch
@@ -114,8 +112,8 @@ val updates : config -> out:string -> unit
     I/O must scale with the delta, rebuild I/O with the index. A mixed
     query battery runs through both engines; their result checksums must
     be bit-identical (and, unless [verify] is off, match the naive
-    evaluator). Prints the table and writes the JSON snapshot to [out]
-    (recorded as [BENCH_PR4.json]). *)
+    evaluator). Prints the table, and writes the JSON report to [out] when
+    one is given. *)
 
 val fault_smoke : config -> unit
 (** Run the first dataset's QTYPE1 batch twice — once clean, once against a

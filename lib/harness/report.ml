@@ -23,7 +23,4 @@ let table ~title ~header rows =
   print_row (List.mapi (fun i _ -> String.make widths.(i) '-') (List.init n_cols Fun.id));
   List.iter print_row rows
 
-let float2 f = Printf.sprintf "%.2f" f
 let float0 f = Printf.sprintf "%.0f" f
-
-let scientific f = Printf.sprintf "%.3g" f

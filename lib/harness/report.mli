@@ -6,6 +6,4 @@ val table : title:string -> header:string list -> string list list -> unit
 val section : string -> unit
 (** Print a section banner. *)
 
-val float2 : float -> string
 val float0 : float -> string
-val scientific : float -> string

@@ -95,5 +95,5 @@ val observed_generations : report -> int * int
     observations were off. *)
 
 val report_json : dataset:string -> checksum_mismatches:int -> report -> string
-(** The BENCH_SERVE.json document (see README for the field reference).
+(** The `bench serve --json` report (see README for the field reference).
     Pure — the caller writes the file. *)

@@ -85,7 +85,6 @@ let rec pin t =
 let unpin e = Atomic.decr e.pins
 let payload e = e.payload
 let generation e = e.generation
-let entry_pins e = Atomic.get e.pins
 let is_freed e = Atomic.get e.freed
 let current_generation t = (Atomic.get t.current).generation
 
@@ -137,12 +136,6 @@ let retire ?dispose t =
   List.length drained
 
 let pinned t = Atomic.get (Atomic.get t.current).pins
-
-let live_retired t =
-  Mutex.lock t.writer;
-  let n = List.length t.retired in
-  Mutex.unlock t.writer;
-  n
 
 (* Per-entry view of everything the registry is holding alive, for the
    introspection endpoint: the current entry, the rollback target, and

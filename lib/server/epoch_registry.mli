@@ -63,10 +63,6 @@ val retire : ?dispose:('a -> unit) -> 'a t -> int
 val pinned : 'a t -> int
 (** Pin count of the current entry (a racy snapshot, for gauges). *)
 
-val live_retired : 'a t -> int
-(** Entries still parked on the retire list. *)
-
-val entry_pins : 'a entry -> int
 val is_freed : 'a entry -> bool
 (** Test-harness observability: a reader holding a validated pin must
     never see [true]. *)

@@ -39,8 +39,6 @@ let kind_name = function
   | Short_read -> "short-read"
   | Enospc -> "enospc"
 
-let op_name = function Read -> "read" | Write -> "write" | Alloc -> "alloc"
-
 let create ?(seed = 0) () =
   { rand = Random.State.make [| seed; 0xFA17 |];
     mode = Off;

@@ -91,4 +91,3 @@ val zero_tail : t -> bytes -> unit
 (** Corruption effector: zero the buffer from a random offset on. *)
 
 val kind_name : kind -> string
-val op_name : op -> string

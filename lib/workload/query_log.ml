@@ -60,9 +60,6 @@ let paths_of_query ?(q2_paths = []) labels q =
      | None ->
        (match resolve [ a; b ] with Some p -> [ p ] | None -> []))
 
-let record_query ?q2_paths t labels q =
-  List.iter (record t) (paths_of_query ?q2_paths labels q)
-
 let length t = min t.total t.capacity
 let total_recorded t = t.total
 

@@ -28,11 +28,6 @@ val paths_of_query :
     accrue); without evaluator feedback, the minimal [a.b] suffix.
     Unknown-label queries contribute no path. *)
 
-val record_query :
-  ?q2_paths:Repro_pathexpr.Label_path.t list ->
-  t -> Repro_graph.Label.table -> Repro_pathexpr.Query.t -> unit
-(** Log {!paths_of_query} — one {!record} per returned path. *)
-
 val length : t -> int
 (** Entries currently held (≤ capacity). *)
 

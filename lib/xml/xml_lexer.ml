@@ -16,9 +16,6 @@ let fail s msg = raise (Error (msg, s.line, s.col))
 
 let peek s = if eof s then None else Some s.input.[s.off]
 
-let peek2 s =
-  if s.off + 1 >= String.length s.input then None else Some s.input.[s.off + 1]
-
 let advance s =
   match peek s with
   | None -> ()

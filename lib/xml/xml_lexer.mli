@@ -17,8 +17,6 @@ val pos : t -> int * int
 (** Current [(line, column)], 1-based. *)
 
 val peek : t -> char option
-val peek2 : t -> char option
-(** Character after the current one, if any. *)
 
 val advance : t -> unit
 val expect_char : t -> char -> unit

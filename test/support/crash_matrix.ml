@@ -111,7 +111,10 @@ let run_schedule ~seed ~arm graph queries oracle =
       ignore (Snapshot.commit snap apex : int);
       progress := 1;
       let log = Query_log.create ~capacity:256 in
-      Array.iter (fun q -> Query_log.record_query log (Data_graph.labels graph) q) queries;
+      let labels = Data_graph.labels graph in
+      Array.iter
+        (fun q -> List.iter (Query_log.record log) (Query_log.paths_of_query labels q))
+        queries;
       Apex.refresh apex ~workload:(Query_log.to_workload log) ~min_support;
       Apex.materialize apex pool;
       ignore (Snapshot.commit snap apex : int);

@@ -22,28 +22,32 @@ let test_log_window_slides () =
   Alcotest.(check (list (list int))) "oldest first" [ [ 3 ]; [ 4 ]; [ 5 ] ]
     (Query_log.to_workload log)
 
+(* what [Self_tuning.query] logs for one executed query *)
+let log_query ?q2_paths log labels q =
+  List.iter (Query_log.record log) (Query_log.paths_of_query ?q2_paths labels q)
+
 let test_log_record_query () =
   let g = F.movie_db () in
   let labels = G.labels g in
   let log = Query_log.create ~capacity:10 in
-  Query_log.record_query log labels (Query.Qtype1 [ "actor"; "name" ]);
-  Query_log.record_query log labels (Query.Qtype3 ([ "title" ], "Waterworld"));
-  Query_log.record_query log labels (Query.Qtype2 ("movie", "title"));
+  log_query log labels (Query.Qtype1 [ "actor"; "name" ]);
+  log_query log labels (Query.Qtype3 ([ "title" ], "Waterworld"));
+  log_query log labels (Query.Qtype2 ("movie", "title"));
   (* recorded via the minimal [movie.title] fallback *)
-  Query_log.record_query log labels (Query.Qtype1 [ "unknown" ]);
+  log_query log labels (Query.Qtype1 [ "unknown" ]);
   (* skipped: unknown label *)
   Alcotest.(check int) "three recorded" 3 (Query_log.length log);
   (* evaluator feedback overrides the fallback: one entry — the longest
      matched rewriting; mining counts contiguous subpaths, so the nested
      shorter rewriting still accrues through it *)
-  Query_log.record_query ~q2_paths:[ [ 4; 5 ]; [ 1; 2; 3 ] ] log labels
+  log_query ~q2_paths:[ [ 4; 5 ]; [ 1; 2; 3 ] ] log labels
     (Query.Qtype2 ("movie", "title"));
   Alcotest.(check int) "single entry per query" 4 (Query_log.length log);
   (match List.rev (Query_log.to_workload log) with
    | last :: _ -> Alcotest.(check (list int)) "longest rewriting wins" [ 1; 2; 3 ] last
    | [] -> Alcotest.fail "expected entries");
   (* an unresolvable fallback still records nothing *)
-  Query_log.record_query log labels (Query.Qtype2 ("movie", "unknown"));
+  log_query log labels (Query.Qtype2 ("movie", "unknown"));
   Alcotest.(check int) "unknown q2 skipped" 4 (Query_log.length log)
 
 let test_log_q2_single_support () =
@@ -53,14 +57,14 @@ let test_log_q2_single_support () =
   let g = F.movie_db () in
   let labels = G.labels g in
   let log = Query_log.create ~capacity:10 in
-  Query_log.record_query ~q2_paths:[ [ 4; 5 ]; [ 1; 2 ] ] log labels
+  log_query ~q2_paths:[ [ 4; 5 ]; [ 1; 2 ] ] log labels
     (Query.Qtype2 ("movie", "title"));
   Alcotest.(check int) "exactly one entry" 1 (Query_log.length log);
   Alcotest.(check int) "one total" 1 (Query_log.total_recorded log);
   (* equal lengths: ties broken by path order, deterministically *)
-  Query_log.record_query ~q2_paths:[ [ 4; 5 ]; [ 1; 2 ] ] log labels
+  log_query ~q2_paths:[ [ 4; 5 ]; [ 1; 2 ] ] log labels
     (Query.Qtype2 ("movie", "title"));
-  Query_log.record_query ~q2_paths:[ [ 1; 2 ]; [ 4; 5 ] ] log labels
+  log_query ~q2_paths:[ [ 1; 2 ]; [ 4; 5 ] ] log labels
     (Query.Qtype2 ("movie", "title"));
   match List.rev (Query_log.to_workload log) with
   | a :: b :: _ ->
@@ -233,7 +237,7 @@ let test_forced_refresh_consumes_window () =
   Alcotest.(check int) "periodic fires a full window later" 2 (Self_tuning.refreshes st)
 
 let test_q2_workload_extends_index () =
-  (* regression for the record_query Qtype2 drop: partial-match queries
+  (* regression for the query log's Qtype2 drop: partial-match queries
      must feed the log (via their matched rewritings), so a Q2-heavy
      workload extends the index with the concrete paths it touches —
      here the length-3 rewriting director.movie.title *)

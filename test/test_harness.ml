@@ -101,92 +101,166 @@ let test_fig13_ged_shape () =
       true (apex < sdg)
   | _ -> Alcotest.fail "expected one dataset row"
 
-(* --- bench snapshots: written as Json.t, read back with Json.parse --- *)
+(* --- bench reports against the committed trajectory --- *)
 
 module Json = Repro_telemetry.Json
+
+let trajectory_file = "../BENCH_TRAJECTORY.json"
 
 let load path =
   match Json.parse_file path with
   | Ok j -> j
   | Error e -> Alcotest.failf "%s" e
 
-let parse text =
-  match Json.parse text with
-  | Ok j -> j
-  | Error e -> Alcotest.failf "parse: %s" e
+let fields = function Json.Obj f -> f | _ -> Alcotest.fail "not an object"
 
-let keys = function
-  | Some (Json.Obj fields) -> List.map fst fields
-  | _ -> Alcotest.fail "not an object"
+let entries trajectory experiment =
+  match Option.bind (Json.member experiment trajectory) Json.to_list with
+  | Some (_ :: _ as l) -> l
+  | _ -> Alcotest.failf "trajectory: no %s entries" experiment
 
-let datasets json =
-  match Option.bind (Json.member "datasets" json) Json.to_list with
-  | Some rows -> rows
-  | None -> Alcotest.fail "no datasets array"
+let newest trajectory experiment = List.hd (List.rev (entries trajectory experiment))
 
-let mismatch =
-  Alcotest.testable
-    (fun ppf (m : Experiments.checksum_mismatch) ->
-      let show = Option.value ~default:"-" in
-      Format.fprintf ppf "%s %s %s/%s" m.dataset m.qtype (show m.base_checksum)
-        (show m.other_checksum))
-    ( = )
+(* an entry as the trajectory records a report: without its experiment
+   name, gc state and timings, which two runs at one config do not share *)
+let rec entry_of = function
+  | Json.Obj fs ->
+    let timing k =
+      k = "experiment" || k = "gc" || String.ends_with ~suffix:"_seconds" k
+      || String.ends_with ~suffix:"_us" k
+    in
+    Json.Obj (List.filter_map (fun (k, v) -> if timing k then None else Some (k, entry_of v)) fs)
+  | Json.Arr l -> Json.Arr (List.map entry_of l)
+  | v -> v
 
-let diff base other =
-  match Experiments.diff_checksums ~base ~other with
-  | Ok r -> r
-  | Error e -> Alcotest.failf "diff_checksums: %s" e
+(* [json] with the value at [path] (object keys, array indices in decimal)
+   rewritten by [f]; [None] drops an object field *)
+let rec edit path f json =
+  match (path, json) with
+  | [ key ], Json.Obj fs ->
+    Json.Obj
+      (List.filter_map
+         (fun (k, v) -> if k = key then Option.map (fun v -> (k, v)) (f v) else Some (k, v))
+         fs)
+  | key :: rest, Json.Obj fs ->
+    Json.Obj (List.map (fun (k, v) -> (k, if k = key then edit rest f v else v)) fs)
+  | key :: rest, Json.Arr items ->
+    Json.Arr (List.mapi (fun i v -> if string_of_int i = key then edit rest f v else v) items)
+  | _ -> Alcotest.failf "no %s to edit" (String.concat "." path)
 
-(* [json] with [dataset]'s [qtype] checksum replaced by [sum] *)
-let with_checksum json ~dataset ~qtype sum =
-  let replace key f = function
-    | Json.Obj fields -> Json.Obj (List.map (fun (k, x) -> (k, if k = key then f x else x)) fields)
-    | j -> j
+(* what `bench --json` writes for the newest bench entry: that entry plus
+   the experiment name, a timing field and a gc object, which no entry
+   records *)
+let bench_report trajectory =
+  let entry = List.remove_assoc "pr" (fields (newest trajectory "bench")) in
+  Json.Obj
+    ((("experiment", Json.Str "bench") :: entry)
+    @ [ ("gc", Json.Obj [ ("minor_words", Json.Num 1e6) ]) ])
+  |> edit [ "datasets"; "0"; "q1" ] (fun q1 ->
+         Some (Json.Obj (fields q1 @ [ ("wall_seconds", Json.Num 0.01) ])))
+
+let diffs trajectory report =
+  match Experiments.bench_diff ~trajectory report with
+  | Ok _ -> []
+  | Error lines -> lines
+
+let test_bench_diff () =
+  let t = load trajectory_file in
+  let report = bench_report t in
+  Alcotest.(check (list string)) "equal report with extra timing and gc fields" []
+    (diffs t report);
+  let reordered =
+    edit [ "datasets"; "0"; "q2" ] (fun q2 -> Some (Json.Obj (List.rev (fields q2))))
+      (Json.Obj (List.rev (fields report)))
   in
-  let row r =
-    if Json.member "name" r <> Some (Json.Str dataset) then r
-    else replace qtype (replace "checksum" (fun _ -> Json.Str sum)) r
-  in
-  replace "datasets" (function Json.Arr rows -> Json.Arr (List.map row rows) | j -> j) json
-
-let test_diff_committed () =
-  let pr1 = load "../BENCH_PR1.json" in
-  let common, mismatches = diff pr1 pr1 in
-  Alcotest.(check (list string)) "datasets in common" [ "Ged01"; "Flix01" ] common;
-  Alcotest.(check (list mismatch)) "self matches" [] mismatches;
-  let changed = with_checksum pr1 ~dataset:"Flix01" ~qtype:"q2" "0" in
-  Alcotest.(check (list mismatch)) "one changed checksum"
-    [ { Experiments.dataset = "Flix01";
-        qtype = "q2";
-        base_checksum = Some "97c557c083618ae";
-        other_checksum = Some "0" } ]
-    (snd (diff pr1 changed));
-  (* the later block-codec snapshot answers identically *)
-  let _, mismatches = diff pr1 (load "../BENCH_PR6.json") in
-  Alcotest.(check (list mismatch)) "BENCH_PR6 matches BENCH_PR1" [] mismatches
-
-let test_diff_escaped_name () =
-  let doc sum =
-    parse (Printf.sprintf {|{"datasets": [{"name": "a\"b", "q1": {"checksum": "%s"}}]}|} sum)
-  in
-  let common, mismatches = diff (doc "1f") (doc "2f") in
-  Alcotest.(check (list string)) "escaped quote in name" [ "a\"b" ] common;
-  Alcotest.(check (list mismatch)) "absent batches agree, q1 differs"
-    [ { Experiments.dataset = "a\"b";
-        qtype = "q1";
-        base_checksum = Some "1f";
-        other_checksum = Some "2f" } ]
-    mismatches;
-  (* the updates snapshot keeps its checksums under "batches": two such
-     documents must not pass as matching bench snapshots *)
-  let updates = parse {|{"datasets": [{"name": "a\"b", "batches": []}]}|} in
+  Alcotest.(check (list string)) "reordered object keys" [] (diffs t reordered);
   List.iter
-    (fun (what, base, other) ->
-      match Experiments.diff_checksums ~base ~other with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "compared documents %s" what)
-    [ ("without datasets", doc "1", parse {|{"config": {}}|});
-      ("without q batches", updates, updates) ]
+    (fun (what, path, shown, change) ->
+      match diffs t (edit path change report) with
+      | [ line ] ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %s" what line shown)
+          true
+          (String.starts_with ~prefix:(shown ^ ": ") line)
+      | lines ->
+        Alcotest.failf "%s: expected one difference, got [%s]" what (String.concat "; " lines))
+    [ ( "altered checksum",
+        [ "datasets"; "1"; "q2"; "checksum" ],
+        "datasets[1].q2.checksum",
+        fun _ -> Some (Json.Str "0") );
+      ( "altered counter",
+        [ "datasets"; "0"; "q3"; "join_edges" ],
+        "datasets[0].q3.join_edges",
+        fun _ -> Some (Json.Num 1.) );
+      ("altered config", [ "config"; "scale" ], "config.scale", fun _ -> Some (Json.Num 0.1));
+      ( "missing field",
+        [ "datasets"; "0"; "io"; "disk_reads" ],
+        "datasets[0].io.disk_reads",
+        fun _ -> None ) ];
+  Alcotest.(check (list string)) "unknown experiment"
+    [ {|no trajectory entry for experiment "nope"|} ]
+    (diffs t (edit [ "experiment" ] (fun _ -> Some (Json.Str "nope")) report))
+
+(* the command's exit status, on the same reports *)
+let test_bench_diff_exit () =
+  let t = load trajectory_file in
+  let exit_code report =
+    let path = Filename.temp_file "apex_report" ".json" in
+    Out_channel.with_open_text path (fun oc -> output_string oc (Json.to_string report));
+    let code =
+      Sys.command
+        (Filename.quote_command "../bin/apexctl.exe" ~stdout:Filename.null
+           [ "bench-diff"; trajectory_file; path ])
+    in
+    Sys.remove path;
+    code
+  in
+  Alcotest.(check int) "matching report" 0 (exit_code (bench_report t));
+  Alcotest.(check int) "altered checksum" 1
+    (exit_code
+       (edit [ "datasets"; "0"; "q1"; "checksum" ] (fun _ -> Some (Json.Str "1")) (bench_report t)))
+
+(* Oldest first, only deterministic fields, and every entry of one
+   experiment answers with the same checksums. *)
+let test_trajectory_file () =
+  let t = load trajectory_file in
+  let rec checksums path json acc =
+    match json with
+    | Json.Obj fs ->
+      List.fold_left
+        (fun acc (k, v) ->
+          let path = path ^ "." ^ k in
+          if k = "checksum" then (path, Json.to_string v) :: acc else checksums path v acc)
+        acc fs
+    | Json.Arr l ->
+      snd
+        (List.fold_left
+           (fun (i, acc) v -> (i + 1, checksums (Printf.sprintf "%s[%d]" path i) v acc))
+           (0, acc) l)
+    | _ -> acc
+  in
+  List.iter
+    (fun (experiment, _) ->
+      let entries = entries t experiment in
+      let pr e =
+        match Option.bind (Json.member "pr" e) Json.to_float with
+        | Some n -> int_of_float n
+        | None -> Alcotest.failf "%s entry without pr" experiment
+      in
+      let prs = List.map pr entries in
+      Alcotest.(check (list int))
+        (experiment ^ " entries oldest first")
+        (List.sort_uniq Int.compare prs) prs;
+      let first = checksums "" (List.hd entries) [] in
+      Alcotest.(check bool) (experiment ^ " records checksums") true (first <> []);
+      List.iter
+        (fun e ->
+          let at = Printf.sprintf "%s PR %d" experiment (pr e) in
+          Alcotest.(check bool) (at ^ ": deterministic fields only") true (entry_of e = e);
+          Alcotest.(check (list (pair string string)))
+            (at ^ ": checksums") first (checksums "" e []))
+        entries)
+    (fields t)
 
 let test_json_bench_snapshot () =
   let out = Filename.temp_file "apex_bench" ".json" in
@@ -195,54 +269,37 @@ let test_json_bench_snapshot () =
     ~out;
   let snap = load out in
   Sys.remove out;
-  (* same keys, same nesting as the committed block-codec snapshot *)
-  let pr6 = List.hd (datasets (load "../BENCH_PR6.json")) in
-  let row = List.hd (datasets snap) in
-  Alcotest.(check (list string)) "dataset keys" (keys (Some pr6)) (keys (Some row));
+  Alcotest.(check (option string)) "experiment" (Some "bench")
+    (Option.bind (Json.member "experiment" snap) Json.to_str);
+  (* the same fields, in the same nesting, as the newest bench entry *)
+  let keys = function Some (Json.Obj fs) -> List.map fst fs | _ -> Alcotest.fail "not an object" in
+  let first_row json =
+    Option.map List.hd (Option.bind (Json.member "datasets" json) Json.to_list)
+  in
+  let recorded = first_row (newest (load trajectory_file) "bench") in
+  let row = first_row (entry_of snap) in
+  Alcotest.(check (list string)) "dataset keys" (keys recorded) (keys row);
+  List.iter
+    (fun k ->
+      Alcotest.(check (list string))
+        (k ^ " keys")
+        (keys (Option.bind recorded (Json.member k)))
+        (keys (Option.bind row (Json.member k))))
+    [ "q1"; "q2"; "q3"; "io" ];
   List.iter
     (fun q ->
-      Alcotest.(check (list string))
-        (q ^ " keys") (keys (Json.member q pr6)) (keys (Json.member q row));
-      match Option.bind (Json.member q row) (Json.member "checksum") with
+      match Option.bind (Option.bind row (Json.member q)) (Json.member "checksum") with
       | Some (Json.Str hex) ->
         Alcotest.(check bool) (q ^ " checksum is hex") true (int_of_string_opt ("0x" ^ hex) <> None)
       | _ -> Alcotest.failf "%s checksum is not a string" q)
     [ "q1"; "q2"; "q3" ];
   Alcotest.(check bool) "verified" true
     (Option.bind (Json.member "config" snap) (Json.member "verified") = Some (Json.Bool true));
-  let common, mismatches = diff snap snap in
-  Alcotest.(check (list string)) "bench-diff reads it" [ "Flix01" ] common;
-  Alcotest.(check (list mismatch)) "self matches" [] mismatches
-
-(* The committed serve report carries every field README's field table
-   lists, the per-qtype split included, and a clean differential. *)
-let test_serve_snapshot () =
-  let serve = load "../BENCH_SERVE.json" in
-  let field path =
-    match List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some serve) path with
-    | Some v -> v
-    | None -> Alcotest.failf "BENCH_SERVE.json: missing %s" (String.concat "." path)
+  (* recorded as an entry, the report checks clean against it *)
+  let trajectory =
+    Json.Obj [ ("bench", Json.Arr [ Json.Obj (("pr", Json.Num 0.) :: fields (entry_of snap)) ]) ]
   in
-  let number path =
-    match Json.to_float (field path) with
-    | Some f -> f
-    | None -> Alcotest.failf "BENCH_SERVE.json: %s is not a number" (String.concat "." path)
-  in
-  List.iter
-    (fun path -> ignore (number path : float))
-    ([ [ "readers" ]; [ "queries_per_reader" ]; [ "total_queries" ]; [ "reader_errors" ];
-       [ "reader_stalls" ]; [ "publishes" ]; [ "generations"; "published" ];
-       [ "generations"; "observed_min" ]; [ "generations"; "observed_max" ];
-       [ "epochs"; "freed" ]; [ "epochs"; "retired_live" ]; [ "epochs"; "rolled_back" ];
-       [ "writer"; "batches" ]; [ "writer"; "ops" ]; [ "feedback"; "drained" ];
-       [ "feedback"; "dropped" ]; [ "wall_seconds" ] ]
-    @ List.map (fun k -> [ "latency_us"; k ]) [ "p50"; "p90"; "p99"; "mean"; "max" ]
-    @ List.concat_map
-        (fun q -> List.map (fun k -> [ "latency_by_qtype_us"; q; k ]) [ "count"; "p50"; "p99" ])
-        [ "q1"; "q2"; "q3" ]);
-  Alcotest.(check (float 0.)) "checksum_mismatches" 0. (number [ "checksum_mismatches" ]);
-  Alcotest.(check (float 0.)) "reader_errors" 0. (number [ "reader_errors" ]);
-  Alcotest.(check (float 0.)) "reader_stalls" 0. (number [ "reader_stalls" ])
+  Alcotest.(check (list string)) "bench-diff reads it" [] (diffs trajectory snap)
 
 let () =
   Alcotest.run "harness"
@@ -260,9 +317,9 @@ let () =
           Alcotest.test_case "fig13 Ged shape" `Slow test_fig13_ged_shape
         ] );
       ( "snapshots",
-        [ Alcotest.test_case "checksum diff on committed snapshots" `Quick test_diff_committed;
-          Alcotest.test_case "escaped dataset name" `Quick test_diff_escaped_name;
-          Alcotest.test_case "json_bench reads back" `Quick test_json_bench_snapshot;
-          Alcotest.test_case "committed serve report" `Quick test_serve_snapshot
+        [ Alcotest.test_case "trajectory file" `Quick test_trajectory_file;
+          Alcotest.test_case "bench-diff" `Quick test_bench_diff;
+          Alcotest.test_case "bench-diff exit status" `Quick test_bench_diff_exit;
+          Alcotest.test_case "json_bench reads back" `Quick test_json_bench_snapshot
         ] )
     ]

@@ -36,6 +36,17 @@ let config seed =
     batch_size = 3
   }
 
+(* the serve report `bench serve --json` writes for [report], read back
+   through Json.parse *)
+let serve_json report =
+  match
+    Repro_telemetry.Json.parse
+      (Driver.report_json ~dataset:"movie_db"
+         ~checksum_mismatches:(Driver.verify_observations report) report)
+  with
+  | Ok v -> v
+  | Error m -> Alcotest.failf "serve report does not parse: %s" m
+
 let check_run seed () =
   let graph = Fixtures.movie_db () in
   let cfg = config seed in
@@ -131,17 +142,9 @@ let check_run seed () =
   Alcotest.(check int) "introspect epoch count"
     (List.length attribution)
     (List.length attr_json);
-  (* the serve report (BENCH_SERVE.json) reads back through Json.parse
+  (* the serve report (`bench serve --json`) reads back through Json.parse
      with the fields its readers use, agreeing with the typed totals *)
-  let serve =
-    match
-      J.parse
-        (Driver.report_json ~dataset:"movie_db"
-           ~checksum_mismatches:(Driver.verify_observations report) report)
-    with
-    | Ok v -> v
-    | Error m -> Alcotest.failf "serve report does not parse: %s" m
-  in
+  let serve = serve_json report in
   Alcotest.(check int) "report total_queries" (Driver.total_queries report)
     (int_field serve "total_queries");
   Alcotest.(check int) "report checksum_mismatches" 0 (int_field serve "checksum_mismatches");
@@ -154,6 +157,35 @@ let check_run seed () =
          ignore (int_field row "p50" + int_field row "p99");
          acc + int_field row "count")
        0 [ "q1"; "q2"; "q3" ])
+
+(* A serve report carries every field README's serve field table lists,
+   the per-qtype split included, and reports a clean run: no reader
+   error, no stall, no oracle mismatch. *)
+let test_serve_report_fields () =
+  let module J = Repro_telemetry.Json in
+  let serve = serve_json (Driver.run ~config:(config 1) (Fixtures.movie_db ())) in
+  let number path =
+    match
+      Option.bind (List.fold_left (fun j k -> Option.bind j (J.member k)) (Some serve) path) J.to_float
+    with
+    | Some f -> f
+    | None -> Alcotest.failf "serve report: %s is not a number" (String.concat "." path)
+  in
+  List.iter
+    (fun path -> ignore (number path : float))
+    ([ [ "readers" ]; [ "queries_per_reader" ]; [ "total_queries" ]; [ "reader_errors" ];
+       [ "reader_stalls" ]; [ "checksum_mismatches" ]; [ "publishes" ];
+       [ "generations"; "published" ]; [ "generations"; "observed_min" ];
+       [ "generations"; "observed_max" ]; [ "epochs"; "freed" ]; [ "epochs"; "retired_live" ];
+       [ "epochs"; "rolled_back" ]; [ "writer"; "batches" ]; [ "writer"; "ops" ];
+       [ "feedback"; "drained" ]; [ "feedback"; "dropped" ]; [ "wall_seconds" ] ]
+    @ List.map (fun k -> [ "latency_us"; k ]) [ "p50"; "p90"; "p99"; "mean"; "max" ]
+    @ List.concat_map
+        (fun q -> List.map (fun k -> [ "latency_by_qtype_us"; q; k ]) [ "count"; "p50"; "p99" ])
+        [ "q1"; "q2"; "q3" ]);
+  List.iter
+    (fun k -> Alcotest.(check (float 0.)) k 0. (number [ k ]))
+    [ "reader_errors"; "reader_stalls"; "checksum_mismatches" ]
 
 (* The observability path `bench serve --obs` takes: a run with an
    incident path monitors the default q1/q2/q3 objectives, and a forced
@@ -296,6 +328,7 @@ let () =
   in
   Alcotest.run "server-differential"
     [ ("readers-vs-oracle", cases);
+      ("serve-report", [ Alcotest.test_case "readme fields" `Quick test_serve_report_fields ]);
       ("observability", [ Alcotest.test_case "obs path" `Quick test_obs_path ]);
       ("epoch-isolation", [ Alcotest.test_case "pinned epoch" `Quick test_pinned_epoch_isolation ])
     ]
