@@ -108,9 +108,9 @@ let run_engine ~g ~phases ~policy =
       let cksum = ref 0x811c9dc5 in
       Array.iteri
         (fun i q ->
-          let t0 = Unix.gettimeofday () in
+          let t0 = Repro_telemetry.Trace.now_ns () in
           let res = Self_tuning.query tuner q in
-          let dt = Unix.gettimeofday () -. t0 in
+          let dt = Float.of_int (Repro_telemetry.Trace.now_ns () - t0) *. 1e-9 in
           Histogram.record hist dt;
           cksum := checksum_fold !cksum res;
           if (i + 1) mod window = 0 then begin

@@ -110,9 +110,9 @@ let obs =
         ~doc:
           "(serve only) Run with the observability layer on — SLO monitor (q1/q2/q3 at \
            p99 <= 50ms) with a 0.25s latency watchdog, auto incident dumps — and write \
-           $(docv).incident.json (the server-state document with the retained \
-           operational records, dumped at the end of the run) and $(docv).prom \
-           (Prometheus-style exposition).")
+           $(docv).incident.json (the server-state document with its metrics \
+           registry and the retained operational records, dumped at the end of the \
+           run).")
 
 let trace =
   Arg.(
@@ -121,30 +121,28 @@ let trace =
     & info [ "trace" ] ~docv:"PREFIX"
         ~doc:
           "Record query-phase spans and adaptation events while the experiment runs, then \
-           write $(docv).jsonl (JSONL event log) and $(docv).trace.json (Chrome trace_event \
-           format — load into chrome://tracing or ui.perfetto.dev) and print per-phase \
-           latency percentiles.")
+           write $(docv).trace.json (Chrome trace_event format — load into \
+           chrome://tracing or ui.perfetto.dev) and print per-phase latency percentiles.")
 
 (* large enough that a full nine-dataset sweep keeps every span *)
 let trace_capacity = 1 lsl 18
 
-(* The phase table is read back from the JSONL just written, the same path
-   as `apexctl stats`: it covers the retained records, and the header says
-   how many the rings lost. *)
+(* The phase table is read back from the trace file just written, the same
+   path as `apexctl stats`: it covers the retained records, and the header
+   says how many the rings lost. *)
 let finish_trace prefix =
   Trace.disable ();
-  let jsonl = prefix ^ ".jsonl" and chrome = prefix ^ ".trace.json" in
-  Export.save_jsonl jsonl;
+  let chrome = prefix ^ ".trace.json" in
   Export.save_chrome chrome;
   let st = Trace.stats () in
   Printf.printf "\n== trace: %d spans/events recorded (%d retained, %d lost to ring wrap)\n"
     st.Trace.recorded st.Trace.retained st.Trace.overwritten;
   let phases =
-    match Export.read_jsonl jsonl with
+    match Export.read_trace chrome with
     | Ok records -> Export.percentile_table (Export.summarize records)
-    | Error e -> Printf.sprintf "cannot read %s back: %s\n" jsonl e
+    | Error e -> Printf.sprintf "cannot read %s back: %s\n" chrome e
   in
-  Printf.printf "wrote %s and %s\n\n%s" jsonl chrome phases;
+  Printf.printf "wrote %s\n\n%s" chrome phases;
   let events =
     List.filter_map
       (fun (k, n) -> if Trace.kind_is_event k then Some (Trace.kind_name k, n) else None)

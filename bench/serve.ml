@@ -11,13 +11,12 @@ module Driver = Repro_server.Driver
 module Server = Repro_server.Server
 module Dataset = Repro_datagen.Dataset
 module Experiments = Repro_harness.Experiments
-module Export = Repro_telemetry.Export
 
 (* With --obs PREFIX the run turns the observability layer on — SLO
    monitor on the default q1/q2/q3 objectives with its latency watchdog,
-   auto incident dumps — and ends by writing a forced incident dump and a
-   Prometheus-style exposition next to the JSON report. The CI
-   observability-smoke job validates these artifacts. *)
+   auto incident dumps — and ends by writing a forced incident dump (the
+   server-state document, metrics registry included) next to the JSON
+   report. The CI observability-smoke job validates it. *)
 let run ?obs (config : Experiments.config) ~out =
   let spec =
     match config.Experiments.datasets with
@@ -45,11 +44,9 @@ let run ?obs (config : Experiments.config) ~out =
   (match obs with
    | None -> ()
    | Some prefix ->
-     let server = report.Driver.server in
-     Server.incident_dump ~reason:"bench serve: forced dump" server
+     Server.incident_dump ~reason:"bench serve: forced dump" report.Driver.server
        (prefix ^ ".incident.json");
-     Export.save_exposition (prefix ^ ".prom") (Server.metrics server);
-     Printf.printf "serve: wrote %s.incident.json, %s.prom\n%!" prefix prefix);
+     Printf.printf "serve: wrote %s.incident.json\n%!" prefix);
   let h = Driver.merged_latencies report in
   let q p = Repro_telemetry.Metrics.Histogram.quantile h p *. 1e6 in
   Printf.printf

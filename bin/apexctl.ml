@@ -17,17 +17,17 @@
 
    Telemetry, report and static-analysis commands:
 
-     apexctl stats trace.jsonl                    # per-phase latency percentiles
+     apexctl stats run.trace.json                 # per-phase latency percentiles
      apexctl validate --schema schemas/trace_schema.json \
-         trace.jsonl trace.trace.json             # audit exported traces
+         run.trace.json                           # audit an exported trace
      apexctl lint-report \
          --schema schemas/lint_report_schema.json # domain-safety report
 
-   `bench --trace PREFIX` produces the trace inputs; `stats` aggregates a
-   saved JSONL event log into per-phase latency histograms and
-   adaptation-event totals, and `validate` checks both export formats
-   against the checked-in schema (field presence, JSON types, legal
-   record kinds). `bench serve --obs PREFIX` produces the input of
+   `bench --trace PREFIX` produces the trace input, a Chrome trace_event
+   file; `stats` aggregates it into per-phase latency histograms and
+   adaptation-event totals, and `validate` checks any file as a whole
+   document against a checked-in schema (field presence, JSON types,
+   legal record kinds). `bench serve --obs PREFIX` produces the input of
    `incident-dump`. `lint-report` runs the whole-program domain-safety
    analysis (tools/lint) and emits the mutability map, findings, and
    guarded-mutation inventory as schema-validated JSON for CI to diff
@@ -38,8 +38,8 @@ module Export = Repro_telemetry.Export
 let die fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
 let cmd_stats path =
-  match Export.read_jsonl path with
-  | Error e -> die "apexctl stats: %s: %s" path e
+  match Export.read_trace path with
+  | Error e -> die "apexctl stats: %s" e
   | Ok records ->
     let spans = Export.summarize records in
     if spans = [] then print_endline "no spans recorded"
@@ -51,18 +51,12 @@ let cmd_stats path =
     if events <> [] then
       Printf.printf "\ninstant events:\n%s" (Export.event_table events)
 
-(* a JSONL event log line by line, any other file as a whole document *)
 let cmd_validate schema_path paths =
   let failed = ref false in
   List.iter
     (fun path ->
-      let result =
-        if Filename.check_suffix path ".jsonl" then
-          Result.map (Printf.sprintf "OK (%d records)") (Export.validate_jsonl ~schema_path path)
-        else Result.map (fun () -> "OK") (Repro_telemetry.Schema.validate_file ~schema_path path)
-      in
-      match result with
-      | Ok verdict -> Printf.printf "%s: %s\n" path verdict
+      match Repro_telemetry.Schema.validate_file ~schema_path path with
+      | Ok () -> Printf.printf "%s: OK\n" path
       | Error errors ->
         failed := true;
         Printf.printf "%s: %d violation(s)\n" path (List.length errors);
@@ -532,13 +526,13 @@ let workload_cmd =
 
 let stats_cmd =
   let trace_file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE.jsonl")
+    Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE.trace.json")
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Aggregate a JSONL trace into per-phase latency percentiles and \
-          adaptation-event totals.")
+         "Aggregate a Chrome trace_event file (bench --trace) into per-phase latency \
+          percentiles and adaptation-event totals.")
     Term.(const cmd_stats $ trace_file)
 
 let validate_cmd =
@@ -554,9 +548,7 @@ let validate_cmd =
       non_empty
       & pos_all file []
       & info [] ~docv:"TRACE"
-          ~doc:
-            "Trace files: *.jsonl are checked as JSONL event logs, anything else \
-             as Chrome trace_event JSON.")
+          ~doc:"Files to check, each as a whole JSON document (e.g. Chrome trace_event files).")
   in
   Cmd.v
     (Cmd.info "validate"

@@ -29,7 +29,7 @@ let create ?(log_capacity = 1000) ?(min_support = 0.005) ?(refresh_every = 500) 
     ?snapshot ?policy graph =
   let metrics = Metrics.create () in
   (* allocation regressions show up next to the adaptation counters in
-     every snapshot (bench --json, apexctl, the exposition endpoint) *)
+     every snapshot (bench --json, introspection, incident files) *)
   Metrics.register_gc metrics;
   (match pool with
    | Some pool ->

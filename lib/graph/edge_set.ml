@@ -84,16 +84,15 @@ let parents (t : t) =
 (* The packed order also makes the edges of any one parent a contiguous
    range, so a semijoin against an ascending parent array never sorts or
    scans the whole set: per wanted parent, gallop to the range start and
-   copy the run. When the parent array is dense relative to the edge set a
-   two-pointer merge over runs is cheaper — selected by size ratio, like
-   {!Int_sorted.inter}. Each kept edge is pushed as itself or, with
-   [~children], as its child component. The buffer starts small and
-   doubles, so a sparse result never costs an allocation the size of [t]. *)
-
-let semijoin_runs ~children t sorted_parents =
+   copy the run's children. When the parent array is dense relative to the
+   edge set a two-pointer merge over runs is cheaper — selected by size
+   ratio, like {!Int_sorted.inter}. The buffer starts small and doubles,
+   so a sparse result never costs an allocation the size of [t]; children
+   interleave across parent runs, so the (output-sized) result is sorted
+   at the end. *)
+let semijoin_endpoints t sorted_parents =
   let nt = Array.length t and np = Array.length sorted_parents in
   let out = Int_sorted.Buf.create (Int.min nt 64) in
-  let keep = if children then mask else -1 in
   if nt = 0 || np = 0 then ()
   else if np * 4 >= nt then begin
     (* merge walk: advance whichever side is behind *)
@@ -103,7 +102,7 @@ let semijoin_runs ~children t sorted_parents =
       if pt < p then i := Int_sorted.gallop_lower_bound t !i nt (p lsl bits)
       else if pt > p then j := Int_sorted.gallop_lower_bound sorted_parents !j np pt
       else begin
-        Int_sorted.Buf.push out (t.(!i) land keep);
+        Int_sorted.Buf.push out (t.(!i) land mask);
         incr i
       end
     done
@@ -115,21 +114,13 @@ let semijoin_runs ~children t sorted_parents =
       let p = sorted_parents.(!j) in
       pos := Int_sorted.gallop_lower_bound t !pos nt (p lsl bits);
       while !pos < nt && t.(!pos) lsr bits = p do
-        Int_sorted.Buf.push out (t.(!pos) land keep);
+        Int_sorted.Buf.push out (t.(!pos) land mask);
         incr pos
       done;
       incr j
     done
   end;
-  out
-
-(* runs are emitted in ascending parent order and each run is sorted *)
-let semijoin_parents t sorted_parents =
-  Int_sorted.Buf.to_array (semijoin_runs ~children:false t sorted_parents)
-
-(* children interleave across parent runs: sort the (output-sized) result *)
-let semijoin_endpoints t sorted_parents =
-  Int_sorted.Buf.to_set (semijoin_runs ~children:true t sorted_parents)
+  Int_sorted.Buf.to_set out
 
 let semijoin_children (t : t) sorted_children =
   let out = Int_sorted.Buf.create (Int.min (Array.length t) 64) in
@@ -137,8 +128,6 @@ let semijoin_children (t : t) sorted_children =
     if Int_sorted.mem sorted_children (t.(i) land mask) then Int_sorted.Buf.push out t.(i)
   done;
   Int_sorted.Buf.to_array out
-
-let join a b = semijoin_parents b (endpoints a)
 
 let pp ppf t =
   Format.fprintf ppf "{@[<hov>";

@@ -59,23 +59,15 @@ val parents : t -> int array
 (** Strictly increasing array of the parent components ({!null} excluded).
     Linear — the packed order already sorts parents. *)
 
-val join : t -> t -> t
-(** [join a b] keeps the edges of [b] whose parent is an endpoint of [a] —
-    one step of the paper's multi-way extent join. *)
-
-val semijoin_parents : t -> int array -> t
-(** Keep the edges of the set whose parent occurs in the given sorted
-    array. Exploits that packed edges sorted by [(parent lsl 31) lor child]
-    are range-contiguous per parent: binary-searches (with galloping) the
-    range of each wanted parent instead of scanning, or merge-walks runs
-    when the parent array is dense — never materializes or re-sorts
-    endpoint arrays. *)
-
 val semijoin_endpoints : t -> int array -> int array
-(** [semijoin_endpoints t frontier] is
-    [endpoints (semijoin_parents t frontier)] without materializing the
-    intermediate edge set — one step of a multi-way extent join when only
-    the reachable-node frontier is needed downstream. *)
+(** [semijoin_endpoints t frontier] is the {!endpoints} of the edges of
+    [t] whose parent occurs in the sorted array [frontier], without
+    materializing that edge set — one step of a multi-way extent join when
+    only the reachable-node frontier is needed downstream. Exploits that
+    packed edges sorted by [(parent lsl 31) lor child] are
+    range-contiguous per parent: binary-searches (with galloping) the
+    range of each wanted parent instead of scanning, or merge-walks runs
+    when the frontier is dense. *)
 
 val semijoin_children : t -> int array -> t
 (** Keep the edges of the set whose {e child} occurs in the given sorted

@@ -343,9 +343,9 @@ let fig15 ctx =
 (* --- ablations --- *)
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Repro_telemetry.Trace.now_ns () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Float.of_int (Repro_telemetry.Trace.now_ns () - t0) *. 1e-9)
 
 let ablation ctx =
   let ms = ctx.config.chosen_min_sup in
@@ -545,10 +545,12 @@ let json_bench config ~out =
       (fun spec ->
         let ctx = create_context { config with datasets = [ spec ] } in
         let e = env ctx spec in
-        let t0 = Unix.gettimeofday () in
-        let a = Apex.build_adapted e.Env.graph ~workload:e.Env.workload ~min_support:ms in
-        Apex.materialize a e.Env.pool;
-        let build_seconds = Unix.gettimeofday () -. t0 in
+        let a, build_seconds =
+          time (fun () ->
+              let a = Apex.build_adapted e.Env.graph ~workload:e.Env.workload ~min_support:ms in
+              Apex.materialize a e.Env.pool;
+              a)
+        in
         let nodes, edges = Apex.stats a in
         let eval = apex_eval e a in
         let batch name queries =

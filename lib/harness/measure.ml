@@ -19,7 +19,7 @@ let run queries eval =
   let answered = ref 0 in
   let result_nodes = ref 0 in
   let checksum = ref 0x3bf29ce484222325 (* FNV offset basis, truncated to 62 bits *) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Repro_telemetry.Trace.now_ns () in
   Array.iter
     (fun q ->
       let qtok = Repro_telemetry.Trace.begin_ Repro_telemetry.Trace.Query in
@@ -29,7 +29,7 @@ let run queries eval =
       result_nodes := !result_nodes + Array.length r;
       checksum := checksum_fold !checksum r)
     queries;
-  let wall_seconds = Unix.gettimeofday () -. t0 in
+  let wall_seconds = Float.of_int (Repro_telemetry.Trace.now_ns () - t0) *. 1e-9 in
   { queries = Array.length queries;
     answered = !answered;
     result_nodes = !result_nodes;

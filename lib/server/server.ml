@@ -93,8 +93,8 @@ type t = {
   c_incidents : Metrics.counter;
   g_generation : Metrics.gauge;
   h_latency : Metrics.histogram;
-      (* registry-level query latency (seconds) — the exposition's
-         histogram family; per-epoch splits live in [attribution] *)
+      (* registry-level query latency (seconds), in the [metrics]
+         section of [introspect]; per-epoch splits live in [attribution] *)
 }
 
 let snapshot_epoch t =
@@ -473,7 +473,6 @@ let retire t = with_writer t (fun () -> Registry.retire t.registry)
 
 let registry t = t.registry
 let tuner t = t.tuner
-let metrics t = t.metrics
 let generation t = Registry.current_generation t.registry
 let publishes t = Metrics.value t.c_publishes
 let epochs_freed t = Metrics.value t.c_epochs_freed

@@ -96,12 +96,6 @@ val retire : t -> int
 val registry : t -> Epoch.t Epoch_registry.t
 val tuner : t -> Repro_adaptive.Self_tuning.t
 
-val metrics : t -> Repro_telemetry.Metrics.t
-(** The tuner's registry, extended with [server.*] counters
-    (publishes, epochs_freed, rollbacks, feedback_drained) and a
-    [server.epoch.*] source exposing per-epoch gauges: current
-    generation, pin count, retire-list length, epochs freed. *)
-
 val generation : t -> int
 val publishes : t -> int
 val epochs_freed : t -> int
@@ -136,7 +130,11 @@ val introspect : t -> Repro_telemetry.Json.t
     (every registry entry with state/pins/age), [attribution], [slo]
     status with the watchdog's ceiling and trips, [policy] hysteresis
     state, [trace]-ring stats (recorded, retained, overwritten), and the
-    full [metrics] snapshot. *)
+    full [metrics] snapshot: the tuner's registry, extended with
+    [server.*] counters (publishes, epochs_freed, rollbacks,
+    feedback_drained), the [server.query_latency_seconds] histogram and
+    a [server.epoch.*] source exposing per-epoch gauges (current
+    generation, pin count, retire-list length, epochs freed). *)
 
 val incident_dump : ?reason:string -> t -> string -> unit
 (** Write an incident file to the given path, counting it in

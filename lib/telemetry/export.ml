@@ -1,48 +1,36 @@
-(* Exporters for the event rings: JSONL event log (one JSON object per
-   line, grep/jq-friendly, append-safe) and Chrome trace_event JSON
-   (load via chrome://tracing or https://ui.perfetto.dev, one thread per
-   domain). Both read the live Trace rings in sequence order; the JSONL
-   reader and schema validator let a separate process (apexctl) audit and
-   summarize a saved trace. *)
+(* The Chrome trace_event exporter for the event rings (load a saved file
+   via chrome://tracing or https://ui.perfetto.dev, one thread per
+   domain). It reads the live Trace rings in sequence order; the reader
+   lets a separate process (apexctl) summarize a saved trace, and the
+   trace contract (schemas/trace_schema.json) checks it as a whole
+   document through Schema.validate_file. *)
 
 (* --- writing --- *)
 
-type format = Jsonl | Chrome
-
-(* The one span encoder: JSONL lines, Chrome trace events and the
-   incident file's events and span tail all come from here. *)
-let span_json format (s : Trace.span) =
-  let name = Json.Str (Trace.kind_name s.kind) in
+(* The one span encoder: the trace file's events and the incident file's
+   events and span tail all come from here. [args] carries what the
+   Chrome fields do not: the global sequence number, both arguments, the
+   note, and [open] for a span that was never closed. *)
+let span_json (s : Trace.span) =
   let num i = Json.Num (Float.of_int i) in
-  let dur = match s.stop with Some stop -> stop -. s.start | None -> 0. in
-  let note = if s.note = "" then [] else [ ("note", Json.Str s.note) ] in
-  match format with
-  | Jsonl ->
-    Json.Obj
-      (List.concat
-         [ [ ("type", Json.Str (if s.is_event then "event" else "span"));
-             ("name", name);
-             ("seq", num s.seq);
-             ("domain", num s.domain);
-             ("ts", Json.Num s.start);
-             ("dur", Json.Num dur);
-             ("arg", num s.arg) ];
-           (if s.arg2 = 0 then [] else [ ("arg2", num s.arg2) ]);
-           note;
-           (if (not s.is_event) && s.stop = None then [ ("open", Json.Bool true) ]
-            else []) ])
-  | Chrome ->
-    let us t = Json.Num (t *. 1e6) in
-    let phase =
-      if s.is_event then [ ("ph", Json.Str "i"); ("s", Json.Str "t"); ("ts", us s.start) ]
-      else [ ("ph", Json.Str "X"); ("ts", us s.start); ("dur", us dur) ]
-    in
-    Json.Obj
-      ([ ("name", name); ("cat", Json.Str "apex") ]
-      @ phase
-      @ [ ("pid", num 1);
-          ("tid", num s.domain);
-          ("args", Json.Obj ([ ("seq", num s.seq); ("arg", num s.arg) ] @ note)) ])
+  let us t = Json.Num (t *. 1e6) in
+  let phase =
+    if s.is_event then [ ("ph", Json.Str "i"); ("s", Json.Str "t"); ("ts", us s.start) ]
+    else
+      let dur = match s.stop with Some stop -> stop -. s.start | None -> 0. in
+      [ ("ph", Json.Str "X"); ("ts", us s.start); ("dur", us dur) ]
+  in
+  let args =
+    List.concat
+      [ [ ("seq", num s.seq); ("arg", num s.arg) ];
+        (if s.arg2 = 0 then [] else [ ("arg2", num s.arg2) ]);
+        (if s.note = "" then [] else [ ("note", Json.Str s.note) ]);
+        (if (not s.is_event) && s.stop = None then [ ("open", Json.Bool true) ] else []) ]
+  in
+  Json.Obj
+    ([ ("name", Json.Str (Trace.kind_name s.kind)); ("cat", Json.Str "apex") ]
+    @ phase
+    @ [ ("pid", num 1); ("tid", num s.domain); ("args", Json.Obj args) ])
 
 (* Retained always-on records, and the last [max_incident_spans] other
    records, both oldest first. *)
@@ -51,31 +39,20 @@ let max_incident_spans = 256
 let incident_records () =
   let events = ref [] and spans = Queue.create () in
   Trace.iter_spans (fun s ->
-      if Trace.always_on s.kind then events := span_json Jsonl s :: !events
+      if Trace.always_on s.kind then events := span_json s :: !events
       else begin
         Queue.add s spans;
         if Queue.length spans > max_incident_spans then ignore (Queue.pop spans)
       end);
-  ( List.rev !events,
-    List.of_seq (Seq.map (span_json Jsonl) (Queue.to_seq spans)) )
-
-let with_file path f =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
-
-let save_jsonl path =
-  with_file path (fun oc ->
-      Trace.iter_spans (fun s ->
-          output_string oc (Json.to_string (span_json Jsonl s));
-          output_char oc '\n'))
+  (List.rev !events, List.of_seq (Seq.map span_json (Queue.to_seq spans)))
 
 let save_chrome path =
-  with_file path (fun oc ->
+  Out_channel.with_open_text path (fun oc ->
       output_string oc {|{"traceEvents":[|};
       let first = ref true in
       Trace.iter_spans (fun s ->
           if !first then first := false else output_string oc ",\n";
-          output_string oc (Json.to_string (span_json Chrome s)));
+          output_string oc (Json.to_string (span_json s)));
       output_string oc "],\"displayTimeUnit\":\"ms\"}\n")
 
 (* --- reading --- *)
@@ -90,56 +67,37 @@ type record = {
   note : string;
 }
 
-(* non-blank lines with their physical (1-based) line numbers *)
-let read_lines path =
-  Result.map
-    (fun text ->
-      List.filter (fun (_, line) -> String.trim line <> "")
-        (List.mapi (fun i line -> (i + 1, line)) (String.split_on_char '\n' text)))
-    (Json.read_file path)
-
+(* One Chrome event back to a record: microseconds to seconds, ph "i" an
+   instant event (no dur), ph "X" a span. *)
 let record_of_json j =
-  let str key = Option.bind (Json.member key j) Json.to_str in
-  let num key = Option.bind (Json.member key j) Json.to_float in
-  match (str "type", str "name", num "seq", num "ts", num "dur", num "arg") with
-  | Some typ, Some name, Some seq, Some ts, Some dur, Some arg ->
+  let args = Option.value (Json.member "args" j) ~default:(Json.Obj []) in
+  let num key o = Option.bind (Json.member key o) Json.to_float in
+  let str key o = Option.bind (Json.member key o) Json.to_str in
+  match (str "name" j, str "ph" j, num "ts" j, num "seq" args, num "arg" args) with
+  | Some name, Some (("X" | "i") as ph), Some ts, Some seq, Some arg ->
     Ok
       { name;
-        is_event = typ = "event";
+        is_event = ph = "i";
         seq = int_of_float seq;
-        ts;
-        dur;
+        ts = ts *. 1e-6;
+        dur = Option.value (num "dur" j) ~default:0. *. 1e-6;
         arg = int_of_float arg;
-        note = Option.value (str "note") ~default:"" }
-  | _ -> Error "missing or mistyped field (type/name/seq/ts/dur/arg)"
+        note = Option.value (str "note" args) ~default:"" }
+  | _ -> Error "missing or mistyped field (name/ph/ts/args.seq/args.arg)"
 
-let read_jsonl path =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (n, line) :: rest ->
-      (match Result.bind (Json.parse line) record_of_json with
-       | Error e -> Error (Printf.sprintf "line %d: %s" n e)
-       | Ok r -> go (r :: acc) rest)
-  in
-  Result.bind (read_lines path) (go [])
-
-let validate_jsonl ~schema_path path =
-  match (Json.parse_file schema_path, read_lines path) with
-  | Error e, _ | _, Error e -> Error [ e ]
-  | Ok schema, Ok lines -> (
-    match Json.member "jsonl" schema with
-    | None -> Error [ Printf.sprintf "%s: no \"jsonl\" section" schema_path ]
-    | Some section ->
-      let shape = Schema.shape_of_json section in
-      let check (n, line) =
-        let ctx = Printf.sprintf "%s:%d" path n in
-        match Json.parse line with
-        | Error e -> [ Printf.sprintf "%s: %s" ctx e ]
-        | Ok j -> Schema.check shape ~ctx j
-      in
-      (match List.concat_map check lines with
-       | [] -> Ok (List.length lines)
-       | errors -> Error errors))
+let read_trace path =
+  Result.bind (Json.parse_file path) (fun doc ->
+      match Option.bind (Json.member "traceEvents" doc) Json.to_list with
+      | None -> Error (path ^ ": no \"traceEvents\" array")
+      | Some events ->
+        let rec go i acc = function
+          | [] -> Ok (List.rev acc)
+          | e :: rest ->
+            (match record_of_json e with
+             | Error m -> Error (Printf.sprintf "%s: traceEvents[%d]: %s" path i m)
+             | Ok r -> go (i + 1) (r :: acc) rest)
+        in
+        go 0 [] events)
 
 (* --- aggregation over records (for apexctl stats) --- *)
 
@@ -216,60 +174,3 @@ let event_table entries =
       Buffer.add_string buf (Printf.sprintf "%-20s %8d\n" name n))
     entries;
   Buffer.contents buf
-
-(* --- Prometheus-style text exposition --- *)
-
-(* One block per registry entry: counters and gauges as single samples,
-   histograms as cumulative le-labeled buckets plus _sum/_count. Bucket
-   upper bounds are the histogram's bucket edges
-   (Metrics.Histogram.bucket_edge); only buckets up to the highest non-empty one
-   are emitted, then "+Inf". Metric names are sanitized to the
-   [a-zA-Z0-9_] alphabet and prefixed "apex_". *)
-
-let exposition_name name =
-  let sane =
-    String.map
-      (fun c ->
-        match c with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
-        | _ -> '_')
-      name
-  in
-  "apex_" ^ sane
-
-let exposition_num v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
-
-let exposition m =
-  let buf = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  List.iter
-    (fun (name, v) ->
-      let pname = exposition_name name in
-      match v with
-      | Metrics.Count n ->
-        line "# TYPE %s counter\n" pname;
-        line "%s %d\n" pname n
-      | Metrics.Level l ->
-        line "# TYPE %s gauge\n" pname;
-        line "%s %s\n" pname (exposition_num l)
-      | Metrics.Dist h ->
-        line "# TYPE %s histogram\n" pname;
-        let counts = Metrics.Histogram.bucket_counts h in
-        let top = ref (-1) in
-        Array.iteri (fun b c -> if c > 0 then top := b) counts;
-        let cum = ref 0 in
-        for b = 0 to !top do
-          cum := !cum + counts.(b);
-          line "%s_bucket{le=\"%s\"} %d\n" pname
-            (exposition_num (Metrics.Histogram.bucket_edge b))
-            !cum
-        done;
-        line "%s_bucket{le=\"+Inf\"} %d\n" pname (Metrics.Histogram.count h);
-        line "%s_sum %s\n" pname (exposition_num (Metrics.Histogram.sum h));
-        line "%s_count %d\n" pname (Metrics.Histogram.count h))
-    (Metrics.snapshot m);
-  Buffer.contents buf
-
-let save_exposition path m = with_file path (fun oc -> output_string oc (exposition m))

@@ -1,37 +1,36 @@
-(** Exporters and auditors for the event rings.
+(** The Chrome [trace_event] exporter and reader for the event rings.
 
-    Writers read the live {!Trace} rings, merged in sequence order: JSONL
-    (one object per line) and Chrome [trace_event] JSON for
-    [chrome://tracing] / Perfetto, one thread per domain. The reader,
-    aggregators, and JSONL validator operate on saved files so a
-    separate process (apexctl) can audit and summarize a trace. *)
+    The writer reads the live {!Trace} rings, merged in sequence order,
+    into one JSON document for [chrome://tracing] / Perfetto, one thread
+    per domain. The reader and aggregators operate on saved files so a
+    separate process (apexctl) can summarize a trace; the trace contract
+    checks a saved file through {!Schema.validate_file}. *)
 
 val incident_records : unit -> Json.t list * Json.t list
 (** [(events, spans)] for an incident file, both oldest first, both in
-    the JSONL encoding: every retained {!Trace.always_on} record, and the
-    last 256 other retained records (present while tracing is on). *)
+    the trace file's event encoding: every retained {!Trace.always_on}
+    record, and the last 256 other retained records (present while
+    tracing is on). *)
 
-val save_jsonl : string -> unit
 val save_chrome : string -> unit
+(** Every retained record as one Chrome event: [ph] ["X"] for a span,
+    ["i"] for an instant event, [ts]/[dur] in microseconds, the domain as
+    [tid]; [args] holds [seq] and [arg], [arg2] when non-zero, [note] when
+    not empty, and [open: true] for a span that was never closed. *)
 
 type record = {
   name : string;
   is_event : bool;
   seq : int;
-  ts : float;
-  dur : float;
+  ts : float;  (** seconds *)
+  dur : float;  (** seconds; 0 for an instant event or an open span *)
   arg : int;
   note : string;
 }
 
-val read_jsonl : string -> (record list, string) result
-(** Blank lines are skipped; an error names its physical line number. *)
-
-val validate_jsonl : schema_path:string -> string -> (int, string list) result
-(** Check every line against the contract's [jsonl] section; [Ok n]: all
-    [n] records conform. Errors carry [path:line] with physical line
-    numbers. A Chrome trace file is a whole document:
-    {!Schema.validate_file} checks it. *)
+val read_trace : string -> (record list, string) result
+(** The records of a file {!save_chrome} wrote, in file order; an error
+    names the offending [traceEvents] index. *)
 
 val summarize : record list -> (string * Metrics.histogram) list
 (** Per-span-name duration histograms, sorted by name. *)
@@ -45,11 +44,3 @@ val percentile_table : (string * Metrics.histogram) list -> string
 (** Aligned table: count, p50/p90/p99, max, total per phase. *)
 
 val event_table : (string * int) list -> string
-
-val exposition : Metrics.t -> string
-(** Prometheus-style text exposition of a registry snapshot: counters and
-    gauges as single samples, histograms as cumulative [le]-labeled
-    buckets (the histogram's bucket edges) plus [_sum]/[_count]. Names are
-    sanitized to [[a-zA-Z0-9_]] and prefixed ["apex_"]. *)
-
-val save_exposition : string -> Metrics.t -> unit

@@ -47,8 +47,7 @@ module Histogram : sig
   (** Bucket index a value records into. *)
 
   val bucket_edge : int -> float
-  (** Exclusive upper edge of a bucket in value units (bucket 0's is 1ns)
-      — the Prometheus [le] label of the bucket. *)
+  (** Exclusive upper edge of a bucket in value units (bucket 0's is 1ns). *)
 
   val merge : t -> t -> t
   (** Pure: returns a fresh histogram, arguments unchanged. *)

@@ -181,15 +181,6 @@ let overlaps_range (a : int array) ~pos ~lo ~hi =
   let i = lower_bound a pos n lo in
   i < n && a.(i) <= hi
 
-let mem_batch a queries =
-  let n = Array.length a in
-  let pos = ref 0 in
-  Array.map
-    (fun x ->
-      pos := gallop_lower_bound a !pos n x;
-      !pos < n && a.(!pos) = x)
-    queries
-
 (* [out[0..k)] at its exact length *)
 let trim (out : int array) k = if k = Array.length out then out else Array.sub out 0 k
 

@@ -63,11 +63,6 @@ val overlaps_range : int array -> pos:int -> lo:int -> hi:int -> bool
     compressed block advertising that key range in its header cannot
     contribute and is never decoded. Allocation-free. *)
 
-val mem_batch : int array -> int array -> bool array
-(** [mem_batch a queries] answers membership in [a] for every element of
-    the sorted array [queries], galloping forward from the previous hit
-    position — O(|queries| log (|a|/|queries|)) on sorted batches. *)
-
 val union : int array -> int array -> int array
 
 val inter : int array -> int array -> int array

@@ -38,12 +38,6 @@ let test_endpoints_parents () =
   Alcotest.(check (array int)) "endpoints" [| 0; 2; 4 |] (Edge_set.endpoints s);
   Alcotest.(check (array int)) "parents (null excluded)" [| 1; 3 |] (Edge_set.parents s)
 
-let test_join () =
-  (* a: reaches nodes 2 and 4; b: edges out of 2 and of 9 *)
-  let a = Edge_set.of_list [ (1, 2); (3, 4) ] in
-  let b = Edge_set.of_list [ (2, 7); (9, 8); (4, 6) ] in
-  Alcotest.check edge_set "join keeps connected" (Edge_set.of_list [ (2, 7); (4, 6) ]) (Edge_set.join a b)
-
 (* --- Label --- *)
 
 let test_label_interning () =
@@ -280,15 +274,12 @@ let prop_t_path_chains =
 (* --- semijoin properties against filter references --- *)
 
 (* narrow nid range so parents repeat — the range-contiguity fast path in
-   semijoin_parents only matters when a parent owns a run of edges *)
+   semijoin_endpoints only matters when a parent owns a run of edges *)
 let gen_edge_set =
   QCheck.Gen.(
     map
       (fun pairs -> Edge_set.of_list pairs)
       (list_size (int_bound 400) (pair (int_bound 50) (int_bound 50))))
-
-let arb_edge_set =
-  QCheck.make ~print:(Format.asprintf "%a" Edge_set.pp) gen_edge_set
 
 let gen_nid_set =
   QCheck.Gen.(map Repro_util.Int_sorted.of_unsorted (array_size (int_bound 30) (int_bound 60)))
@@ -302,13 +293,6 @@ let arb_semijoin_case =
 let filter_edges pred t =
   Edge_set.of_list (List.filter pred (Edge_set.to_list t))
 
-let prop_semijoin_parents =
-  QCheck.Test.make ~count:200 ~name:"semijoin_parents = filter by parent" arb_semijoin_case
-    (fun (t, sp) ->
-      Edge_set.equal
-        (Edge_set.semijoin_parents t sp)
-        (filter_edges (fun (u, _) -> Repro_util.Int_sorted.mem sp u) t))
-
 let prop_semijoin_endpoints =
   QCheck.Test.make ~count:200 ~name:"semijoin_endpoints = endpoints of filter" arb_semijoin_case
     (fun (t, sp) ->
@@ -321,14 +305,6 @@ let prop_semijoin_children =
       Edge_set.equal
         (Edge_set.semijoin_children t sc)
         (filter_edges (fun (_, v) -> Repro_util.Int_sorted.mem sc v) t))
-
-let prop_join_reference =
-  QCheck.Test.make ~count:200 ~name:"join = filter by endpoints of lhs"
-    (QCheck.pair arb_edge_set arb_edge_set)
-    (fun (a, b) ->
-      let eps = Edge_set.endpoints a in
-      Edge_set.equal (Edge_set.join a b)
-        (filter_edges (fun (u, _) -> Repro_util.Int_sorted.mem eps u) b))
 
 (* --- Edge_set kernels against list references --- *)
 
@@ -349,7 +325,7 @@ let pairs_of l = List.map Edge_set.unpack (pack_all l)
 let ints_model l = List.sort_uniq Int.compare l
 
 (* frontiers from one parent to all of them: both the gallop and the
-   merge-walk branch of the parent semijoins *)
+   merge-walk branch of semijoin_endpoints *)
 let gen_kernel_case =
   QCheck.Gen.(
     triple gen_edge_list
@@ -371,7 +347,6 @@ let prop_edge_kernels_model =
       Array.to_list (Edge_set.endpoints t) = ints_model (List.map snd pairs)
       && Array.to_list (Edge_set.parents t)
          = ints_model (List.filter (fun u -> u <> Edge_set.null) (List.map fst pairs))
-      && Edge_set.to_list (Edge_set.semijoin_parents t sp) = by_parent
       && Array.to_list (Edge_set.semijoin_endpoints t sp) = ints_model (List.map snd by_parent)
       && Edge_set.to_list (Edge_set.semijoin_children t sc) = by_child
       && Edge_set.to_list (Edge_set.of_packed_array (Array.of_list (List.rev (pack_all edges))))
@@ -593,8 +568,7 @@ let () =
         [ Alcotest.test_case "pack/unpack" `Quick test_pack_unpack;
           Alcotest.test_case "pack bounds" `Quick test_pack_bounds;
           Alcotest.test_case "set ops" `Quick test_edge_set_ops;
-          Alcotest.test_case "endpoints/parents" `Quick test_endpoints_parents;
-          Alcotest.test_case "join" `Quick test_join
+          Alcotest.test_case "endpoints/parents" `Quick test_endpoints_parents
         ] );
       ( "label",
         [ Alcotest.test_case "interning" `Quick test_label_interning;
@@ -638,10 +612,8 @@ let () =
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_t_path_chains;
           QCheck_alcotest.to_alcotest prop_length1_equals_grouping;
-          QCheck_alcotest.to_alcotest prop_semijoin_parents;
           QCheck_alcotest.to_alcotest prop_semijoin_endpoints;
           QCheck_alcotest.to_alcotest prop_semijoin_children;
-          QCheck_alcotest.to_alcotest prop_join_reference;
           QCheck_alcotest.to_alcotest prop_edge_kernels_model;
           QCheck_alcotest.to_alcotest prop_endpoints_after_model
         ] )

@@ -105,7 +105,18 @@ let test_fig13_ged_shape () =
 
 module Json = Repro_telemetry.Json
 
-let trajectory_file = "../BENCH_TRAJECTORY.json"
+(* Files are found from the repository root, from test/, or from dune's
+   _build/default/test (the executable only after a dune build); when
+   none exists, the first candidate is used so the failing case names
+   it. *)
+let first_existing candidates =
+  Option.value (List.find_opt Sys.file_exists candidates) ~default:(List.hd candidates)
+
+let trajectory_file = first_existing [ "BENCH_TRAJECTORY.json"; "../BENCH_TRAJECTORY.json" ]
+
+let apexctl_exe =
+  first_existing
+    [ "_build/default/bin/apexctl.exe"; "../bin/apexctl.exe"; "../_build/default/bin/apexctl.exe" ]
 
 let load path =
   match Json.parse_file path with
@@ -209,7 +220,7 @@ let test_bench_diff_exit () =
     Out_channel.with_open_text path (fun oc -> output_string oc (Json.to_string report));
     let code =
       Sys.command
-        (Filename.quote_command "../bin/apexctl.exe" ~stdout:Filename.null
+        (Filename.quote_command apexctl_exe ~stdout:Filename.null
            [ "bench-diff"; trajectory_file; path ])
     in
     Sys.remove path;

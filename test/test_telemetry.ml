@@ -6,9 +6,9 @@
    that with [Gc.minor_words], the same way one would catch an
    accidental [Some]/closure allocation sneaking into [begin_]/[end_arg].
 
-   The enabled path is checked end to end: ring wrap accounting,
-   JSONL/Chrome export, the file reader, and the schema validator run
-   against the checked-in [schemas/trace_schema.json]. Histogram
+   The enabled path is checked end to end: ring wrap accounting, the
+   Chrome export and its reader, and the schema validator run against
+   the checked-in [schemas/trace_schema.json]. Histogram
    arithmetic is property-tested: merge associativity/commutativity
    modulo float [sum] (excluded by [equal_counts]) and bucket-count
    conservation. *)
@@ -19,12 +19,15 @@ module Export = Repro_telemetry.Export
 module Slo = Repro_telemetry.Slo
 module Json = Repro_telemetry.Json
 
-let schema_path = Filename.concat ".." (Filename.concat "schemas" "trace_schema.json")
+(* the checked-in contracts, found from the repository root or from a
+   directory one level below it (test/, or dune's _build/default/test) *)
+let schema_file name =
+  let rel = Filename.concat "schemas" name in
+  List.find Sys.file_exists [ rel; Filename.concat ".." rel ]
 
-let incident_schema_path =
-  Filename.concat ".." (Filename.concat "schemas" "incident_schema.json")
-
-let lint_schema_path = Filename.concat ".." (Filename.concat "schemas" "lint_report_schema.json")
+let schema_path = schema_file "trace_schema.json"
+let incident_schema_path = schema_file "incident_schema.json"
+let lint_schema_path = schema_file "lint_report_schema.json"
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -164,37 +167,88 @@ let populate_ring () =
       Trace.Materialize; Trace.Query ];
   Trace.event Trace.Path_promoted 3;
   Trace.record ~note:"b.c" Trace.Path_evicted ~a:5 ~b:0;
+  Trace.record Trace.Epoch_publish ~a:7 ~b:9 (* a span kind with arg2 *);
   ignore (Trace.begin_ Trace.Refresh) (* left open: aborted lifecycle *)
+
+let event_field event path =
+  List.fold_left (fun j key -> Option.bind j (Json.member key)) (Some event) path
+
+(* a number field of a Chrome event, 0 when absent *)
+let event_int event path =
+  Option.fold ~none:0 ~some:int_of_float (Option.bind (event_field event path) Json.to_float)
+
+(* Write the live rings to a Chrome file and read it back: every record
+   keeps its name, kind, seq, arg and note, and its times to well below a
+   nanosecond; its event in the file carries the domain as tid, arg2 when
+   non-zero and open for a span never closed. *)
+let chrome_roundtrip () =
+  let live = ref [] in
+  Trace.iter_spans (fun s -> live := s :: !live);
+  let live = List.rev !live in
+  let chrome = Filename.temp_file "apex_trace" ".trace.json" in
+  Export.save_chrome chrome;
+  let records =
+    match Export.read_trace chrome with
+    | Error m -> Alcotest.failf "read_trace: %s" m
+    | Ok records -> records
+  in
+  let events =
+    Option.value ~default:[]
+      (Option.bind (Json.member "traceEvents" (load_json chrome)) Json.to_list)
+  in
+  Sys.remove chrome;
+  Alcotest.(check int) "every record read back" (List.length live) (List.length records);
+  Alcotest.(check int) "every record in the file" (List.length live) (List.length events);
+  List.iter2
+    (fun (s : Trace.span) ((r : Export.record), event) ->
+      let ctx what = Printf.sprintf "seq %d %s" s.seq what in
+      Alcotest.(check string) (ctx "name") (Trace.kind_name s.kind) r.name;
+      Alcotest.(check bool) (ctx "kind") s.is_event r.is_event;
+      Alcotest.(check int) (ctx "seq") s.seq r.seq;
+      Alcotest.(check int) (ctx "arg") s.arg r.arg;
+      Alcotest.(check string) (ctx "note") s.note r.note;
+      Alcotest.(check (float 1e-9)) (ctx "ts") s.start r.ts;
+      Alcotest.(check (float 1e-9)) (ctx "dur")
+        (match s.stop with Some stop when not s.is_event -> stop -. s.start | _ -> 0.)
+        r.dur;
+      Alcotest.(check int) (ctx "tid") s.domain (event_int event [ "tid" ]);
+      Alcotest.(check int) (ctx "arg2") s.arg2 (event_int event [ "args"; "arg2" ]);
+      Alcotest.(check bool) (ctx "open")
+        ((not s.is_event) && s.stop = None)
+        (event_field event [ "args"; "open" ] = Some (Json.Bool true)))
+    live (List.combine records events);
+  (records, events)
 
 let export_roundtrip () =
   populate_ring ();
-  let jsonl = Filename.temp_file "apex_trace" ".jsonl" in
-  Export.save_jsonl jsonl;
-  (match Export.read_jsonl jsonl with
-   | Error m -> Alcotest.failf "read_jsonl: %s" m
-   | Ok records ->
-     Alcotest.(check int) "all slots exported" 10 (List.length records);
-     let spans = List.filter (fun r -> not r.Export.is_event) records in
-     let events = List.filter (fun r -> r.Export.is_event) records in
-     Alcotest.(check int) "8 spans" 8 (List.length spans);
-     Alcotest.(check int) "2 events" 2 (List.length events);
-     let names = List.map (fun r -> r.Export.name) spans in
-     List.iter
-       (fun n ->
-         Alcotest.(check bool) ("span " ^ n) true (List.mem n names))
-       [ "parse"; "plan"; "probe"; "fetch"; "join"; "materialize"; "query";
-         "refresh" ];
-     let noted = List.find (fun r -> r.Export.name = "path_evicted") events in
-     Alcotest.(check string) "note survives" "b.c" noted.Export.note;
-     Alcotest.(check int) "arg survives" 5 noted.Export.arg;
-     (* aggregation: every closed span kind lands in summarize *)
-     let hists = Export.summarize records in
-     Alcotest.(check bool) "probe summarized" true
-       (List.mem_assoc "probe" hists);
-     Alcotest.(check (list (pair string int)))
-       "event totals" [ ("path_evicted", 1); ("path_promoted", 1) ]
-       (Export.event_totals records));
-  Sys.remove jsonl;
+  let records, written = chrome_roundtrip () in
+  Alcotest.(check int) "all slots exported" 11 (List.length records);
+  let spans = List.filter (fun r -> not r.Export.is_event) records in
+  let events = List.filter (fun r -> r.Export.is_event) records in
+  Alcotest.(check int) "9 spans" 9 (List.length spans);
+  Alcotest.(check int) "2 events" 2 (List.length events);
+  let names = List.map (fun r -> r.Export.name) spans in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) ("span " ^ n) true (List.mem n names))
+    [ "parse"; "plan"; "probe"; "fetch"; "join"; "materialize"; "query";
+      "epoch_publish"; "refresh" ];
+  let noted = List.find (fun r -> r.Export.name = "path_evicted") records in
+  Alcotest.(check string) "note survives" "b.c" noted.Export.note;
+  Alcotest.(check int) "arg survives" 5 noted.Export.arg;
+  let named n = List.find (fun e -> event_field e [ "name" ] = Some (Json.Str n)) written in
+  Alcotest.(check int) "arg2 written" 9 (event_int (named "epoch_publish") [ "args"; "arg2" ]);
+  Alcotest.(check bool) "open span written as open" true
+    (event_field (named "refresh") [ "args"; "open" ] = Some (Json.Bool true));
+  Alcotest.(check bool) "closed span written without open" true
+    (event_field (named "query") [ "args"; "open" ] = None);
+  (* aggregation: every closed span kind lands in summarize *)
+  let hists = Export.summarize records in
+  Alcotest.(check bool) "probe summarized" true
+    (List.mem_assoc "probe" hists);
+  Alcotest.(check (list (pair string int)))
+    "event totals" [ ("path_evicted", 1); ("path_promoted", 1) ]
+    (Export.event_totals records);
   Trace.reset ()
 
 (* The serving-lifecycle kinds (concurrent server, lib/server) are spans —
@@ -213,87 +267,63 @@ let serving_kinds_export () =
       (Trace.Epoch_retire, "epoch_retire");
       (Trace.Reader_pin, "reader_pin")
     ];
-  let jsonl = Filename.temp_file "apex_trace" ".jsonl" in
-  Export.save_jsonl jsonl;
-  (match Export.read_jsonl jsonl with
-   | Error m -> Alcotest.failf "read_jsonl: %s" m
-   | Ok records ->
-     let spans = List.filter (fun r -> not r.Export.is_event) records in
-     Alcotest.(check int) "3 spans" 3 (List.length spans);
-     let names = List.map (fun r -> r.Export.name) spans in
-     List.iter
-       (fun n -> Alcotest.(check bool) ("span " ^ n) true (List.mem n names))
-       [ "epoch_publish"; "epoch_retire"; "reader_pin" ]);
-  Sys.remove jsonl;
+  let spans = List.filter (fun r -> not r.Export.is_event) (fst (chrome_roundtrip ())) in
+  Alcotest.(check int) "3 spans" 3 (List.length spans);
+  let names = List.map (fun r -> r.Export.name) spans in
+  List.iter
+    (fun n -> Alcotest.(check bool) ("span " ^ n) true (List.mem n names))
+    [ "epoch_publish"; "epoch_retire"; "reader_pin" ];
   Trace.reset ()
 
 let schema_validation () =
   populate_ring ();
-  let jsonl = Filename.temp_file "apex_trace" ".jsonl" in
   let chrome = Filename.temp_file "apex_trace" ".trace.json" in
-  Export.save_jsonl jsonl;
   Export.save_chrome chrome;
-  (match Export.validate_jsonl ~schema_path jsonl with
-   | Error errs -> Alcotest.failf "jsonl invalid: %s" (String.concat "; " errs)
-   | Ok n -> Alcotest.(check int) "jsonl lines conform" 10 n);
   (match Repro_telemetry.Schema.validate_file ~schema_path chrome with
    | Error errs -> Alcotest.failf "chrome invalid: %s" (String.concat "; " errs)
    | Ok () -> ());
-  Alcotest.(check (option int)) "chrome events" (Some 10)
+  Alcotest.(check (option int)) "chrome events" (Some 11)
     (Option.map List.length
        (Option.bind (Json.member "traceEvents" (load_json chrome)) Json.to_list));
-  (* the validators must actually reject garbage *)
-  let bad = Filename.temp_file "apex_trace_bad" ".jsonl" in
-  Out_channel.with_open_text bad (fun oc ->
-      output_string oc "{\"type\":\"span\",\"name\":\"x\"}\n");
-  (match Export.validate_jsonl ~schema_path bad with
-   | Ok _ -> Alcotest.fail "validator accepted a record missing fields"
-   | Error _ -> ());
-  Out_channel.with_open_text bad (fun oc ->
-      output_string oc {|{"traceEvents":[{"name":"x","ph":"X"}]}|});
-  (match Repro_telemetry.Schema.validate_file ~schema_path bad with
-   | Ok () -> Alcotest.fail "validator accepted a chrome event missing fields"
-   | Error _ -> ());
+  (* the validator must actually reject garbage *)
+  let bad = Filename.temp_file "apex_trace_bad" ".trace.json" in
+  List.iter
+    (fun doc ->
+      Out_channel.with_open_text bad (fun oc -> output_string oc doc);
+      match Repro_telemetry.Schema.validate_file ~schema_path bad with
+      | Ok () -> Alcotest.failf "validator accepted %s" doc
+      | Error _ -> ())
+    [ {|{"traceEvents":[{"name":"x","ph":"X"}]}|};
+      {|{"traceEvents":[{"name":"x","ph":"i","s":"t"}]}|};
+      {|{"events":[]}|} ];
   Sys.remove bad;
-  Sys.remove jsonl;
   Sys.remove chrome;
   Trace.reset ()
 
-(* Errors name the physical line: blank lines are skipped, not renumbered
-   away. *)
-let jsonl_physical_lines () =
-  let path = Filename.temp_file "apex_trace_blank" ".jsonl" in
-  let good = {|{"type":"span","name":"probe","seq":1,"ts":0,"dur":0,"arg":0}|} in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (String.concat "\n" [ good; ""; "  "; {|{"type":"span"}|}; "" ]));
-  (match Export.validate_jsonl ~schema_path path with
-   | Ok _ -> Alcotest.fail "validator accepted a record missing fields"
-   | Error errors ->
-     Alcotest.(check bool) "validate_jsonl names line 4" true
-       (List.for_all (fun e -> contains e (path ^ ":4: ")) errors));
-  (match Export.read_jsonl path with
-   | Ok _ -> Alcotest.fail "reader accepted a record missing fields"
-   | Error e -> Alcotest.(check bool) ("read_jsonl names line 4: " ^ e) true (contains e "line 4:"));
-  Sys.remove path
-
 (* A directory or missing file is an [Error], never an escaping
-   [Sys_error] ("apexctl validate --schema schemas x.jsonl" used to die
-   with an uncaught exception). *)
+   [Sys_error] ("apexctl validate --schema schemas x.trace.json" used to
+   die with an uncaught exception). *)
 let unreadable_inputs_are_errors () =
   let missing = Filename.concat (Filename.get_temp_dir_name ()) "apex_no_such_file.json" in
+  let is_error = function Ok _ -> false | Error _ -> true in
   List.iter
     (fun path ->
-      let is_error = function Ok _ -> false | Error _ -> true in
-      Alcotest.(check bool) ("read_jsonl " ^ path) true (is_error (Export.read_jsonl path));
-      Alcotest.(check bool) ("validate_jsonl " ^ path) true
-        (is_error (Export.validate_jsonl ~schema_path path));
-      Alcotest.(check bool) ("validate_jsonl schema " ^ path) true
-        (is_error (Export.validate_jsonl ~schema_path:path schema_path));
+      Alcotest.(check bool) ("read_trace " ^ path) true (is_error (Export.read_trace path));
       Alcotest.(check bool) ("validate_file " ^ path) true
         (is_error (Repro_telemetry.Schema.validate_file ~schema_path path));
       Alcotest.(check bool) ("validate_file schema " ^ path) true
         (is_error (Repro_telemetry.Schema.validate_file ~schema_path:path path)))
-    [ Filename.dirname schema_path; missing ]
+    [ Filename.dirname schema_path; missing ];
+  (* a readable JSON document that is no trace, or an event missing a
+     field, is an error too *)
+  let bad = Filename.temp_file "apex_trace_bad" ".trace.json" in
+  List.iter
+    (fun doc ->
+      Out_channel.with_open_text bad (fun oc -> output_string oc doc);
+      Alcotest.(check bool) ("read_trace " ^ doc) true (is_error (Export.read_trace bad)))
+    [ {|{"events":[]}|};
+      {|{"traceEvents":[{"name":"probe","ph":"X","ts":0,"tid":0,"args":{"arg":0}}]}|} ];
+  Sys.remove bad
 
 (* The shared validator accepts null only where a section lists the field
    as nullable: the lint report's guard fields, never a trace field. *)
@@ -305,13 +335,15 @@ let schema_nulls () =
   in
   let parse text = match Json.parse text with Ok j -> j | Error e -> Alcotest.fail e in
   let errors shape text = Repro_telemetry.Schema.check shape ~ctx:"t" (parse text) in
-  let jsonl = section schema_path "jsonl" in
-  Alcotest.(check int) "trace record conforms" 0
-    (List.length
-       (errors jsonl {|{"type":"span","name":"probe","seq":1,"ts":0,"dur":0,"arg":0}|}));
+  let chrome = section schema_path "chrome" in
+  let event name =
+    Printf.sprintf {|{"name":%s,"cat":"apex","ph":"X","ts":0,"dur":0,"pid":1,"tid":0,"args":{}}|}
+      name
+  in
+  Alcotest.(check int) "trace record conforms" 0 (List.length (errors chrome (event {|"probe"|})));
   Alcotest.(check (list string)) "null trace field rejected"
     [ {|t: field "name" is null, expected string|} ]
-    (errors jsonl {|{"type":"span","name":null,"seq":1,"ts":0,"dur":0,"arg":0}|});
+    (errors chrome (event "null"));
   let site = section lint_schema_path "site_item" in
   let site_json guard file =
     Printf.sprintf
@@ -468,8 +500,7 @@ let quantile_resolution () =
         true
         (Float.abs (est -. v) <= 0.125 *. v))
     [ (0.5, 5e-6); (0.99, 7e-6) ];
-  (* each bucket's upper edge (the Prometheus le label) separates it from
-     the next bucket *)
+  (* each bucket's upper edge separates it from the next bucket *)
   for b = 0 to Metrics.Histogram.n_buckets - 2 do
     let edge = Metrics.Histogram.bucket_edge b in
     let below = Metrics.Histogram.bucket_of (edge *. (1. -. 1e-9))
@@ -592,10 +623,10 @@ let flight_incident_roundtrip () =
   Alcotest.(check (list string)) "events" [ "epoch_publish"; "update_batch" ]
     (List.filter_map Json.to_str (field "name" events));
   Alcotest.(check int) "span tail" 256 (List.length spans);
+  let args = List.filter_map (Json.member "arg") (field "args" spans) in
   Alcotest.(check (list (option (float 0.)))) "newest spans, oldest first"
     [ Some 45.; Some 300. ]
-    (List.map Json.to_float
-       [ List.hd (field "arg" spans); List.nth (field "arg" spans) 255 ]);
+    (List.map Json.to_float [ List.hd args; List.nth args 255 ]);
   Trace.reset ()
 
 (* The incident contract lists exactly the always-on kinds' names: the
@@ -748,49 +779,6 @@ let gc_source_registered () =
   ignore (Sys.opaque_identity !acc);
   Alcotest.(check bool) "minor words advance" true (level () > before)
 
-(* ---------- Prometheus-style exposition ---------- *)
-
-let exposition_format () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "server.publishes" in
-  Metrics.add c 3;
-  let g = Metrics.gauge m "server.generation" in
-  Metrics.set g 4.;
-  let h = Metrics.histogram m "query latency (s)" in
-  Metrics.Histogram.record h 0.001;
-  Metrics.Histogram.record h 0.004;
-  let text = Export.exposition m in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) needle true (contains text needle))
-    [ "# TYPE apex_server_publishes counter";
-      "apex_server_publishes 3";
-      "# TYPE apex_server_generation gauge";
-      "apex_server_generation 4";
-      (* names sanitized to [a-zA-Z0-9_] *)
-      "# TYPE apex_query_latency__s_ histogram";
-      "apex_query_latency__s__bucket{le=\"";
-      "apex_query_latency__s__bucket{le=\"+Inf\"} 2";
-      "apex_query_latency__s__count 2"
-    ];
-  (* cumulative buckets: counts along le-ordered buckets never decrease
-     and end at _count *)
-  let bucket_counts =
-    List.filter_map
-      (fun line ->
-        if contains line "_bucket{le=" then
-          match String.rindex_opt line ' ' with
-          | Some i ->
-            int_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
-          | None -> None
-        else None)
-      (String.split_on_char '\n' text)
-  in
-  Alcotest.(check bool) "buckets cumulative" true
-    (List.sort compare bucket_counts = bucket_counts);
-  Alcotest.(check int) "last bucket is total" 2
-    (List.nth bucket_counts (List.length bucket_counts - 1))
-
 let () =
   Alcotest.run "telemetry"
     [
@@ -807,10 +795,9 @@ let () =
         ] );
       ( "export",
         [
-          Alcotest.test_case "jsonl round-trip" `Quick export_roundtrip;
+          Alcotest.test_case "trace round-trip" `Quick export_roundtrip;
           Alcotest.test_case "serving kinds" `Quick serving_kinds_export;
           Alcotest.test_case "schema validation" `Quick schema_validation;
-          Alcotest.test_case "jsonl physical line numbers" `Quick jsonl_physical_lines;
           Alcotest.test_case "unreadable inputs are errors" `Quick unreadable_inputs_are_errors;
           Alcotest.test_case "schema nulls" `Quick schema_nulls;
         ] );
@@ -849,6 +836,5 @@ let () =
         [
           Alcotest.test_case "low-count percentile rows" `Quick low_count_percentiles;
           Alcotest.test_case "gc source registered" `Quick gc_source_registered;
-          Alcotest.test_case "prometheus exposition" `Quick exposition_format;
         ] );
     ]

@@ -116,13 +116,6 @@ let prop_lower_bound_agrees =
       && (n = 0
           || Int_sorted.gallop_lower_bound a (n / 2) n x = Int_sorted.lower_bound a (n / 2) n x))
 
-let prop_mem_batch_agrees =
-  QCheck.Test.make ~count:100 ~name:"mem_batch = pointwise mem" arb_skewed_pair
-    (fun (queries, a) ->
-      let batch = Int_sorted.mem_batch a queries in
-      Array.length batch = Array.length queries
-      && Array.for_all2 (fun r q -> r = Int_sorted.mem a q) batch queries)
-
 (* --- kernels against independent list references --- *)
 
 let model l = List.sort_uniq Int.compare l
@@ -260,7 +253,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_results_sorted;
           QCheck_alcotest.to_alcotest prop_gallop_inter_agrees;
           QCheck_alcotest.to_alcotest prop_lower_bound_agrees;
-          QCheck_alcotest.to_alcotest prop_mem_batch_agrees;
           QCheck_alcotest.to_alcotest prop_parray_persistent
         ] );
       ( "kernels",
