@@ -222,37 +222,32 @@ let ext_materialize ?cost = function
   | Mem e -> e
   | View v -> ES.load ?cost (ES.view_store v) (ES.view_handle v)
 
+(* [f ?cost v x] inside a Decode span whose arg is the number of blocks it
+   decoded, followed by a Block_skip event for the blocks it skipped (read
+   off the store's running totals). [f] takes its arguments from here, so
+   the untraced path allocates no closure. *)
+let traced_decode (f : ?cost:Cost.t -> ES.view -> 'a -> 'b) ?cost v x =
+  let tok = Tr.begin_ Tr.Decode in
+  if tok < 0 then f ?cost v x
+  else begin
+    let store = ES.view_store v in
+    let d0 = ES.total_blocks_decoded store and s0 = ES.total_blocks_skipped store in
+    let out = f ?cost v x in
+    Tr.end_arg tok (ES.total_blocks_decoded store - d0);
+    let skipped = ES.total_blocks_skipped store - s0 in
+    if skipped > 0 then Tr.event Tr.Block_skip skipped;
+    out
+  end
+
 let ext_semijoin_endpoints ?cost r frontier =
   match r with
   | Mem e -> Edge_set.semijoin_endpoints e frontier
-  | View v ->
-    let tok = Tr.begin_ Tr.Decode in
-    if tok < 0 then ES.view_semijoin_endpoints ?cost v frontier
-    else begin
-      let store = ES.view_store v in
-      let d0 = ES.total_blocks_decoded store and s0 = ES.total_blocks_skipped store in
-      let out = ES.view_semijoin_endpoints ?cost v frontier in
-      Tr.end_arg tok (ES.total_blocks_decoded store - d0);
-      let skipped = ES.total_blocks_skipped store - s0 in
-      if skipped > 0 then Tr.event Tr.Block_skip skipped;
-      out
-    end
+  | View v -> traced_decode ES.view_semijoin_endpoints ?cost v frontier
 
 let ext_semijoin_children ?cost r sorted_children =
   match r with
   | Mem e -> Edge_set.semijoin_children e sorted_children
-  | View v ->
-    let tok = Tr.begin_ Tr.Decode in
-    if tok < 0 then ES.view_semijoin_children ?cost v sorted_children
-    else begin
-      let store = ES.view_store v in
-      let d0 = ES.total_blocks_decoded store and s0 = ES.total_blocks_skipped store in
-      let out = ES.view_semijoin_children ?cost v sorted_children in
-      Tr.end_arg tok (ES.total_blocks_decoded store - d0);
-      let skipped = ES.total_blocks_skipped store - s0 in
-      if skipped > 0 then Tr.event Tr.Block_skip skipped;
-      out
-    end
+  | View v -> traced_decode ES.view_semijoin_children ?cost v sorted_children
 
 (* --- incremental-maintenance hooks (lib/update) --- *)
 
@@ -311,16 +306,7 @@ let load_endpoints ?cost t (n : Gapex.node) =
          instead of materializing the extent first *)
       match extent_ref ?cost t n with
       | Mem e -> Edge_set.endpoints e
-      | View v ->
-        let tok = Tr.begin_ Tr.Decode in
-        if tok < 0 then ES.view_endpoints ?cost v
-        else begin
-          let store = ES.view_store v in
-          let d0 = ES.total_blocks_decoded store in
-          let out = ES.view_endpoints ?cost v in
-          Tr.end_arg tok (ES.total_blocks_decoded store - d0);
-          out
-        end
+      | View v -> traced_decode (fun ?cost v () -> ES.view_endpoints ?cost v) ?cost v ()
     in
     if not t.frozen then begin
       (* a frozen index is shared read-only across domains: the memo was

@@ -3,6 +3,7 @@ module Int_sorted = Repro_util.Int_sorted
 module Parray = Repro_util.Parray
 module SMap = Map.Make (String)
 module IMap = Map.Make (Int)
+module Xml_tree = Repro_xml.Xml_tree
 
 type nid = int
 
@@ -29,8 +30,9 @@ type t = {
          reference existing elements *)
   id_inv : string list IMap.t;  (* nid -> its ids, first registered first *)
   forest : bool;
-      (* a document forest (see the mli): set by [of_document], inherited
-         by the update ops, checked by [Builder.build] *)
+      (* a document forest (see the mli): true for an encoded document,
+         inherited by the update ops, checked by [Builder.build] on a
+         hand-built graph *)
   mutable in_adj : int array Parray.t option;
   mutable by_label : Edge_set.t array option;
       (* the derived caches (reverse adjacency; edges per label id): built
@@ -233,8 +235,8 @@ let patch_by_label g ~out ~added ~removed by_label =
     (group_by (List.map (fun (u, l, v) -> (l, Edge_set.pack u v)) added));
   by_label'
 
-(* The derived caches of the version [out] (with [n] nodes) that [g] becomes
-   by losing the [removed] edges and gaining the [added] ones, each given as
+(* The derived caches of the version [out] that [g] becomes by losing the
+   [removed] edges and gaining the [added] ones, each given as
    [(source, label, target)]. The reverse adjacency is always carried (the
    ops read it), with only the in-rows of touched targets replaced; the
    per-label sets only when [g] has them, so a chain of versions nothing
@@ -243,7 +245,7 @@ let patch_by_label g ~out ~added ~removed by_label =
    newer than the existing in-edge sources of its target (what the
    appending ops produce), so appending keeps each in-row in [iter_edges]
    order, the order [ensure_in_adj] builds. *)
-let patch_caches g ~n ~out ~added ~removed =
+let patch_caches g ~out ~added ~removed =
   let in_adj = ensure_in_adj g in
   let dropped = group_by (List.map (fun (u, l, v) -> (v, pack_adj l u)) removed) in
   let gained = group_by (List.map (fun (u, l, v) -> (v, pack_adj l u)) added) in
@@ -265,142 +267,182 @@ let patch_caches g ~n ~out ~added ~removed =
         (v, row) :: acc)
       touched []
   in
-  ( Some (Parray.update in_adj ~length:n ~fill:[||] rows),
+  ( Some (Parray.update in_adj ~length:(Parray.length out) ~fill:[||] rows),
     Option.map (patch_by_label g ~out ~added ~removed) g.by_label )
+
+(* The version [g] becomes with rows [out] and [values] once it loses the
+   [removed] edges and gains the [added] ones: every update op builds its
+   result here, with the caches patched and the edge count moved by the
+   two lists; ids and IDREF labels are [g]'s unless given. *)
+let version ?ids ?idref_label_ids g ~out ~values ~added ~removed =
+  let in_adj, by_label = patch_caches g ~out ~added ~removed in
+  let ids, id_inv = Option.value ids ~default:(g.ids, g.id_inv) in
+  { g with
+    out;
+    values;
+    n_edges = g.n_edges + List.length added - List.length removed;
+    idref_label_ids = Option.value idref_label_ids ~default:g.idref_label_ids;
+    ids;
+    id_inv;
+    in_adj;
+    by_label
+  }
 
 module Builder = struct
   type t = {
     b_labels : Label.table;
+    b_base : nid;
+        (* the first nid handed out: [append_subtree]'s builder extends a
+           graph of [b_base] nodes, every other one starts empty *)
     b_values : string option Vec.t;
-    b_out : int list ref Vec.t;
-    mutable b_edges : int;
+    b_out : int list ref Vec.t;  (* the new nodes' rows, newest entry first *)
+    mutable b_grafts : (nid * int) list;
+        (* edges leaving nodes below [b_base], newest first *)
+    mutable b_ids : (nid * string) SMap.t * string list IMap.t;
+    mutable b_idrefs : Label.t list option;
+        (* an encoded document's IDREF labels; [None] for a hand-built
+           graph, whose [build] guesses them and checks the forest
+           property *)
   }
 
-  let create () =
-    { b_labels = Label.create_table (); b_values = Vec.create (); b_out = Vec.create (); b_edges = 0 }
+  let make ?(base = 0) ?(ids = (SMap.empty, IMap.empty)) ~idrefs labels =
+    { b_labels = labels;
+      b_base = base;
+      b_values = Vec.create ();
+      b_out = Vec.create ();
+      b_grafts = [];
+      b_ids = ids;
+      b_idrefs = idrefs
+    }
+
+  let create () = make ~idrefs:None (Label.create_table ())
 
   let add_node ?value b =
-    let nid = Vec.length b.b_values in
+    let nid = b.b_base + Vec.length b.b_values in
     Vec.push b.b_values value;
     Vec.push b.b_out (ref []);
     nid
 
+  let push_edge b u l v =
+    if u < b.b_base then b.b_grafts <- (u, pack_adj l v) :: b.b_grafts
+    else begin
+      let adj = Vec.get b.b_out (u - b.b_base) in
+      adj := pack_adj l v :: !adj
+    end
+
   let check b v ctx =
-    if v < 0 || v >= Vec.length b.b_values then
+    if v < 0 || v >= b.b_base + Vec.length b.b_values then
       invalid_arg (Printf.sprintf "Data_graph.Builder.%s: unknown nid %d" ctx v)
 
   let add_edge b u label v =
     check b u "add_edge";
     check b v "add_edge";
-    let l = Label.intern b.b_labels label in
-    let adj = Vec.get b.b_out u in
-    adj := pack_adj l v :: !adj;
-    b.b_edges <- b.b_edges + 1
+    push_edge b u (Label.intern b.b_labels label) v
 
-  let freeze ?idref_label_ids ?forest ~root b =
+  let rows b = Array.map (fun l -> Array.of_list (List.rev !l)) (Vec.to_array b.b_out)
+
+  let build ~root b =
     check b root "build";
-    let out = Array.map (fun l -> Array.of_list (List.rev !l)) (Vec.to_array b.b_out) in
+    let rows = rows b in
     let g =
       { labels = b.b_labels;
         root;
-        out = Parray.of_array out;
+        out = Parray.of_array rows;
         values = Parray.of_array (Vec.to_array b.b_values);
-        n_edges = b.b_edges;
-        idref_label_ids = [];
-        ids = SMap.empty;
-        id_inv = IMap.empty;
-        forest = false;
+        n_edges = Array.fold_left (fun n row -> n + Array.length row) 0 rows;
+        idref_label_ids = Option.value b.b_idrefs ~default:[];
+        ids = fst b.b_ids;
+        id_inv = snd b.b_ids;
+        forest = true;
         in_adj = None;
         by_label = None
       }
     in
-    let idrefs =
-      match idref_label_ids with
-      | Some ids -> ids
-      | None ->
-        (* Heuristic for hand-built graphs: an '@' label whose targets have
-           outgoing edges is an IDREF attribute edge. *)
-        let candidates = Hashtbl.create 8 in
-        iter_edges g (fun _ l v ->
-            if Label.is_attribute g.labels l && Array.length out.(v) > 0 then
-              Hashtbl.replace candidates l ());
+    match b.b_idrefs with
+    | Some _ -> g
+    | None ->
+      (* Heuristic for hand-built graphs: an '@' label whose targets have
+         outgoing edges is an IDREF attribute edge. *)
+      let candidates = Hashtbl.create 8 in
+      iter_edges g (fun _ l v ->
+          if Label.is_attribute g.labels l && Array.length rows.(v) > 0 then
+            Hashtbl.replace candidates l ());
+      let idref_label_ids =
         List.sort Int.compare (Hashtbl.fold (fun l () acc -> l :: acc) candidates [])
-    in
-    let forest = match forest with Some f -> f | None -> check_forest g in
-    { g with idref_label_ids = idrefs; forest }
-
-  let build ~root b = freeze ~root b
+      in
+      let forest = check_forest g in
+      { g with idref_label_ids; forest }
 end
 
-let of_document ?(id_attrs = [ "id" ]) ?(idref_attrs = []) (doc : Repro_xml.Xml_tree.document) =
-  let b = Builder.create () in
-  let ids = ref (SMap.empty, IMap.empty) in
+(* An IDREFS value lists ids separated by XML whitespace, the four
+   characters the lexer skips. *)
+let split_refs v =
+  String.split_on_char ' ' (String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) v)
+  |> List.filter (fun s -> not (String.equal s ""))
+
+(* Encode [e] per Section 3 into [b]'s fresh nodes, in document order, and
+   link it below [parent] when given; return its node. IDREFs resolve in a
+   second pass, once the whole element is encoded, against the ids [b]
+   holds (an extended graph's) plus the element's own; the labels of the
+   references made join [b]'s IDREF labels. *)
+let encode ~id_attrs ~idref_attrs ?parent (b : Builder.t) (e : Xml_tree.element) =
+  let intern = Label.intern b.b_labels in
   (* (element nid, attr name, idref values) collected for the second pass *)
   let pending_refs : (nid * string * string list) Vec.t = Vec.create () in
-  let is_id name = List.mem name id_attrs in
-  let is_idref name = List.mem name idref_attrs in
-  let split_refs v =
-    String.split_on_char ' ' v |> List.concat_map (String.split_on_char '\n')
-    |> List.concat_map (String.split_on_char '\t')
-    |> List.filter (fun s -> String.length s > 0)
-  in
-  let rec walk (e : Repro_xml.Xml_tree.element) =
-    let only_text =
-      not (List.is_empty e.children) && List.for_all (function Repro_xml.Xml_tree.Text _ -> true | _ -> false) e.children
-    in
+  let rec walk (e : Xml_tree.element) =
+    (* an element whose content is only character data is a leaf *)
     let value =
-      if only_text then
-        Some
-          (String.concat ""
-             (List.map (function Repro_xml.Xml_tree.Text s -> s | Repro_xml.Xml_tree.Element _ -> "") e.children))
-      else None
+      match e.children with
+      | [] -> None
+      | children ->
+        if List.for_all (function Xml_tree.Text _ -> true | Xml_tree.Element _ -> false) children
+        then
+          Some
+            (String.concat ""
+               (List.map (function Xml_tree.Text s -> s | Xml_tree.Element _ -> "") children))
+        else None
     in
     let me = Builder.add_node ?value b in
     List.iter
       (fun (name, v) ->
-        if is_id name then ids := register_id !ids v me e.tag
-        else if is_idref name then Vec.push pending_refs (me, name, split_refs v)
+        if List.mem name id_attrs then b.b_ids <- register_id b.b_ids v me e.tag
+        else if List.mem name idref_attrs then Vec.push pending_refs (me, name, split_refs v)
         else begin
           let leaf = Builder.add_node ~value:v b in
-          Builder.add_edge b me ("@" ^ name) leaf
+          Builder.push_edge b me (intern ("@" ^ name)) leaf
         end)
       e.attrs;
-    if not only_text then
+    if Option.is_none value then
       List.iter
         (function
-          | Repro_xml.Xml_tree.Text _ -> ()
-          | Repro_xml.Xml_tree.Element child ->
+          | Xml_tree.Text _ -> ()
+          | Xml_tree.Element child ->
             let c = walk child in
-            Builder.add_edge b me child.tag c)
+            Builder.push_edge b me (intern child.tag) c)
         e.children;
     me
   in
-  let root = walk doc.root in
-  let idref_label_names = Hashtbl.create 8 in
+  let root = walk e in
+  Option.iter (fun p -> Builder.push_edge b p (intern e.tag) root) parent;
+  let idrefs = ref (Option.value b.b_idrefs ~default:[]) in
   Vec.iter
     (fun (owner, name, refs) ->
-      let targets =
-        List.filter_map (fun r -> SMap.find_opt r (fst !ids)) refs
-      in
-      match targets with
+      match List.filter_map (fun r -> SMap.find_opt r (fst b.b_ids)) refs with
       | [] -> ()
       | targets ->
         let attr_node = Builder.add_node b in
-        Builder.add_edge b owner ("@" ^ name) attr_node;
-        Hashtbl.replace idref_label_names ("@" ^ name) ();
-        List.iter (fun (target, tag) -> Builder.add_edge b attr_node tag target) targets)
+        let l = intern ("@" ^ name) in
+        Builder.push_edge b owner l attr_node;
+        if not (List.exists (Int.equal l) !idrefs) then idrefs := l :: !idrefs;
+        List.iter (fun (target, tag) -> Builder.push_edge b attr_node (intern tag) target) targets)
     pending_refs;
-  let idref_label_ids =
-    Hashtbl.fold
-      (fun name () acc ->
-        match Label.find b.Builder.b_labels name with
-        | Some id -> id :: acc
-        | None -> acc)
-      idref_label_names []
-    |> List.sort Int.compare
-  in
-  let g = Builder.freeze ~idref_label_ids ~forest:true ~root b in
-  { g with ids = fst !ids; id_inv = snd !ids }
+  b.b_idrefs <- Some (List.sort Int.compare !idrefs);
+  root
+
+let of_document ?(id_attrs = [ "id" ]) ?(idref_attrs = []) (doc : Xml_tree.document) =
+  let b = Builder.make ~idrefs:(Some []) (Label.create_table ()) in
+  let root = encode ~id_attrs ~idref_attrs b doc.root in
+  Builder.build ~root b
 
 let of_document_dtd dtd doc =
   of_document
@@ -408,133 +450,34 @@ let of_document_dtd dtd doc =
     ~idref_attrs:(Repro_xml.Dtd.idref_attributes dtd)
     doc
 
-let appended g g' ~parent =
-  let old_degree = out_degree g parent in
-  let added = ref [] in
-  Array.iteri
-    (fun i e -> if i >= old_degree then added := (parent, adj_label e, adj_node e) :: !added)
-    (Parray.get g'.out parent);
-  for u = n_nodes g to n_nodes g' - 1 do
-    Array.iter (fun e -> added := (u, adj_label e, adj_node e) :: !added) (Parray.get g'.out u)
-  done;
-  List.rev !added
-
-let append_subtree ?(id_attrs = [ "id" ]) ?(idref_attrs = [ ]) g ~parent
-    (fragment : Repro_xml.Xml_tree.element) =
+let append_subtree ?(id_attrs = [ "id" ]) ?(idref_attrs = []) g ~parent
+    (fragment : Xml_tree.element) =
   check_nid g parent "append_subtree";
   let base = n_nodes g in
-  let new_values : string option Vec.t = Vec.create () in
-  let new_out : int list ref Vec.t = Vec.create () in
-  let new_edges = ref 0 in
-  let fresh ?value () =
-    let nid = base + Vec.length new_values in
-    Vec.push new_values value;
-    Vec.push new_out (ref []);
-    nid
+  let b =
+    Builder.make ~base ~ids:(g.ids, g.id_inv) ~idrefs:(Some g.idref_label_ids) g.labels
   in
-  let parent_extra = ref [] in
-  let add_edge u label v =
-    let l = Label.intern g.labels label in
-    if u = parent then parent_extra := pack_adj l v :: !parent_extra
-    else begin
-      let adj = Vec.get new_out (u - base) in
-      adj := pack_adj l v :: !adj
-    end;
-    incr new_edges
+  ignore (encode ~id_attrs ~idref_attrs ~parent b fragment : nid);
+  (* the encoder grafts only below [parent] *)
+  let grafts = Array.of_list (List.rev_map snd b.b_grafts) and rows = Builder.rows b in
+  let k = Array.length rows in
+  let edges u row = List.map (fun e -> (u, adj_label e, adj_node e)) (Array.to_list row) in
+  let added =
+    edges parent grafts
+    @ List.concat (List.mapi (fun i row -> edges (base + i) row) (Array.to_list rows))
   in
-  let ids = ref (g.ids, g.id_inv) in
-  let pending_refs : (nid * string * string list) Vec.t = Vec.create () in
-  let is_id name = List.mem name id_attrs in
-  let is_idref name = List.mem name idref_attrs in
-  let split_refs v =
-    String.split_on_char ' ' v
-    |> List.concat_map (String.split_on_char '\n')
-    |> List.concat_map (String.split_on_char '\t')
-    |> List.filter (fun s -> String.length s > 0)
-  in
-  let rec walk (e : Repro_xml.Xml_tree.element) =
-    let only_text =
-      not (List.is_empty e.children)
-      && List.for_all (function Repro_xml.Xml_tree.Text _ -> true | _ -> false) e.children
-    in
-    let value =
-      if only_text then
-        Some
-          (String.concat ""
-             (List.map
-                (function Repro_xml.Xml_tree.Text s -> s | Repro_xml.Xml_tree.Element _ -> "")
-                e.children))
-      else None
-    in
-    let me = fresh ?value () in
-    List.iter
-      (fun (name, v) ->
-        if is_id name then ids := register_id !ids v me e.tag
-        else if is_idref name then Vec.push pending_refs (me, name, split_refs v)
-        else begin
-          let leaf = fresh ~value:v () in
-          add_edge me ("@" ^ name) leaf
-        end)
-      e.attrs;
-    if not only_text then
-      List.iter
-        (function
-          | Repro_xml.Xml_tree.Text _ -> ()
-          | Repro_xml.Xml_tree.Element child ->
-            let c = walk child in
-            add_edge me child.tag c)
-        e.children;
-    me
-  in
-  let fragment_root = walk fragment in
-  add_edge parent fragment.tag fragment_root;
-  let idref_label_names = Hashtbl.create 4 in
-  Vec.iter
-    (fun (owner, name, refs) ->
-      let targets = List.filter_map (fun r -> SMap.find_opt r (fst !ids)) refs in
-      match targets with
-      | [] -> ()
-      | targets ->
-        let attr_node = fresh () in
-        add_edge owner ("@" ^ name) attr_node;
-        Hashtbl.replace idref_label_names ("@" ^ name) ();
-        List.iter (fun (target, tag) -> add_edge attr_node tag target) targets)
-    pending_refs;
-  let k = Vec.length new_values in
   let out =
     Parray.update g.out ~length:(base + k) ~fill:[||]
-      ((parent, Array.append (Parray.get g.out parent) (Array.of_list (List.rev !parent_extra)))
-       :: List.init k (fun i -> (base + i, Array.of_list (List.rev !(Vec.get new_out i)))))
+      ((parent, Array.append (Parray.get g.out parent) grafts)
+       :: List.init k (fun i -> (base + i, rows.(i))))
   in
   let values =
     Parray.update g.values ~length:(base + k) ~fill:None
-      (List.init k (fun i -> (base + i, Vec.get new_values i)))
+      (List.init k (fun i -> (base + i, Vec.get b.b_values i)))
   in
-  let idref_label_ids =
-    Hashtbl.fold
-      (fun name () acc ->
-        match Label.find g.labels name with Some id -> id :: acc | None -> acc)
-      idref_label_names g.idref_label_ids
-    |> List.sort_uniq Int.compare
-  in
-  let g' =
-    { labels = g.labels;
-      root = g.root;
-      out;
-      values;
-      n_edges = g.n_edges + !new_edges;
-      idref_label_ids;
-      ids = fst !ids;
-      id_inv = snd !ids;
-      forest = g.forest;
-      in_adj = None;
-      by_label = None
-    }
-  in
-  let in_adj, by_label =
-    patch_caches g ~n:(base + k) ~out ~added:(appended g g' ~parent) ~removed:[]
-  in
-  { g' with in_adj; by_label }
+  ( version g ~out ~values ~added ~removed:[] ~ids:b.b_ids
+      ~idref_label_ids:(Option.value b.b_idrefs ~default:[]),
+    added )
 
 let delete_subtree g ~node =
   check_nid g node "delete_subtree";
@@ -591,7 +534,7 @@ let delete_subtree g ~node =
     Parray.update g.values ~length:(n_nodes g) ~fill:None
       (Hashtbl.fold (fun v () acc -> (v, None) :: acc) deleted [])
   in
-  let ids, id_inv =
+  let ids =
     Hashtbl.fold
       (fun v () (ids, id_inv) ->
         match IMap.find_opt v id_inv with
@@ -599,22 +542,7 @@ let delete_subtree g ~node =
         | Some names -> (List.fold_left (fun ids id -> SMap.remove id ids) ids names, IMap.remove v id_inv))
       deleted (g.ids, g.id_inv)
   in
-  let in_adj, by_label = patch_caches g ~n:(n_nodes g) ~out ~added:[] ~removed in
-  let g' =
-    { labels = g.labels;
-      root = g.root;
-      out;
-      values;
-      n_edges = g.n_edges - List.length removed;
-      idref_label_ids = g.idref_label_ids;
-      ids;
-      id_inv;
-      forest = g.forest;
-      in_adj;
-      by_label
-    }
-  in
-  (g', removed)
+  (version g ~out ~values ~added:[] ~removed ~ids, removed)
 
 let add_ref_edge g ~owner ~attr ~target =
   check_nid g owner "add_ref_edge";
@@ -638,22 +566,9 @@ let add_ref_edge g ~owner ~attr ~target =
   in
   let values = Parray.update g.values ~length:(attr_node + 1) ~fill:None [] in
   let added = [ (owner, l_attr, attr_node); (attr_node, target_tag, target) ] in
-  let in_adj, by_label = patch_caches g ~n:(attr_node + 1) ~out ~added ~removed:[] in
-  let g' =
-    { labels = g.labels;
-      root = g.root;
-      out;
-      values;
-      n_edges = g.n_edges + 2;
-      idref_label_ids = List.sort_uniq Int.compare (l_attr :: g.idref_label_ids);
-      ids = g.ids;
-      id_inv = g.id_inv;
-      forest = g.forest;
-      in_adj;
-      by_label
-    }
-  in
-  (g', added)
+  ( version g ~out ~values ~added ~removed:[]
+      ~idref_label_ids:(List.sort_uniq Int.compare (l_attr :: g.idref_label_ids)),
+    added )
 
 let remove_ref_edge g ~owner ~attr ~target =
   check_nid g owner "remove_ref_edge";
@@ -679,31 +594,19 @@ let remove_ref_edge g ~owner ~attr ~target =
   | None -> invalid_arg "Data_graph.remove_ref_edge: no such reference"
   | Some (attr_node, target_tag) ->
     let attr_row = remove_entries (Parray.get g.out attr_node) [ pack_adj target_tag target ] in
+    let reference = (attr_node, target_tag, target) in
     let rows, removed =
       if Array.length attr_row = 0 then
         ( [ (attr_node, attr_row);
             (owner, remove_entries (Parray.get g.out owner) [ pack_adj l_attr attr_node ])
           ],
-          [ (attr_node, target_tag, target); (owner, l_attr, attr_node) ] )
-      else ([ (attr_node, attr_row) ], [ (attr_node, target_tag, target) ])
+          (* in [iter_edges] order *)
+          (let attr_edge = (owner, l_attr, attr_node) in
+           if owner < attr_node then [ attr_edge; reference ] else [ reference; attr_edge ]) )
+      else ([ (attr_node, attr_row) ], [ reference ])
     in
     let out = Parray.update g.out ~length:(n_nodes g) ~fill:[||] rows in
-    let in_adj, by_label = patch_caches g ~n:(n_nodes g) ~out ~added:[] ~removed in
-    let g' =
-      { labels = g.labels;
-        root = g.root;
-        out;
-        values = g.values;
-        n_edges = g.n_edges - List.length removed;
-        idref_label_ids = g.idref_label_ids;
-        ids = g.ids;
-        id_inv = g.id_inv;
-        forest = g.forest;
-        in_adj;
-        by_label
-      }
-    in
-    (g', removed)
+    (version g ~out ~values:g.values ~added:[] ~removed, removed)
 
 (* A reader-safe copy for the serving layer: a record of its own with a
    private label table (a writer's [append_subtree] interns into the shared
@@ -717,42 +620,26 @@ let snapshot g =
   { g with labels = Label.copy_table g.labels; in_adj = Some in_adj; by_label = Some by_label }
 
 let reachable_by_label_path g path =
-  match path with
-  | [] -> invalid_arg "Data_graph.reachable_by_label_path: empty path"
-  | path ->
-    let n = n_nodes g in
-    let rec go (current : bool array option) = function
-      | [] -> assert false
-      | [ last ] ->
-        let edges = Vec.create () in
-        let consider u =
+  if List.is_empty path then invalid_arg "Data_graph.reachable_by_label_path: empty path";
+  let n = n_nodes g in
+  (* [active u]: [u] is reached by the labels walked so far *)
+  let rec go active = function
+    | [] -> assert false
+    | [ last ] ->
+      let edges = Vec.create () in
+      for u = 0 to n - 1 do
+        if active u then
           iter_out g u (fun l v -> if l = last then Vec.push edges (Edge_set.pack u v))
-        in
-        (match current with
-         | None ->
-           for u = 0 to n - 1 do
-             consider u
-           done
-         | Some cur ->
-           for u = 0 to n - 1 do
-             if cur.(u) then consider u
-           done);
-        Edge_set.of_packed_array (Vec.to_array edges)
-      | l :: rest ->
-        let next = Array.make n false in
-        let consider u = iter_out g u (fun l' v -> if l' = l then next.(v) <- true) in
-        (match current with
-         | None ->
-           for u = 0 to n - 1 do
-             consider u
-           done
-         | Some cur ->
-           for u = 0 to n - 1 do
-             if cur.(u) then consider u
-           done);
-        go (Some next) rest
-    in
-    go None path
+      done;
+      Edge_set.of_packed_array (Vec.to_array edges)
+    | l :: rest ->
+      let next = Array.make n false in
+      for u = 0 to n - 1 do
+        if active u then iter_out g u (fun l' v -> if l' = l then next.(v) <- true)
+      done;
+      go (Array.get next) rest
+  in
+  go (fun _ -> true) path
 
 let pp_stats ppf g =
   Format.fprintf ppf "nodes=%d edges=%d labels=%d(%d idref)" (n_nodes g) (n_edges g)

@@ -102,8 +102,8 @@ val of_document :
       carrying that text;
     - an attribute named in [idref_attrs] becomes an edge labeled
       [@name] to a fresh attribute node, and from there one reference
-      edge per whitespace-separated target id, labeled with the {e target
-      element's} tag;
+      edge per target id (ids are separated by spaces, tabs, line feeds
+      and carriage returns), labeled with the {e target element's} tag;
     - an attribute named in [id_attrs] (default [["id"]]) registers the
       element for reference resolution and produces no edge;
     - any other attribute becomes a leaf node reached by an [@name] edge,
@@ -156,20 +156,18 @@ val append_subtree :
   t ->
   parent:nid ->
   Repro_xml.Xml_tree.element ->
-  t
+  t * (nid * Label.t * nid) list
 (** Functional document growth: a new graph extending this one with the
-    fragment encoded per Section 3 and linked below [parent] by an edge
-    labeled with the fragment's tag. New nodes get nids after all existing
-    ones; existing nids, edges and extents of the old graph are unchanged
-    (the old value remains valid). IDREFs in the fragment resolve against
-    ids recorded when the original document was encoded plus the fragment's
-    own; dangling references are dropped. The label table is shared (it
-    only ever grows). @raise Invalid_argument on an unknown parent. *)
-
-val appended : t -> t -> parent:nid -> (nid * Label.t * nid) list
-(** [appended g g' ~parent] is the edges [g' = append_subtree g ~parent _]
-    added, in {!iter_edges} order: the suffix of [parent]'s row, then the
-    rows of the new nodes. Proportional to the fragment, not the graph. *)
+    fragment encoded per Section 3 (as {!of_document} encodes a document)
+    and linked below [parent] by an edge labeled with the fragment's tag.
+    New nodes get nids after all existing ones; existing nids, edges and
+    extents of the old graph are unchanged (the old value remains valid).
+    IDREFs in the fragment resolve against ids recorded when the original
+    document was encoded plus the fragment's own; dangling references are
+    dropped. The label table is shared (it only ever grows). Returns the
+    added edges as [(source, label, target)] triples in {!iter_edges}
+    order: the edge from [parent], then the new nodes' rows by ascending
+    nid. @raise Invalid_argument on an unknown parent. *)
 
 val delete_subtree : t -> node:nid -> t * (nid * Label.t * nid) list
 (** Functional subtree deletion: a new graph without [node], its tree
@@ -192,7 +190,8 @@ val add_ref_edge : t -> owner:nid -> attr:string -> target:nid -> t * (nid * Lab
 val remove_ref_edge : t -> owner:nid -> attr:string -> target:nid -> t * (nid * Label.t * nid) list
 (** Remove one reference edge [owner --@attr--> a --tag--> target]. When
     this empties the attribute node [a], the [@attr] edge to it is removed
-    too (and [a] is left disconnected). Returns the removed edges.
+    too (and [a] is left disconnected). Returns the removed edges in
+    {!iter_edges} order.
     @raise Invalid_argument when no such reference exists. *)
 
 val snapshot : t -> t

@@ -96,8 +96,6 @@ module Histogram = struct
     let at i = Float.ldexp (1. +. (Float.of_int i /. Float.of_int sub)) octave /. scale in
     (at s, at (s + 1))
 
-  let bucket_edge b = if b = 0 then 1. /. scale else snd (bucket_bounds b)
-
   let bucket_mid b =
     if b = 0 then 0.
     else

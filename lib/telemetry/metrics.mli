@@ -46,9 +46,6 @@ module Histogram : sig
   val bucket_of : float -> int
   (** Bucket index a value records into. *)
 
-  val bucket_edge : int -> float
-  (** Exclusive upper edge of a bucket in value units (bucket 0's is 1ns). *)
-
   val merge : t -> t -> t
   (** Pure: returns a fresh histogram, arguments unchanged. *)
 

@@ -21,8 +21,8 @@ type applied = {
 let apply_graph g op =
   match op with
   | Insert_subtree { parent; fragment } ->
-    let g' = G.append_subtree g ~parent fragment in
-    { graph = g'; added = G.appended g g' ~parent; removed = [] }
+    let graph, added = G.append_subtree g ~parent fragment in
+    { graph; added; removed = [] }
   | Delete_subtree { node } ->
     let graph, removed = G.delete_subtree g ~node in
     { graph; added = []; removed }

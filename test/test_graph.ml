@@ -202,6 +202,69 @@ let test_of_document_no_idref_config () =
   Alcotest.(check bool) "@movie exists as value leaf" true (Label.find labels "@movie" <> None);
   Alcotest.(check int) "no idref labels" 0 (List.length (Data_graph.idref_labels g))
 
+(* the targets of [owner]'s [@ref] references, in row order *)
+let ref_targets g owner =
+  let labels = Data_graph.labels g in
+  let targets = ref [] in
+  Data_graph.iter_out g owner (fun l a ->
+      if String.equal (Label.to_string labels l) "@ref" then
+        Data_graph.iter_out g a (fun _ t -> targets := t :: !targets));
+  List.rev !targets
+
+(* An IDREFS value splits on all four XML whitespace characters: a
+   carriage return left in by the lexer separates ids like a space. *)
+let test_of_document_idrefs_whitespace () =
+  List.iter
+    (fun sep ->
+      let g =
+        graph_of_xml ~idref_attrs:[ "ref" ]
+          (Printf.sprintf {|<r><a id="a"/><b id="b"/><q ref="a%sb"/></r>|} sep)
+      in
+      Alcotest.(check int) (String.escaped sep ^ ": edges") 6 (Data_graph.n_edges g);
+      Alcotest.(check (list int)) (String.escaped sep ^ ": targets") [ 1; 2 ] (ref_targets g 3))
+    [ " "; "\t"; "\n"; "\r"; "\r\n"; " \r\n\t " ];
+  let g = graph_of_xml ~idref_attrs:[ "ref" ] {|<r><a id="a"/><b id="b"/></r>|} in
+  let fragment =
+    (Repro_xml.Xml_parser.parse_string "<q ref=\"a\r\nb\"/>").Repro_xml.Xml_tree.root
+  in
+  let g', added = Data_graph.append_subtree ~idref_attrs:[ "ref" ] g ~parent:0 fragment in
+  Alcotest.(check int) "append_subtree: edges added" 4 (List.length added);
+  Alcotest.(check (list int)) "append_subtree: targets" [ 1; 2 ] (ref_targets g' 3)
+
+(* A canonical dump of an encoding: every node's value and out-row (label
+   name, target), the IDREF label names, and the id table. Its MD5 pins
+   the Section 3 encoding of each input below, so a rewrite of the encoder
+   must reproduce it byte for byte. *)
+let encoding_digest g =
+  let b = Buffer.create 4096 in
+  let name = Label.to_string (Data_graph.labels g) in
+  for v = 0 to Data_graph.n_nodes g - 1 do
+    Printf.bprintf b "%d %s:" v
+      (match Data_graph.value g v with Some s -> Printf.sprintf "%S" s | None -> "-");
+    Data_graph.iter_out g v (fun l w -> Printf.bprintf b " %s>%d" (name l) w);
+    Buffer.add_char b '\n'
+  done;
+  List.iter (fun l -> Printf.bprintf b "idref %s\n" (name l)) (Data_graph.idref_labels g);
+  List.iter (fun (id, v) -> Printf.bprintf b "id %S %d\n" id v) (Data_graph.ids g);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_encoding_digests () =
+  let dataset name =
+    Repro_datagen.Dataset.scaled (Option.get (Repro_datagen.Dataset.by_name name)) 0.1
+  in
+  let encoded name = Repro_datagen.Dataset.build_graph (dataset name) in
+  let updated =
+    snd (Repro_workload.Update_workload.gen_ops ~seed:11 ~n:40 (encoded "Ged01"))
+  in
+  List.iter
+    (fun (msg, g, digest) -> Alcotest.(check string) msg digest (encoding_digest g))
+    [ ("movie_db", F.movie_db (), "01127e5db196f4a49c53df2ea87f7610");
+      ("Ged01", encoded "Ged01", "8395817d4472dea8f74395dcc728ebe6");
+      ("Flix01", encoded "Flix01", "5847eeae73e9335010a45255deb5f6d4");
+      ("four_tragedy", encoded "four_tragedy", "0e6e01b6f824febd9393f82fe5d8a5b6");
+      ("Ged01 after 40 ops", updated, "0cc2d9cd1ff751384a459f8eb6ec932c")
+    ]
+
 let test_graph_stats () =
   let g = F.movie_db () in
   let s = Graph_stats.compute g in
@@ -452,7 +515,7 @@ let test_forest_updates () =
        {|<movie id="m2" actor="a1"><title>Solo</title><award><title>Best</title></award></movie>|})
       .Repro_xml.Xml_tree.root
   in
-  let g1 = Data_graph.append_subtree ~idref_attrs:[ "actor" ] g ~parent:director frag in
+  let g1, _ = Data_graph.append_subtree ~idref_attrs:[ "actor" ] g ~parent:director frag in
   check_forest "append_subtree" g1;
   let g2, _ = Data_graph.add_ref_edge g1 ~owner:actor ~attr:"movie" ~target:(Data_graph.n_nodes g) in
   check_forest "add_ref_edge" g2;
@@ -504,6 +567,25 @@ let check_ids msg g =
     | _ -> Alcotest.failf "%s: id_of %d disagrees with ids" msg v
   done
 
+(* the edges of [g'] that [g] lacks, as a multiset, in [iter_edges] order
+   of [g'] *)
+let edge_diff g g' =
+  let count = Hashtbl.create 64 in
+  Data_graph.iter_edges g (fun u l v ->
+      Hashtbl.replace count (u, l, v) (1 + Option.value (Hashtbl.find_opt count (u, l, v)) ~default:0));
+  let extra = ref [] in
+  Data_graph.iter_edges g' (fun u l v ->
+      match Hashtbl.find_opt count (u, l, v) with
+      | Some c when c > 0 -> Hashtbl.replace count (u, l, v) (c - 1)
+      | Some _ | None -> extra := (u, l, v) :: !extra);
+  List.rev !extra
+
+(* an op's returned edges are exactly what its version gained and lost *)
+let check_delta msg g (applied : Update.applied) =
+  let triple = Alcotest.(list (triple int int int)) in
+  Alcotest.check triple (msg ^ ": added") (edge_diff g applied.graph) applied.added;
+  Alcotest.check triple (msg ^ ": removed") (edge_diff applied.graph g) applied.removed
+
 let rec fragment_ids (e : Repro_xml.Xml_tree.element) =
   List.filter_map (fun (k, v) -> if k = "id" then Some v else None) e.attrs
   @ List.concat_map
@@ -539,8 +621,10 @@ let test_carried_caches spec_name () =
   ignore
     (List.fold_left
        (fun (g, i) op ->
-         let g' = (Update.apply_graph g op).Update.graph in
+         let applied = Update.apply_graph g op in
+         let g' = applied.graph in
          let msg = Printf.sprintf "%s op %d" spec_name i in
+         check_delta msg g applied;
          check_caches msg g';
          check_ids msg g';
          Alcotest.(check (list string))
@@ -556,9 +640,11 @@ let test_carried_caches_non_forest () =
   ignore
     (List.fold_left
        (fun (g, i) op ->
-         let g' = (Update.apply_graph g op).Update.graph in
-         check_caches (Printf.sprintf "movie_db op %d" i) g';
-         (g', i + 1))
+         let applied = Update.apply_graph g op in
+         let msg = Printf.sprintf "movie_db op %d" i in
+         check_delta msg g applied;
+         check_caches msg applied.graph;
+         (applied.graph, i + 1))
        (g0, 0) ops
       : Data_graph.t * int)
 
@@ -591,6 +677,9 @@ let () =
           Alcotest.test_case "id makes no edge" `Quick test_of_document_id_not_an_edge;
           Alcotest.test_case "dangling ref dropped" `Quick test_of_document_dangling_ref;
           Alcotest.test_case "no idref config" `Quick test_of_document_no_idref_config;
+          Alcotest.test_case "IDREFS split on XML whitespace" `Quick
+            test_of_document_idrefs_whitespace;
+          Alcotest.test_case "encoding digests" `Quick test_encoding_digests;
           Alcotest.test_case "graph stats" `Quick test_graph_stats
         ] );
       ( "forest",

@@ -500,14 +500,27 @@ let quantile_resolution () =
         true
         (Float.abs (est -. v) <= 0.125 *. v))
     [ (0.5, 5e-6); (0.99, 7e-6) ];
-  (* each bucket's upper edge separates it from the next bucket *)
-  for b = 0 to Metrics.Histogram.n_buckets - 2 do
-    let edge = Metrics.Histogram.bucket_edge b in
-    let below = Metrics.Histogram.bucket_of (edge *. (1. -. 1e-9))
-    and above = Metrics.Histogram.bucket_of (edge *. (1. +. 1e-9)) in
-    if below <> b || above <> b + 1 then
-      Alcotest.failf "bucket %d: values around its edge %g record into %d and %d" b edge below above
-  done
+  (* adjacent buckets meet with no gap: a geometric walk in steps finer
+     than the narrowest bucket records into every bucket in turn, and each
+     bucket's quantile estimate records back into that bucket *)
+  let seen = Array.make Metrics.Histogram.n_buckets [] in
+  let v = ref 1e-10 and last = ref 0 in
+  while !v < 1e20 do
+    let b = Metrics.Histogram.bucket_of !v in
+    if b <> !last && b <> !last + 1 then
+      Alcotest.failf "%g records into bucket %d right after bucket %d" !v b !last;
+    seen.(b) <- !v :: seen.(b);
+    last := b;
+    v := !v *. 1.01
+  done;
+  Array.iteri
+    (fun b vs ->
+      if List.is_empty vs then Alcotest.failf "bucket %d: the walk records nothing into it" b;
+      let est = Metrics.Histogram.quantile (of_samples vs) 0.5 in
+      if Metrics.Histogram.bucket_of est <> b then
+        Alcotest.failf "bucket %d: its estimate %g records into %d" b est
+          (Metrics.Histogram.bucket_of est))
+    seen
 
 (* Every served query records latency samples on the writer's drain path:
    [record] must not allocate. Values spread over many buckets so both

@@ -35,19 +35,22 @@ let fragment =
 
 let test_append_grows_graph () =
   let g = base_graph () in
-  let g' =
+  let g', added =
     G.append_subtree ~idref_attrs:[ "movie"; "actor" ] g ~parent:(G.root g) fragment
   in
   (* actor + name leaf + @movie attr node *)
   Alcotest.(check int) "3 new nodes" (G.n_nodes g + 3) (G.n_nodes g');
   (* root->actor, actor->name, actor->@movie, @movie->movie *)
   Alcotest.(check int) "4 new edges" (G.n_edges g + 4) (G.n_edges g');
+  Alcotest.(check (list int)) "returned edges' sources, parent first"
+    [ G.root g; 9; 9; 11 ]
+    (List.map (fun (u, _, _) -> u) added);
   (* old graph untouched *)
   Alcotest.(check int) "old node count stable" 9 (G.n_nodes g)
 
 let test_append_resolves_old_ids () =
   let g = base_graph () in
-  let g' =
+  let g', _ =
     G.append_subtree ~idref_attrs:[ "movie"; "actor" ] g ~parent:(G.root g) fragment
   in
   (* the new actor's @movie reference reaches the *existing* movie's title *)
@@ -58,7 +61,7 @@ let test_append_resolves_old_ids () =
 
 let test_append_new_ids_resolvable_later () =
   let g = base_graph () in
-  let g' = G.append_subtree ~idref_attrs:[ "movie"; "actor" ] g ~parent:(G.root g) fragment in
+  let g', _ = G.append_subtree ~idref_attrs:[ "movie"; "actor" ] g ~parent:(G.root g) fragment in
   (* a second fragment referencing the id introduced by the first *)
   let sequel =
     Repro_xml.Xml_tree.element ~attrs:[ ("actor", "a2") ]
@@ -68,7 +71,7 @@ let test_append_new_ids_resolvable_later () =
         ]
       "movie"
   in
-  let g'' = G.append_subtree ~idref_attrs:[ "movie"; "actor" ] g' ~parent:(G.root g') sequel in
+  let g'', _ = G.append_subtree ~idref_attrs:[ "movie"; "actor" ] g' ~parent:(G.root g') sequel in
   let r = Naive.eval_query g'' (Result.get_ok (Query.parse "//movie/@actor=>actor/name")) in
   Alcotest.(check int) "new movie references the appended actor" 2 (Array.length r)
 
@@ -79,7 +82,7 @@ let test_append_dangling_dropped () =
       ~children:[ Repro_xml.Xml_tree.Element (Repro_xml.Xml_tree.element "name") ]
       "actor"
   in
-  let g' = G.append_subtree ~idref_attrs:[ "movie" ] g ~parent:(G.root g) bad in
+  let g', _ = G.append_subtree ~idref_attrs:[ "movie" ] g ~parent:(G.root g) bad in
   (* actor + empty name only; no attr node for the dangling ref *)
   Alcotest.(check int) "2 new nodes" (G.n_nodes g + 2) (G.n_nodes g')
 
